@@ -15,6 +15,8 @@ Design constraints honored throughout:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 NORM_GRAD_EPS = 1e-8  # smooths d|x|/dx at the origin; value stays exact
@@ -29,7 +31,10 @@ class NumericalError(ArithmeticError):
 
 
 def _is_scalar_shape(shape):
-    return int(np.prod(shape, dtype=np.int64)) == 1
+    return math.prod(shape) == 1
+
+
+_POST = object()  # marks a finished tensor on Tensor.backward's traversal stack
 
 
 class Tensor:
@@ -75,27 +80,39 @@ class Tensor:
         else:
             self.grad += g
 
+    def _accum_fresh(self, g):
+        """_accum for a gradient array no one else holds: adopted, not copied."""
+        if self.grad is None:
+            self.grad = g if type(g) is np.ndarray else np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
+
     def backward(self):
         """Reverse accumulation from this scalar into .grad of all leaves."""
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar loss, got shape {self.shape}")
-        topo = []
+        # depth-first post-order, visiting a tensor when it is popped (so a
+        # tensor pushed twice goes where its latest push puts it); tensors
+        # hash by identity. Leaves (no parents, no backward closure) are left
+        # out: they have nothing to run and reach nothing.
+        order = []
         visited = set()
-        stack = [(self, False)]
+        stack = [self]
         while stack:
-            node, processed = stack.pop()
-            if processed:
-                topo.append(node)
+            node = stack.pop()
+            if node is _POST:
+                order.append(stack.pop())
                 continue
-            if id(node) in visited:
+            if node in visited:
                 continue
-            visited.add(id(node))
-            stack.append((node, True))
+            visited.add(node)
+            stack.append(node)
+            stack.append(_POST)
             for p in node._parents:
-                if id(p) not in visited:
-                    stack.append((p, False))
+                if (p._parents or p._backward_fn is not None) and p not in visited:
+                    stack.append(p)
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        for node in reversed(order):
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
 
@@ -114,10 +131,10 @@ class Tensor:
         return neg(self)
 
     def __sub__(self, other):
-        return add(self, neg(as_tensor(other)))
+        return sub(self, other)
 
     def __rsub__(self, other):
-        return add(as_tensor(other), neg(self))
+        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -173,9 +190,21 @@ def parameter(x, name=None) -> Tensor:
 
 
 def _node(data, parents, backward_fn):
-    req = any(p.requires_grad for p in parents)
-    return Tensor(data, requires_grad=req, _parents=tuple(parents) if req else (),
-                  _backward_fn=backward_fn if req else None)
+    for p in parents:
+        if p.requires_grad:
+            return Tensor(data, True, None, tuple(parents), backward_fn)
+    return Tensor(data)
+
+
+def custom_op(data, parents, backward_fn) -> Tensor:
+    """Record a node with a hand-written backward (for ops fused from primitives).
+
+    ``backward_fn(g)`` must add each parent's gradient with ``_accum`` (or
+    ``_accum_fresh`` for an array nothing else holds) when that parent has
+    ``requires_grad`` set. The node is a constant when no parent needs
+    gradients.
+    """
+    return _node(data, tuple(parents), backward_fn)
 
 
 def _binary_shapes(a: Tensor, b: Tensor, opname: str):
@@ -200,7 +229,8 @@ def _reduce_to(g, shape):
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _binary_shapes(a, b, "add")
+    if a.data.shape != b.data.shape:
+        _binary_shapes(a, b, "add")
     out_data = a.data + b.data
 
     def backward_fn(g):
@@ -217,35 +247,53 @@ def neg(a) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            a._accum(-g)
+            a._accum_fresh(-g)
 
     return _node(-a.data, (a,), backward_fn)
 
 
+def sub(a, b) -> Tensor:
+    """a - b as one node; same values as add(a, neg(b))."""
+    a, b = as_tensor(a), as_tensor(b)
+    if a.data.shape != b.data.shape:
+        _binary_shapes(a, b, "sub")
+    out_data = a.data - b.data
+
+    def backward_fn(g):
+        if a.requires_grad:
+            a._accum(_reduce_to(g, a.shape))
+        if b.requires_grad:
+            b._accum_fresh(-_reduce_to(g, b.shape))
+
+    return _node(out_data, (a, b), backward_fn)
+
+
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _binary_shapes(a, b, "mul")
+    if a.data.shape != b.data.shape:
+        _binary_shapes(a, b, "mul")
     out_data = a.data * b.data
 
     def backward_fn(g):
         if a.requires_grad:
-            a._accum(_reduce_to(g * b.data, a.shape))
+            a._accum_fresh(_reduce_to(g * b.data, a.shape))
         if b.requires_grad:
-            b._accum(_reduce_to(g * a.data, b.shape))
+            b._accum_fresh(_reduce_to(g * a.data, b.shape))
 
     return _node(out_data, (a, b), backward_fn)
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _binary_shapes(a, b, "div")
+    if a.data.shape != b.data.shape:
+        _binary_shapes(a, b, "div")
     out_data = a.data / b.data
 
     def backward_fn(g):
         if a.requires_grad:
-            a._accum(_reduce_to(g / b.data, a.shape))
+            a._accum_fresh(_reduce_to(g / b.data, a.shape))
         if b.requires_grad:
-            b._accum(_reduce_to(-g * a.data / (b.data * b.data), b.shape))
+            b._accum_fresh(_reduce_to(-g * a.data / (b.data * b.data), b.shape))
 
     return _node(out_data, (a, b), backward_fn)
 
@@ -257,7 +305,7 @@ def pow_const(a, p) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            a._accum(g * p * a.data ** (p - 1.0))
+            a._accum_fresh(g * p * a.data ** (p - 1.0))
 
     return _node(out_data, (a,), backward_fn)
 
@@ -268,7 +316,7 @@ def exp(a) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            a._accum(g * out_data)
+            a._accum_fresh(g * out_data)
 
     return _node(out_data, (a,), backward_fn)
 
@@ -278,7 +326,7 @@ def log(a) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            a._accum(g / a.data)
+            a._accum_fresh(g / a.data)
 
     return _node(np.log(a.data), (a,), backward_fn)
 
@@ -288,7 +336,7 @@ def sin(a) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            a._accum(g * np.cos(a.data))
+            a._accum_fresh(g * np.cos(a.data))
 
     return _node(np.sin(a.data), (a,), backward_fn)
 
@@ -298,7 +346,7 @@ def cos(a) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            a._accum(-g * np.sin(a.data))
+            a._accum_fresh(-g * np.sin(a.data))
 
     return _node(np.cos(a.data), (a,), backward_fn)
 
@@ -309,7 +357,7 @@ def sqrt(a) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            a._accum(g * 0.5 / out_data)
+            a._accum_fresh(g * 0.5 / out_data)
 
     return _node(out_data, (a,), backward_fn)
 
@@ -320,7 +368,7 @@ def relu(a) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            a._accum(g * mask)
+            a._accum_fresh(g * mask)
 
     return _node(a.data * mask, (a,), backward_fn)
 
@@ -333,7 +381,7 @@ def l2_norm(a) -> Tensor:
     def backward_fn(g):
         if a.requires_grad:
             denom = np.sqrt(np.sum(a.data * a.data) + NORM_GRAD_EPS)
-            a._accum(float(g.reshape(())) * a.data / denom)
+            a._accum_fresh(float(g.reshape(())) * a.data / denom)
 
     return _node(np.float64(val), (a,), backward_fn)
 
@@ -349,7 +397,7 @@ def l2_norm_rows(a) -> Tensor:
     def backward_fn(g):
         if a.requires_grad:
             denom = np.sqrt(sq + NORM_GRAD_EPS)
-            a._accum((g / denom)[:, None] * a.data)
+            a._accum_fresh((g / denom)[:, None] * a.data)
 
     return _node(val, (a,), backward_fn)
 
@@ -357,25 +405,75 @@ def l2_norm_rows(a) -> Tensor:
 # -- linear algebra and structure ------------------------------------------------
 
 
+def _matmul_shapes(a_shape, b_shape):
+    if len(a_shape) < 2 or len(b_shape) < 2:
+        raise ShapeError(f"matmul needs >=2-D operands, got {a_shape} @ {b_shape}")
+    if len(a_shape) != len(b_shape) or a_shape[:-2] != b_shape[:-2]:
+        raise ShapeError(f"matmul: batch dims differ, {a_shape} @ {b_shape} "
+                         "(tile_leading makes batch mixing explicit)")
+    if a_shape[-1] != b_shape[-2]:
+        raise ShapeError(f"matmul: inner dims differ, {a_shape} @ {b_shape}")
+
+
 def matmul(a, b) -> Tensor:
     """Matrix product: both 2-D, or both N-D with identical leading (batch) dims."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs >=2-D operands, got {tuple(a.shape)} @ {tuple(b.shape)}")
-    if a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]:
-        raise ShapeError(f"matmul: batch dims differ, {tuple(a.shape)} @ {tuple(b.shape)} "
-                         "(tile_leading makes batch mixing explicit)")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: inner dims differ, {tuple(a.shape)} @ {tuple(b.shape)}")
+    _matmul_shapes(a.data.shape, b.data.shape)
     out_data = np.matmul(a.data, b.data)
 
     def backward_fn(g):
         if a.requires_grad:
-            a._accum(np.matmul(g, np.swapaxes(b.data, -1, -2)))
+            a._accum_fresh(np.matmul(g, np.swapaxes(b.data, -1, -2)))
         if b.requires_grad:
-            b._accum(np.matmul(np.swapaxes(a.data, -1, -2), g))
+            b._accum_fresh(np.matmul(np.swapaxes(a.data, -1, -2), g))
 
     return _node(out_data, (a, b), backward_fn)
+
+
+def matmul_add(a, b, c) -> Tensor:
+    """a @ b + c as one node, with the values and gradients of add(matmul(a, b), c).
+
+    ``c`` must have the product's shape.
+    """
+    a, b, c = as_tensor(a), as_tensor(b), as_tensor(c)
+    _matmul_shapes(a.data.shape, b.data.shape)
+    prod = np.matmul(a.data, b.data)
+    if prod.shape != c.data.shape:
+        raise ShapeError(f"matmul_add: product {prod.shape} and addend {c.data.shape} differ")
+    out_data = prod + c.data
+
+    def backward_fn(g):
+        if c.requires_grad:
+            c._accum(g)
+        if a.requires_grad or b.requires_grad:
+            # the product node of add(matmul(a, b), c) saw a private copy of g
+            g = g if g.flags.c_contiguous else np.array(g, dtype=np.float64)
+            if a.requires_grad:
+                a._accum_fresh(np.matmul(g, np.swapaxes(b.data, -1, -2)))
+            if b.requires_grad:
+                b._accum_fresh(np.matmul(np.swapaxes(a.data, -1, -2), g))
+
+    return _node(out_data, (a, b, c), backward_fn)
+
+
+def expand_rows(v, rows: int) -> Tensor:
+    """Stack ``rows`` copies of a 1-D tensor (n,) into (rows, n).
+
+    One node with the values and gradient of
+    matmul(ones((rows, 1)), reshape(v, (1, n))).
+    """
+    v = as_tensor(v)
+    if v.ndim != 1:
+        raise ShapeError(f"expand_rows needs a 1-D tensor, got shape {tuple(v.shape)}")
+    n = v.shape[0]
+    ones = np.ones((int(rows), 1))
+    out_data = np.matmul(ones, v.data.reshape(1, n))
+
+    def backward_fn(g):
+        if v.requires_grad:
+            v._accum_fresh(np.matmul(np.swapaxes(ones, -1, -2), g).reshape(n))
+
+    return _node(out_data, (v,), backward_fn)
 
 
 def tile_leading(a, n: int) -> Tensor:
@@ -393,8 +491,8 @@ def tile_leading(a, n: int) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    shape = tuple(int(s) for s in shape)
-    old_shape = a.shape
+    shape = tuple(map(int, shape))
+    old_shape = a.data.shape
     out_data = a.data.reshape(shape)
 
     def backward_fn(g):
@@ -422,23 +520,22 @@ def concat(tensors, axis=0) -> Tensor:
     ts = [as_tensor(t) for t in tensors]
     if not ts:
         raise ShapeError("concat of an empty sequence")
-    axis = int(axis)
-    ref = list(ts[0].shape)
-    for t in ts[1:]:
-        s = list(t.shape)
-        if len(s) != len(ref) or s[:axis] != ref[:axis] or s[axis + 1:] != ref[axis + 1:]:
-            raise ShapeError(f"concat: shape {tuple(t.shape)} does not line up with "
-                             f"{tuple(ts[0].shape)} along axis {axis}")
-    sizes = [t.shape[axis] for t in ts]
+    ref = ts[0].data.shape
+    axis = int(axis) % max(len(ref), 1)
+    head, tail = ref[:axis], ref[axis + 1:]
+    offsets = [0]
+    for t in ts:
+        s = t.data.shape
+        if len(s) != len(ref) or s[:axis] != head or s[axis + 1:] != tail:
+            raise ShapeError(f"concat: shape {s} does not line up with {ref} along axis {axis}")
+        offsets.append(offsets[-1] + s[axis])
     out_data = np.concatenate([t.data for t in ts], axis=axis)
-    offsets = np.cumsum([0] + sizes)
+    lead = (slice(None),) * axis
 
     def backward_fn(g):
         for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
             if t.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(int(lo), int(hi))
-                t._accum(g[tuple(sl)])
+                t._accum(g[lead + (slice(lo, hi),)])
 
     return _node(out_data, tuple(ts), backward_fn)
 
@@ -484,6 +581,13 @@ def gather_rows(a, indices) -> Tensor:
     return _node(out_data, (a,), backward_fn)
 
 
+def _spread(g, shape):
+    """A fresh array of ``shape`` filled from ``g`` by broadcasting."""
+    out = np.empty(shape)
+    out[...] = g
+    return out
+
+
 def sum_(a, axis=None, keepdims=False) -> Tensor:
     a = as_tensor(a)
     out_data = np.sum(a.data, axis=axis, keepdims=keepdims)
@@ -492,19 +596,28 @@ def sum_(a, axis=None, keepdims=False) -> Tensor:
     def backward_fn(g):
         if not a.requires_grad:
             return
-        if axis is None:
-            a._accum(np.broadcast_to(np.reshape(g, (1,) * len(in_shape)), in_shape).copy())
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            a._accum(np.broadcast_to(gg, in_shape).copy())
+        a._accum_fresh(_spread(g if axis is None or keepdims else np.expand_dims(g, axis),
+                               in_shape))
 
     return _node(out_data, (a,), backward_fn)
 
 
 def mean_(a, axis=None, keepdims=False) -> Tensor:
+    """sum_ then a scale by 1/count, as one node with the same values."""
     a = as_tensor(a)
     count = a.size if axis is None else a.shape[axis]
-    return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / float(count))
+    inv = 1.0 / float(count)
+    out_data = np.sum(a.data, axis=axis, keepdims=keepdims) * inv
+    in_shape = a.shape
+
+    def backward_fn(g):
+        if not a.requires_grad:
+            return
+        g = g * inv
+        a._accum_fresh(_spread(g if axis is None or keepdims else np.expand_dims(g, axis),
+                               in_shape))
+
+    return _node(out_data, (a,), backward_fn)
 
 
 # -- network building blocks -----------------------------------------------------
@@ -543,16 +656,16 @@ def conv1d(x, w, b=None) -> Tensor:
 
     def backward_fn(g):
         if w.requires_grad:
-            w._accum((g @ cols.T).reshape(c_out, c_in, k))
+            w._accum_fresh((g @ cols.T).reshape(c_out, c_in, k))
         if b is not None and b.requires_grad:
-            b._accum(g.sum(axis=1))
+            b._accum_fresh(g.sum(axis=1))
         if x.requires_grad:
             dcols = wmat.T @ g  # (C_in*K, T)
             dxp = np.zeros_like(xp)
             for j in range(k):
                 dxp[:, j:j + t_len] += dcols[j::k, :]
             a_grad = dxp[:, pad:pad + t_len] if pad else dxp
-            x._accum(a_grad)
+            x._accum_fresh(a_grad)
 
     parents = (x, w) if b is None else (x, w, b)
     return _node(out_data, parents, backward_fn)
@@ -564,6 +677,11 @@ def group_norm(x, gamma, beta, n_groups: int, eps: float = 1e-5) -> Tensor:
     Normalizing within each time step (rather than across the whole sequence)
     keeps every output column a function of its own input column, so the conv
     stack's receptive field stays exact.
+
+    One tape node. Forward and backward run, value for value and in the same
+    order, the numpy operations of the composite graph (mean, centre,
+    variance, divide, ones-matmul expansions) it replaces, so results are
+    bit-identical to building that graph node by node.
     """
     x = as_tensor(x)
     gamma, beta = as_tensor(gamma), as_tensor(beta)
@@ -571,19 +689,40 @@ def group_norm(x, gamma, beta, n_groups: int, eps: float = 1e-5) -> Tensor:
     if c % n_groups != 0:
         raise ShapeError(f"group_norm: {c} channels not divisible into {n_groups} groups")
     gsize = c // n_groups
-    xg = reshape(x, (n_groups, gsize, t_len))
-    m = mean_(xg, axis=1, keepdims=True)                    # (G, 1, T)
-    ones_col = constant(np.ones((n_groups, gsize, 1)))
-    m_full = matmul(ones_col, m)                            # (G, gsize, T)
+    inv = 1.0 / float(gsize)
+    ones_col = np.ones((n_groups, gsize, 1))
+    ones_row = np.ones((1, t_len))
+    xg = x.data.reshape(n_groups, gsize, t_len)
+    m_full = np.matmul(ones_col, np.sum(xg, axis=1, keepdims=True) * inv)    # (G, gsize, T)
     centered = xg - m_full
-    var = mean_(mul(centered, centered), axis=1, keepdims=True)
-    denom = sqrt(var + eps)
-    normed = div(centered, matmul(ones_col, denom))
-    normed = reshape(normed, (c, t_len))
-    ones_row = constant(np.ones((1, t_len)))
-    scale = matmul(reshape(gamma, (c, 1)), ones_row)
-    shift = matmul(reshape(beta, (c, 1)), ones_row)
-    return add(mul(normed, scale), shift)
+    var = np.sum(centered * centered, axis=1, keepdims=True) * inv            # (G, 1, T)
+    denom = np.sqrt(var + eps)
+    d_full = np.matmul(ones_col, denom)
+    normed = (centered / d_full).reshape(c, t_len)
+    scale = np.matmul(gamma.data.reshape(c, 1), ones_row)
+    out_data = normed * scale + np.matmul(beta.data.reshape(c, 1), ones_row)
+
+    def backward_fn(g):
+        ones_row_t = np.swapaxes(ones_row, -1, -2)
+        if x.requires_grad:
+            ones_col_t = np.swapaxes(ones_col, -1, -2)
+            g_n = (g * scale).reshape(n_groups, gsize, t_len)
+            g_c = g_n / d_full
+            g_denom = np.matmul(ones_col_t, -g_n * centered / (d_full * d_full))
+            g_var = g_denom * 0.5 / denom
+            g_sq = g_var * inv                  # spread over each group below
+            g_c += g_sq * centered          # both factors of centered * centered
+            g_c += g_sq * centered
+            g_m = np.matmul(ones_col_t, -g_c)
+            g_xg = g_c.copy()
+            g_xg += g_m * inv
+            x._accum_fresh(g_xg.reshape(c, t_len))
+        if gamma.requires_grad:
+            gamma._accum_fresh(np.matmul(g * normed, ones_row_t).reshape(c))
+        if beta.requires_grad:
+            beta._accum_fresh(np.matmul(g, ones_row_t).reshape(c))
+
+    return _node(out_data, (x, gamma, beta), backward_fn)
 
 
 def dropout_mask(rng: np.random.Generator, shape, rate: float) -> Tensor:
@@ -597,19 +736,31 @@ def dropout_mask(rng: np.random.Generator, shape, rate: float) -> Tensor:
 # -- verification -----------------------------------------------------------------
 
 
+# relative error above which finite_diff_check refines a central difference;
+# far below the gradcheck tolerances, so only coordinates near failing pay for
+# the two extra evaluations
+FD_REFINE_ABOVE = 1e-7
+
+
 def zero_grads(tensors):
     for t in tensors:
         t.grad = None
 
 
 def finite_diff_check(f, wrt, h: float = 1e-5, max_coords=None, rng=None) -> float:
-    """Max relative error between analytic and central-difference gradients.
+    """Max relative error between analytic and finite-difference gradients.
 
     ``f`` is a deterministic zero-argument callable returning a scalar Tensor,
     closing over the tensors in ``wrt`` (a Tensor or list of Tensors). Error
-    per coordinate is |analytic - central| / max(1, |central|); the max over
+    per coordinate is |analytic - numeric| / max(1, |numeric|); the max over
     all checked coordinates is returned. ``max_coords`` limits the number of
     coordinates probed per tensor (sampled with ``rng`` when set).
+
+    The numeric value is the central difference D(h). Its O(h^2) truncation
+    error grows with the third derivative, which is large on ill-conditioned
+    inputs (a group_norm group of tiny variance, say), so a coordinate whose
+    error exceeds FD_REFINE_ABOVE is re-estimated by Richardson extrapolation,
+    (4 D(h/2) - D(h)) / 3, whose truncation error is O(h^4).
     """
     params = [wrt] if isinstance(wrt, Tensor) else list(wrt)
     zero_grads(params)
@@ -618,6 +769,17 @@ def finite_diff_check(f, wrt, h: float = 1e-5, max_coords=None, rng=None) -> flo
         raise ShapeError("finite_diff_check: f must return a scalar Tensor")
     out.backward()
     analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
+
+    def central(p, base, c, step):
+        bumped = base.copy().reshape(-1)
+        bumped[c] = base.reshape(-1)[c] + step
+        p.data = bumped.reshape(base.shape)
+        f_plus = f().item()
+        bumped[c] = base.reshape(-1)[c] - step
+        p.data = bumped.reshape(base.shape)
+        f_minus = f().item()
+        p.data = base
+        return (f_plus - f_minus) / (2.0 * step)
 
     worst = 0.0
     bad = []
@@ -632,23 +794,17 @@ def finite_diff_check(f, wrt, h: float = 1e-5, max_coords=None, rng=None) -> flo
         base = p.data.copy()
         for c in coords:
             c = int(c)
-            bumped = base.copy().reshape(-1)
-            bumped[c] = base.reshape(-1)[c] + h
-            p.data = bumped.reshape(base.shape)
-            f_plus = f().item()
-            bumped[c] = base.reshape(-1)[c] - h
-            p.data = bumped.reshape(base.shape)
-            f_minus = f().item()
-            p.data = base
-            central = (f_plus - f_minus) / (2.0 * h)
             a = an.reshape(-1)[c]
-            if not (np.isfinite(central) and np.isfinite(a)):
-                bad.append((p.name or "<unnamed>", c, a, central))
+            numeric = central(p, base, c, h)
+            if abs(a - numeric) > FD_REFINE_ABOVE * max(1.0, abs(numeric)):
+                numeric = (4.0 * central(p, base, c, 0.5 * h) - numeric) / 3.0
+            if not (np.isfinite(numeric) and np.isfinite(a)):
+                bad.append((p.name or "<unnamed>", c, a, numeric))
                 continue
-            err = abs(a - central) / max(1.0, abs(central))
+            err = abs(a - numeric) / max(1.0, abs(numeric))
             if err > worst:
                 worst = err
     if bad:
-        detail = ", ".join(f"{n}[{c}]: analytic={a!r} central={fd!r}" for n, c, a, fd in bad[:8])
+        detail = ", ".join(f"{n}[{c}]: analytic={a!r} numeric={fd!r}" for n, c, a, fd in bad[:8])
         raise NumericalError(f"non-finite gradient entries: {detail}")
     return worst

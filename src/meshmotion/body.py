@@ -156,32 +156,73 @@ def rodrigues(axis_angle) -> ad.Tensor:
     if v.ndim != 2 or v.shape[1] != 3:
         raise ad.ShapeError(f"rodrigues expects (3,) or (M,3), got {tuple(axis_angle.shape)}")
     m = v.shape[0]
-
-    s = ad.sum_(ad.mul(v, v), axis=1, keepdims=True)            # (M,1) angle^2
-    small = ad.constant((s.data < SMALL_ANGLE ** 2).astype(float))
-    big = ad.constant(1.0 - small.data)
-    s_safe = s + small                                           # >= 1 on the small branch
-    a = ad.sqrt(s_safe)
-    half = a * 0.5
-    c1_big = ad.div(ad.sin(a), a)
-    half_sinc = ad.div(ad.sin(half), half)
-    c2_big = half_sinc * half_sinc * 0.5
-    c1_small = 1.0 - s * (1.0 / 6.0)
-    c2_small = 0.5 - s * (1.0 / 24.0)
-    c1 = small * c1_small + big * c1_big
-    c2 = small * c2_small + big * c2_big
-
-    x, y, z = v[:, 0:1], v[:, 1:2], v[:, 2:3]
-    zero = ad.constant(np.zeros((m, 1)))
-    k_flat = ad.concat([zero, -z, y, z, zero, -x, -y, x, zero], axis=1)
-    k = ad.reshape(k_flat, (m, 3, 3))
-    k2 = ad.matmul(k, k)
-    ones9 = ad.constant(np.ones((1, 9)))
-    c1e = ad.reshape(ad.matmul(c1, ones9), (m, 3, 3))
-    c2e = ad.reshape(ad.matmul(c2, ones9), (m, 3, 3))
-    eye = ad.constant(np.broadcast_to(np.eye(3), (m, 3, 3)))
-    rot = eye + c1e * k + c2e * k2
+    rot = _rodrigues_rows(v, m)
     return ad.reshape(rot, (3, 3)) if single else rot
+
+
+def _rodrigues_rows(v: ad.Tensor, m: int) -> ad.Tensor:
+    """(M,3) -> (M,3,3) as one tape node.
+
+    The forward pass is the formula R = I + c1 K + c2 K^2 with K the cross
+    product matrix of v, c1 = sin(a)/a and c2 = (1 - cos(a))/a^2, written as
+    the elementwise primitives it used to be built from; the backward pass
+    is those primitives' backward steps, in the order and with the
+    accumulations the tape would perform, so gradients are bit-identical
+    to the composite graph's.
+    """
+    vd = v.data
+    s = np.sum(vd * vd, axis=1, keepdims=True)                 # (M,1) angle^2
+    small = (s < SMALL_ANGLE ** 2).astype(float)
+    big = 1.0 - small
+    a = np.sqrt(s + small)                                      # >= 1 on the small branch
+    half = a * 0.5
+    sin_a = np.sin(a)
+    sin_half = np.sin(half)
+    half_sinc = sin_half / half
+    c1 = small * (1.0 - s * (1.0 / 6.0)) + big * (sin_a / a)
+    c2 = small * (0.5 - s * (1.0 / 24.0)) + big * (half_sinc * half_sinc * 0.5)
+    x, y, z = vd[:, 0:1], vd[:, 1:2], vd[:, 2:3]
+    zero = np.zeros((m, 1))
+    k = np.concatenate([zero, -z, y, z, zero, -x, -y, x, zero], axis=1).reshape(m, 3, 3)
+    k2 = np.matmul(k, k)
+    ones9 = np.ones((1, 9))
+    c1e = np.matmul(c1, ones9).reshape(m, 3, 3)
+    c2e = np.matmul(c2, ones9).reshape(m, 3, 3)
+    eye = np.broadcast_to(np.eye(3), (m, 3, 3))
+    out = eye + c1e * k + c2e * k2
+
+    def backward_fn(g):
+        ones9_t = np.swapaxes(ones9, -1, -2)
+        # c1 K term, then the c1 coefficient down to the squared angle
+        g_c1 = np.matmul(np.ascontiguousarray((g * k).reshape(m, 9)), ones9_t)
+        g_k = g * c1e
+        g_s = -(g_c1 * small) * (1.0 / 6.0)
+        g_c1_big = g_c1 * big
+        g_a = -g_c1_big * sin_a / (a * a)
+        g_a += g_c1_big / a * np.cos(a)
+        # c2 K^2 term, then the c2 coefficient
+        g_c2 = np.matmul(np.ascontiguousarray((g * k2).reshape(m, 9)), ones9_t)
+        g_k2 = g * c2e
+        g_s += -(g_c2 * small) * (1.0 / 24.0)
+        g_hs2 = g_c2 * big * 0.5
+        g_half_sinc = g_hs2 * half_sinc
+        g_half_sinc += g_hs2 * half_sinc
+        g_half = -g_half_sinc * sin_half / (half * half)
+        g_half += g_half_sinc / half * np.cos(half)
+        g_a += g_half * 0.5
+        g_s += g_a * 0.5 / a
+        # the squared angle's two factors of v, then K and K^2 back to v
+        g_v = g_s * vd
+        g_v += g_s * vd
+        g_k += np.matmul(g_k2, np.swapaxes(k, -1, -2))
+        g_k += np.matmul(np.swapaxes(k, -1, -2), g_k2)
+        g_kf = g_k.reshape(m, 9)
+        g_v[:, 2:3] += g_kf[:, 3:4] + -g_kf[:, 1:2]
+        g_v[:, 1:2] += g_kf[:, 2:3] + -g_kf[:, 6:7]
+        g_v[:, 0:1] += g_kf[:, 7:8] + -g_kf[:, 5:6]
+        v._accum_fresh(g_v)
+
+    return ad.custom_op(out, (v,), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -222,15 +263,16 @@ def _rest_relative_transforms(model: BodyModel, shaped, theta):
     joints_rest = ad.matmul(ad.tile_leading(model.rest_regressor, b), shaped)  # (B,24,3)
     rots = rodrigues(ad.reshape(theta, (b * N_JOINTS, 3)))
     rots = ad.reshape(rots, (b, N_JOINTS, 3, 3))
-    bottom = ad.constant(np.broadcast_to(np.array([0.0, 0.0, 0.0, 1.0]), (b, 1, 4)))
+    # the local transforms do not depend on the chain: build all 24 at once
+    j_col = ad.reshape(joints_rest, (b, N_JOINTS, 3, 1))
+    t_loc = j_col - ad.matmul(rots, j_col)                      # (B,24,3,1)
+    bottom = ad.constant(np.broadcast_to(np.array([0.0, 0.0, 0.0, 1.0]), (b, N_JOINTS, 1, 4)))
+    local = ad.concat([ad.concat([rots, t_loc], axis=3), bottom], axis=2)  # (B,24,4,4)
     g_parts = []
     for j in range(N_JOINTS):
-        r_j = rots[:, j]                                        # (B,3,3)
-        j_j = ad.reshape(joints_rest[:, j:j + 1, :], (b, 3, 1))  # (B,3,1)
-        t_j = j_j - ad.matmul(r_j, j_j)
-        local = ad.concat([ad.concat([r_j, t_j], axis=2), bottom], axis=1)  # (B,4,4)
+        local_j = local[:, j]                                   # (B,4,4)
         parent = int(model.parents[j])
-        g_j = local if parent < 0 else ad.matmul(g_parts[parent], local)
+        g_j = local_j if parent < 0 else ad.matmul(g_parts[parent], local_j)
         g_parts.append(g_j)
     g = ad.concat([ad.reshape(p, (b, 1, 4, 4)) for p in g_parts], axis=1)
     jh = ad.concat([ad.reshape(joints_rest, (b * N_JOINTS, 3, 1)),

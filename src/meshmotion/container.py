@@ -13,6 +13,9 @@ write/read round trip is bit-exact.
 
 from __future__ import annotations
 
+import contextlib
+import os
+import secrets
 import struct
 
 import numpy as np
@@ -30,29 +33,45 @@ def write_container(path, magic: str, sections):
     """Write ``sections`` (iterable of (name, value)) under ``magic``.
 
     Values may be numpy float/int arrays (flattened on disk) or strings.
+    The file is written under a temporary name in the same directory and
+    then renamed over ``path``, so a failed or interrupted write never
+    leaves a partial file at ``path``; a failed write also removes its
+    temporary file.
     """
-    with open(path, "wb") as fh:
-        fh.write(magic.encode("ascii"))
-        for name, value in sections:
-            name_b = name.encode("ascii")
-            if isinstance(value, str):
-                payload = value.encode("utf-8")
-                dtype, count = DTYPE_STR, len(payload)
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            _write_sections(fh, magic, sections)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def _write_sections(fh, magic, sections):
+    fh.write(magic.encode("ascii"))
+    for name, value in sections:
+        name_b = name.encode("ascii")
+        if isinstance(value, str):
+            payload = value.encode("utf-8")
+            dtype, count = DTYPE_STR, len(payload)
+        else:
+            arr = np.asarray(value)
+            if arr.dtype.kind in "iub":
+                arr = arr.astype("<i8")
+                dtype = DTYPE_I64
             else:
-                arr = np.asarray(value)
-                if arr.dtype.kind in "iub":
-                    arr = arr.astype("<i8")
-                    dtype = DTYPE_I64
-                else:
-                    arr = arr.astype("<f8")
-                    dtype = DTYPE_F64
-                payload = arr.reshape(-1).tobytes()
-                count = arr.size
-            fh.write(struct.pack("<I", len(name_b)))
-            fh.write(name_b)
-            fh.write(struct.pack("<B", dtype))
-            fh.write(struct.pack("<Q", count))
-            fh.write(payload)
+                arr = arr.astype("<f8")
+                dtype = DTYPE_F64
+            payload = arr.reshape(-1).tobytes()
+            count = arr.size
+        fh.write(struct.pack("<I", len(name_b)))
+        fh.write(name_b)
+        fh.write(struct.pack("<B", dtype))
+        fh.write(struct.pack("<Q", count))
+        fh.write(payload)
 
 
 def read_container(path, magic: str):

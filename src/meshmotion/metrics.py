@@ -8,6 +8,13 @@ which needs unbroken triples and uses the full predicted trajectory.
 
 Sequence aggregation pools frames across sequences using compensated
 summation, so results do not depend on evaluation order.
+
+Alignments are array-shaped: ``pa_mpjpe`` aligns every frame of a sequence
+with one stacked similarity solve. The dynamics protocol's nearest-neighbour
+baseline holds the training pool as one (P,3,k,3) array of past/current/
+future ground-truth joints and, per test centre, scores all P entries in one
+batched alignment and takes the first minimum: centres x P frame alignments
+in as many calls as there are centres, with memory O(P*k).
 """
 
 from __future__ import annotations
@@ -44,49 +51,57 @@ def mpjpe(pred_joints, gt_joints, root_index: int = 0) -> float:
 
 @dataclass
 class ProcrustesResult:
-    aligned: np.ndarray     # (k,3) transformed prediction
-    rotation: np.ndarray    # (3,3), det +1
-    scale: float
-    translation: np.ndarray  # (3,)
-    residual: float         # sum of squared distances after alignment
-    degenerate: bool        # rank-deficient covariance: rotation not unique
+    """One alignment per item of the input stack; a single (k,3) input gives
+    plain float/bool scalars."""
+
+    aligned: np.ndarray     # (...,k,3) transformed prediction
+    rotation: np.ndarray    # (...,3,3), det +1
+    scale: float | np.ndarray         # (...)
+    translation: np.ndarray           # (...,3)
+    residual: float | np.ndarray      # (...) sum of squared distances after alignment
+    degenerate: bool | np.ndarray     # (...) rank-deficient covariance: rotation not unique
 
 
 def procrustes_align(pred, gt) -> ProcrustesResult:
     """Best similarity transform (scale, rotation, translation) of pred onto gt.
 
-    Closed form via the covariance SVD with a reflection guard keeping
-    det(R) = +1. Degenerate (rank < 2) point sets are flagged: the returned
-    rotation is then one of several equally good choices.
+    Accepts matching (k,3) point sets or (...,k,3) stacks of them, aligned
+    item by item. Closed form via the covariance SVD (one stacked SVD for
+    the whole stack) with a per-item reflection guard keeping det(R) = +1.
+    Degenerate (rank < 2) point sets are flagged: the returned rotation is
+    then one of several equally good choices.
     """
     p = np.asarray(pred, dtype=np.float64)
     g = np.asarray(gt, dtype=np.float64)
-    k = p.shape[0]
-    if p.shape != (k, 3) or g.shape != (k, 3) or k < 3:
-        raise ValueError(f"procrustes_align expects matching (k>=3,3), got {p.shape} vs {g.shape}")
-    mu_p = p.mean(axis=0)
-    mu_g = g.mean(axis=0)
+    if p.shape != g.shape or p.ndim < 2 or p.shape[-1] != 3 or p.shape[-2] < 3:
+        raise ValueError(f"procrustes_align expects matching (...,k>=3,3), got {p.shape} vs {g.shape}")
+    k = p.shape[-2]
+    mu_p = p.mean(axis=-2, keepdims=True)
+    mu_g = g.mean(axis=-2, keepdims=True)
     pc = p - mu_p
     gc = g - mu_g
-    cov = gc.T @ pc / k
-    u, s_vals, vt = np.linalg.svd(cov)
-    sign_fix = np.eye(3)
-    if np.linalg.det(u) * np.linalg.det(vt) < 0:
-        sign_fix[2, 2] = -1.0
-    rot = u @ sign_fix @ vt
-    var_p = float((pc ** 2).sum() / k)
-    if var_p <= 0.0:
+    var_p = (pc ** 2).reshape(p.shape[:-2] + (3 * k,)).sum(axis=-1) / k
+    if np.any(var_p <= 0.0):
         raise ValueError("procrustes_align: prediction points are all identical")
-    scale = float(np.trace(np.diag(s_vals) @ sign_fix) / var_p)
-    trans = mu_g - scale * rot @ mu_p
-    aligned = scale * p @ rot.T + trans
-    residual = float(((aligned - g) ** 2).sum())
-    degenerate = bool(s_vals[1] <= 1e-12 * max(s_vals[0], 1e-300))
+    cov = np.swapaxes(gc, -1, -2) @ pc / k
+    u, s_vals, vt = np.linalg.svd(cov)
+    sign_fix = np.ones_like(s_vals)
+    sign_fix[..., 2] = np.where(np.linalg.det(u) * np.linalg.det(vt) < 0, -1.0, 1.0)
+    rot = (u * sign_fix[..., None, :]) @ vt
+    scale = (s_vals * sign_fix).sum(axis=-1) / var_p
+    trans = mu_g[..., 0, :] - ((scale[..., None, None] * rot) @ np.swapaxes(mu_p, -1, -2))[..., 0]
+    aligned = (scale[..., None, None] * p) @ np.swapaxes(rot, -1, -2) + trans[..., None, :]
+    residual = ((aligned - g) ** 2).reshape(var_p.shape + (3 * k,)).sum(axis=-1)
+    degenerate = s_vals[..., 1] <= 1e-12 * np.maximum(s_vals[..., 0], 1e-300)
+    if p.ndim == 2:
+        return ProcrustesResult(aligned=aligned, rotation=rot, scale=float(scale),
+                                translation=trans, residual=float(residual),
+                                degenerate=bool(degenerate))
     return ProcrustesResult(aligned=aligned, rotation=rot, scale=scale,
                             translation=trans, residual=residual, degenerate=degenerate)
 
 
-def pa_mpjpe(pred_joints, gt_joints, root_index: int = 0) -> float:
+def pa_mpjpe(pred_joints, gt_joints, root_index: int = 0, per_frame: bool = False):
     """MPJPE in mm after per-frame similarity alignment.
 
     The closed-form solve minimizes the squared error; the reported metric is
@@ -95,16 +110,22 @@ def pa_mpjpe(pred_joints, gt_joints, root_index: int = 0) -> float:
     the two candidate alignments under the reported metric, which guarantees
     pa_mpjpe <= mpjpe while coinciding with the standard alignment whenever
     predictions are sane.
+
+    All frames of the (T,k,3) inputs are aligned in one stacked call. With
+    ``per_frame`` the (T,) per-frame errors in mm are returned instead of
+    their mean.
     """
     p = np.asarray(pred_joints, dtype=np.float64)
     g = np.asarray(gt_joints, dtype=np.float64)
-    errs = []
-    for t in range(p.shape[0]):
-        aligned = procrustes_align(p[t], g[t]).aligned
-        err_pa = np.linalg.norm(aligned - g[t], axis=1).mean()
-        rooted = p[t] - p[t, root_index] + g[t, root_index]
-        err_root = np.linalg.norm(rooted - g[t], axis=1).mean()
-        errs.append(min(err_pa, err_root))
+    if p.ndim != 3:
+        raise ValueError(f"pa_mpjpe expects matching (T,k,3), got {p.shape} vs {g.shape}")
+    aligned = procrustes_align(p, g).aligned
+    err_pa = np.linalg.norm(aligned - g, axis=-1).mean(axis=-1)
+    rooted = p - p[:, root_index:root_index + 1] + g[:, root_index:root_index + 1]
+    err_root = np.linalg.norm(rooted - g, axis=-1).mean(axis=-1)
+    errs = np.minimum(err_pa, err_root)
+    if per_frame:
+        return errs * MM
     return float(np.mean(errs) * MM)
 
 
@@ -169,18 +190,16 @@ def mesh_errors(pred_full, gt_full, model: body.BodyModel, frame_mask=None):
     if not mask.any():
         return float("nan"), float("nan")
 
-    def verts_and_root(full, zero_pose):
-        betas = full[:, :10]
-        thetas = np.zeros_like(full[:, 10:82]) if zero_pose else full[:, 10:82]
-        v = body.skin(model, ad.constant(betas), ad.constant(thetas)).data
-        _, joints = body.forward_kinematics(model, ad.constant(betas), ad.constant(thetas))
-        return v, joints.data[:, 0:1, :]
-
-    vp, rp = verts_and_root(p, zero_pose=False)
-    vg, rg = verts_and_root(g, zero_pose=False)
+    # one skinning pass over [pred; gt; pred at zero pose; gt at zero pose]
+    # and one kinematic pass over [pred; gt] for the root joints
+    betas = np.concatenate([p[:, :10], g[:, :10]])
+    thetas = np.concatenate([p[:, 10:82], g[:, 10:82]])
+    verts = body.skin(model, ad.constant(np.concatenate([betas, betas])),
+                      ad.constant(np.concatenate([thetas, np.zeros_like(thetas)]))).data
+    _, joints = body.forward_kinematics(model, ad.constant(betas), ad.constant(thetas))
+    vp, vg, up, ug = np.split(verts, 4)
+    rp, rg = np.split(joints.data[:, 0:1, :], 2)
     posed = np.linalg.norm((vp - rp) - (vg - rg), axis=2)[mask].mean() * MM
-    up, _ = verts_and_root(p, zero_pose=True)
-    ug, _ = verts_and_root(g, zero_pose=True)
     unposed = np.linalg.norm(up - ug, axis=2)[mask].mean() * MM
     return float(posed), float(unposed)
 
@@ -386,6 +405,12 @@ def _dynamics_centers(sample, step_mag, half_field):
     return out
 
 
+def _gt_triplets(g_joints, centers, back, fwd):
+    """(n_centers, 3, k, 3) ground-truth joints at past/current/future."""
+    c = np.asarray(centers)
+    return np.stack([g_joints[c + back], g_joints[c], g_joints[c + fwd]], axis=1)
+
+
 def evaluate_dynamics(model: body.BodyModel, nets_model, dataset, train_dataset=None):
     """Past/current/future PA-MPJPE from single-frame input.
 
@@ -403,15 +428,17 @@ def evaluate_dynamics(model: body.BodyModel, nets_model, dataset, train_dataset=
     step_mag = max(abs(back), abs(fwd))
     hf = nets_model.cfg.half_field
 
-    train_pool = None
+    pool = None     # (P, 3, k, 3) past/current/future ground truth of every training centre
     if train_dataset is not None:
-        train_pool = []
+        trips = []
         for s in train_dataset:
             if s.theta_gt is None:
                 continue
-            g = gt_joints_of(model, s)
-            for t in _dynamics_centers(s, step_mag, hf):
-                train_pool.append((g[t + back], g[t], g[t + fwd]))
+            centers = _dynamics_centers(s, step_mag, hf)
+            if centers:
+                trips.append(_gt_triplets(gt_joints_of(model, s), centers, back, fwd))
+        if trips:
+            pool = np.concatenate(trips)
 
     sums = {"ours": np.zeros(3), "constant": np.zeros(3), "nearest": np.zeros(3)}
     n_centers = 0
@@ -421,7 +448,7 @@ def evaluate_dynamics(model: body.BodyModel, nets_model, dataset, train_dataset=
         centers = _dynamics_centers(sample, step_mag, hf)
         if not centers:
             continue
-        g_joints = gt_joints_of(model, sample)
+        gt = _gt_triplets(gt_joints_of(model, sample), centers, back, fwd)
         phi = nets_model.hallucinator(ad.constant(sample.features[centers]))
         full = raw_to_full(nets_model.regressor(phi)).data
         cur_pose = ad.constant(full[:, 10:82])
@@ -431,21 +458,26 @@ def evaluate_dynamics(model: body.BodyModel, nets_model, dataset, train_dataset=
         j_cur = body.keypoints_3d(model, ad.constant(betas), ad.constant(full[:, 10:82])).data
         j_back = body.keypoints_3d(model, ad.constant(betas), ad.constant(pose_back)).data
         j_fwd = body.keypoints_3d(model, ad.constant(betas), ad.constant(pose_fwd)).data
-        for i, t in enumerate(centers):
-            gt_trip = (g_joints[t + back], g_joints[t], g_joints[t + fwd])
-            ours_trip = (j_back[i], j_cur[i], j_fwd[i])
-            const_trip = (j_cur[i], j_cur[i], j_cur[i])
-            for name, trip in (("ours", ours_trip), ("constant", const_trip)):
-                for d in range(3):
-                    sums[name][d] += pa_mpjpe(trip[d][None], gt_trip[d][None])
-            if train_pool:
-                best = min(train_pool, key=lambda trip: pa_mpjpe(trip[1][None], gt_trip[1][None]))
-                for d in range(3):
-                    sums["nearest"][d] += pa_mpjpe(best[d][None], gt_trip[d][None])
-            n_centers += 1
+        preds = {"ours": np.stack([j_back, j_cur, j_fwd], axis=1),
+                 "constant": np.stack([j_cur, j_cur, j_cur], axis=1)}
+        if pool is not None:
+            # the whole pool against each centre in one batched alignment;
+            # argmin keeps the first of equal scores
+            pool_cur = pool[:, 1]
+            best = [int(np.argmin(pa_mpjpe(pool_cur, np.broadcast_to(g_cur, pool_cur.shape),
+                                           per_frame=True)))
+                    for g_cur in gt[:, 1]]
+            preds["nearest"] = pool[best]
+        k = gt.shape[2]
+        for name, pred in preds.items():
+            errs = pa_mpjpe(pred.reshape(-1, k, 3), gt.reshape(-1, k, 3), per_frame=True)
+            # added centre by centre, in the same order whatever the batching
+            for row in errs.reshape(-1, 3):
+                sums[name] += row
+        n_centers += len(centers)
     if n_centers == 0:
         raise ValueError("no valid dynamics centers in the dataset")
     ours = tuple(sums["ours"] / n_centers)
     const = tuple(sums["constant"] / n_centers)
-    nearest = tuple(sums["nearest"] / n_centers) if train_pool else None
+    nearest = tuple(sums["nearest"] / n_centers) if pool is not None else None
     return DynamicsMetrics(n_centers=n_centers, ours=ours, constant=const, nearest=nearest)

@@ -88,9 +88,7 @@ class Linear:
         self.name = name
 
     def __call__(self, x):
-        rows = x.shape[0]
-        bias = ad.matmul(ad.constant(np.ones((rows, 1))), ad.reshape(self.b, (1, self.b.shape[0])))
-        return ad.matmul(x, self.w) + bias
+        return ad.matmul_add(x, self.w, ad.expand_rows(self.b, x.shape[0]))
 
     def params(self):
         return [self.w, self.b]
@@ -158,9 +156,7 @@ class IefRegressor:
 
     def __call__(self, phi, masks=None, iters=None):
         iters = self.cfg.ief_iters if iters is None else iters
-        rows = phi.shape[0]
-        theta = ad.matmul(ad.constant(np.ones((rows, 1))),
-                          ad.reshape(self.theta_mean, (1, THETA_DIM)))
+        theta = ad.expand_rows(self.theta_mean, phi.shape[0])
         for i in range(iters):
             inp = ad.concat([phi, theta], axis=1)
             h1 = ad.relu(self.fc1(inp))
@@ -269,8 +265,8 @@ class DiscriminatorSet:
         j = N_BODY_JOINTS
         fj = ad.transpose(feats, (1, 0, 2))                      # (J, M, 9)
         ones_m = ad.constant(np.ones((j, m, 1)))
-        h1 = ad.relu(ad.matmul(fj, self.joint_fc_w) + ad.matmul(ones_m, self.joint_fc_b))
-        sj = ad.matmul(h1, self.joint_out_w) + ad.matmul(ones_m, self.joint_out_b)
+        h1 = ad.relu(ad.matmul_add(fj, self.joint_fc_w, ad.matmul(ones_m, self.joint_fc_b)))
+        sj = ad.matmul_add(h1, self.joint_out_w, ad.matmul(ones_m, self.joint_out_b))
         joint_scores = ad.transpose(ad.reshape(sj, (j, m)))      # (M, J)
         flat = ad.reshape(feats, (m, 9 * j))
         all_score = self.all_out(ad.relu(self.all_fc2(ad.relu(self.all_fc1(flat)))))
@@ -380,6 +376,16 @@ def save_checkpoint(path, nets: ModelNets, step: int, adam_m=None, adam_v=None,
     write_container(path, CKPT_MAGIC, sections)
 
 
+_PARAM_SECTIONS = ("param", "shape", "adam_m", "adam_v")   # per-parameter section prefixes
+
+
+def _moment(sec, key, shape, path):
+    arr = require(sec, key, path)
+    if arr.size != int(np.prod(shape)):
+        raise ValidationError(f"{path}: section '{key}' has {arr.size} values for shape {shape}")
+    return arr.reshape(shape)
+
+
 def load_checkpoint(path):
     """Rebuild nets (and optimizer moments, if present) from a checkpoint.
 
@@ -396,18 +402,24 @@ def load_checkpoint(path):
     )
     nets = ModelNets.create(cfg, seed=0)
     named = nets.named_params()
+    for key in sec:
+        prefix, _, name = key.partition("/")
+        if prefix in _PARAM_SECTIONS and name not in named:
+            raise ValidationError(f"{path}: section '{key}' names no parameter of the configured "
+                                  "architecture")
     for name, p in named.items():
         data = require(sec, f"param/{name}", path)
         shape = tuple(int(x) for x in require(sec, f"shape/{name}", path))
-        if int(np.prod(shape)) != data.size:
-            raise ValidationError(f"{path}: parameter {name} has {data.size} values for shape {shape}")
+        if shape != p.data.shape or data.size != p.data.size:
+            raise ValidationError(f"{path}: parameter {name} has shape {shape} with {data.size} "
+                                  f"values, the configured architecture needs {p.data.shape}")
         p.data = data.reshape(shape)
     step = int(require(sec, "step", path)[0])
     adam_m, adam_v = {}, {}
-    for name in named:
+    for name, p in named.items():
         if f"adam_m/{name}" in sec:
-            adam_m[name] = sec[f"adam_m/{name}"].reshape(named[name].data.shape)
-            adam_v[name] = sec[f"adam_v/{name}"].reshape(named[name].data.shape)
+            adam_m[name] = _moment(sec, f"adam_m/{name}", p.data.shape, path)
+            adam_v[name] = _moment(sec, f"adam_v/{name}", p.data.shape, path)
     adam_steps = None
     if "adam_steps" in sec:
         raw = sec["adam_steps"]

@@ -15,7 +15,9 @@ length.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import gc
 import logging
 from dataclasses import dataclass, field
 
@@ -199,6 +201,12 @@ def build_real_pose_pool(datasets):
     return np.concatenate(rows, axis=0)
 
 
+def _require_real_pool(cfg: TrainConfig, real_pool):
+    if cfg.weights.w_adv > 0 and real_pool is None:
+        raise ValidationError("adversarial prior enabled but no ground-truth poses "
+                              "are available for the discriminator")
+
+
 def _delta_centers(cfg_enc, seq_len: int, count: int, rng) -> list:
     margin = max(cfg_enc.half_field, max(abs(s) for s in cfg_enc.delta_steps))
     lo, hi = margin, seq_len - 1 - margin
@@ -212,6 +220,7 @@ def train_step(model: body.BodyModel, state: TrainState, batch, cfg: TrainConfig
     ``batch`` is a list of (SequenceSample, window_start). Returns the loss
     breakdown dict (plain floats); parameters and moments update in place.
     """
+    _require_real_pool(cfg, real_pool)
     nets_model = state.nets
     enc = nets_model.cfg
     w = cfg.weights
@@ -405,9 +414,6 @@ def train_step(model: body.BodyModel, state: TrainState, batch, cfg: TrainConfig
 
     # -- discriminator update ----------------------------------------------------
     if w.w_adv > 0:
-        if real_pool is None:
-            raise ValidationError("adversarial prior enabled but no ground-truth poses "
-                                  "are available for the discriminator")
         fake_pose = all_pose.data.copy()
         fake_beta = all_beta.data.copy()
         idx = disc_rng.integers(0, real_pool.shape[0], fake_pose.shape[0])
@@ -433,6 +439,24 @@ def train_step(model: body.BodyModel, state: TrainState, batch, cfg: TrainConfig
 # ---------------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _cyclic_gc_paused():
+    """Pause the cyclic garbage collector, restoring its state on exit.
+
+    A training step makes no reference cycles (the tape's closures point at
+    parents, never at their own output), so the collector frees nothing
+    here; left on, it rescans young objects every few hundred allocations
+    and now and then the whole heap, about a tenth of a small step's time.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def train(model: body.BodyModel, state: TrainState, datasets, cfg: TrainConfig,
           feature_meta=None, checkpoint_fn=None):
     """Run training up to cfg.steps (absolute step count; resumable).
@@ -442,19 +466,21 @@ def train(model: body.BodyModel, state: TrainState, datasets, cfg: TrainConfig,
     the end.
     """
     cfg.validate(state.nets.cfg)
-    mixer = BatchMixer(datasets, cfg.seq_len, cfg.batch_size, cfg.seed)
     real_pool = build_real_pose_pool(datasets)
+    _require_real_pool(cfg, real_pool)
+    mixer = BatchMixer(datasets, cfg.seq_len, cfg.batch_size, cfg.seed)
     if feature_meta is None:
         for bundle, _ in datasets:
             if bundle.feature_meta is not None:
                 feature_meta = bundle.feature_meta
                 break
-    while state.step < cfg.steps:
-        batch = mixer.batch(state.step)
-        train_step(model, state, batch, cfg, feature_meta=feature_meta, real_pool=real_pool)
-        if checkpoint_fn is not None and (state.step % cfg.checkpoint_every == 0
-                                          or state.step >= cfg.steps):
-            checkpoint_fn(state)
+    with _cyclic_gc_paused():
+        while state.step < cfg.steps:
+            batch = mixer.batch(state.step)
+            train_step(model, state, batch, cfg, feature_meta=feature_meta, real_pool=real_pool)
+            if checkpoint_fn is not None and (state.step % cfg.checkpoint_every == 0
+                                              or state.step >= cfg.steps):
+                checkpoint_fn(state)
     return state
 
 

@@ -1,3 +1,7 @@
+# imported before numpy so its BLAS thread pin (see meshmotion/__init__.py)
+# covers the whole session
+import meshmotion  # noqa: F401  isort: skip
+
 import numpy as np
 import pytest
 

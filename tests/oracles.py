@@ -2,12 +2,17 @@
 
 These deliberately avoid the library's own closed-form code paths: the grid
 searches evaluate raw objectives on dense grids, and the analytic values are
-hand-derived.
+hand-derived. The composite_* functions at the end are the references for
+the library's fused tape nodes: the same computation built node by node
+from autodiff primitives.
 """
 
 import itertools
 
 import numpy as np
+
+from meshmotion import autodiff as ad
+from meshmotion import body
 
 
 def camera_grid_search(x, y, vis, s_range=(0.1, 3.0), t_range=(-3.0, 3.0), n=81):
@@ -59,6 +64,42 @@ def procrustes_grid_search(pred, gt, step_deg=2.0):
     return sgg - best_t * best_t / spp, sgg
 
 
+def pa_error_one_frame(pred, gt):
+    """PA-MPJPE of one (k,3) frame in the input's units, by its own Umeyama solve.
+
+    Like the library metric, the root-matched alignment is kept when it
+    scores lower under the mean distance.
+    """
+    pc, gc = pred - pred.mean(axis=0), gt - gt.mean(axis=0)
+    u, s, vt = np.linalg.svd(gc.T @ pc)
+    d = np.diag([1.0, 1.0, np.sign(np.linalg.det(u @ vt))])
+    rot = u @ d @ vt
+    scale = np.trace(np.diag(s) @ d) / (pc ** 2).sum()
+    aligned = scale * pc @ rot.T + gt.mean(axis=0)
+    rooted = pred - pred[0] + gt[0]
+    return min(np.linalg.norm(aligned - gt, axis=1).mean(),
+               np.linalg.norm(rooted - gt, axis=1).mean())
+
+
+def nearest_neighbor_dynamics(test_triplets, train_triplets):
+    """Past/current/future PA-MPJPE of the nearest-neighbour dynamics baseline.
+
+    Both arguments are lists of (past, current, future) ground-truth joint
+    frames. Each test centre takes, pair by pair, the first training triplet
+    whose current frame aligns best with its own current frame, and scores
+    that triplet's three frames against its own.
+    """
+    sums = np.zeros(3)
+    for gt in test_triplets:
+        best, best_err = None, np.inf
+        for cand in train_triplets:
+            err = pa_error_one_frame(cand[1], gt[1])
+            if err < best_err:
+                best, best_err = cand, err
+        sums += [pa_error_one_frame(best[d], gt[d]) for d in range(3)]
+    return sums / len(test_triplets)
+
+
 def hungarian_brute_force(cost):
     """Exact minimum assignment cost by enumerating permutations (n <= 8)."""
     n = cost.shape[0]
@@ -70,3 +111,74 @@ def sinusoid_mean_abs_accel(amplitude, freq_hz):
     """Analytic mean |a(t)| of x(t) = A sin(2 pi f t): A w^2 * 2/pi."""
     w = 2.0 * np.pi * freq_hz
     return amplitude * w * w * 2.0 / np.pi
+
+
+# ---------------------------------------------------------------------------
+# Primitive-op graphs that fused tape nodes must reproduce bit for bit
+# ---------------------------------------------------------------------------
+
+
+def composite_group_norm(x, gamma, beta, n_groups, eps=1e-5):
+    """Per-group, per-time-step normalization of a (C, T) map, one node per step."""
+    c, t_len = x.shape
+    gsize = c // n_groups
+    xg = ad.reshape(x, (n_groups, gsize, t_len))
+    m = ad.mul(ad.sum_(xg, axis=1, keepdims=True), 1.0 / gsize)
+    ones_col = ad.constant(np.ones((n_groups, gsize, 1)))
+    centered = ad.add(xg, ad.neg(ad.matmul(ones_col, m)))
+    var = ad.mul(ad.sum_(ad.mul(centered, centered), axis=1, keepdims=True), 1.0 / gsize)
+    denom = ad.sqrt(ad.add(var, eps))
+    normed = ad.reshape(ad.div(centered, ad.matmul(ones_col, denom)), (c, t_len))
+    ones_row = ad.constant(np.ones((1, t_len)))
+    scale = ad.matmul(ad.reshape(gamma, (c, 1)), ones_row)
+    shift = ad.matmul(ad.reshape(beta, (c, 1)), ones_row)
+    return ad.add(ad.mul(normed, scale), shift)
+
+
+def composite_rodrigues(v):
+    """(M,3) axis-angle rows to (M,3,3) rotations, one node per step."""
+    m = v.shape[0]
+    s = ad.sum_(ad.mul(v, v), axis=1, keepdims=True)
+    small = ad.constant((s.data < body.SMALL_ANGLE ** 2).astype(float))
+    big = ad.constant(1.0 - small.data)
+    a = ad.sqrt(ad.add(s, small))
+    half = ad.mul(a, 0.5)
+    c1_big = ad.div(ad.sin(a), a)
+    half_sinc = ad.div(ad.sin(half), half)
+    c2_big = ad.mul(ad.mul(half_sinc, half_sinc), 0.5)
+    c1_small = ad.add(1.0, ad.neg(ad.mul(s, 1.0 / 6.0)))
+    c2_small = ad.add(0.5, ad.neg(ad.mul(s, 1.0 / 24.0)))
+    c1 = ad.add(ad.mul(small, c1_small), ad.mul(big, c1_big))
+    c2 = ad.add(ad.mul(small, c2_small), ad.mul(big, c2_big))
+    x, y, z = v[:, 0:1], v[:, 1:2], v[:, 2:3]
+    zero = ad.constant(np.zeros((m, 1)))
+    k_flat = ad.concat([zero, ad.neg(z), y, z, zero, ad.neg(x), ad.neg(y), x, zero], axis=1)
+    k = ad.reshape(k_flat, (m, 3, 3))
+    k2 = ad.matmul(k, k)
+    ones9 = ad.constant(np.ones((1, 9)))
+    c1e = ad.reshape(ad.matmul(c1, ones9), (m, 3, 3))
+    c2e = ad.reshape(ad.matmul(c2, ones9), (m, 3, 3))
+    eye = ad.constant(np.broadcast_to(np.eye(3), (m, 3, 3)))
+    return ad.add(ad.add(eye, ad.mul(c1e, k)), ad.mul(c2e, k2))
+
+
+def composite_rest_relative_transforms(model, shaped, theta):
+    """Joint transforms built joint by joint: (G, joints_rest, joints_posed)."""
+    n = body.N_JOINTS
+    b = shaped.shape[0]
+    joints_rest = ad.matmul(ad.tile_leading(model.rest_regressor, b), shaped)
+    rots = ad.reshape(body.rodrigues(ad.reshape(theta, (b * n, 3))), (b, n, 3, 3))
+    bottom = ad.constant(np.broadcast_to(np.array([0.0, 0.0, 0.0, 1.0]), (b, 1, 4)))
+    g_parts = []
+    for j in range(n):
+        r_j = rots[:, j]
+        j_j = ad.reshape(joints_rest[:, j:j + 1, :], (b, 3, 1))
+        t_j = ad.add(j_j, ad.neg(ad.matmul(r_j, j_j)))
+        local = ad.concat([ad.concat([r_j, t_j], axis=2), bottom], axis=1)
+        parent = int(model.parents[j])
+        g_parts.append(local if parent < 0 else ad.matmul(g_parts[parent], local))
+    g = ad.concat([ad.reshape(p, (b, 1, 4, 4)) for p in g_parts], axis=1)
+    jh = ad.concat([ad.reshape(joints_rest, (b * n, 3, 1)),
+                    ad.constant(np.ones((b * n, 1, 1)))], axis=1)
+    posed = ad.matmul(ad.reshape(g, (b * n, 4, 4)), jh)
+    return g, joints_rest, ad.reshape(posed[:, 0:3, :], (b, n, 3))

@@ -1,9 +1,12 @@
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshmotion import autodiff as ad
+from oracles import composite_group_norm
 
 
 def rand(rng, *shape):
@@ -192,7 +195,49 @@ OP_CASES = {
 @pytest.mark.parametrize("opname", sorted(OP_CASES))
 def test_op_gradients_match_finite_differences(opname):
     make_loss, make_params = OP_CASES[opname]
-    _fd_many(make_loss, make_params, trials=100, seed=hash(opname) % 2**32)
+    _fd_many(make_loss, make_params, trials=100, seed=zlib.crc32(opname.encode()))
+
+
+# ---------------------------------------------------------------------------
+# Fused nodes: each must give the values and gradients of the primitive graph
+# it replaces bit for bit (same operations, same accumulation order).
+# ---------------------------------------------------------------------------
+
+FUSED_CASES = {
+    "sub": (lambda a, b: a - b, lambda a, b: ad.add(a, ad.neg(b)), [(3, 4), (3, 4)]),
+    "sub_scalar": (lambda a, b: a - b, lambda a, b: ad.add(a, ad.neg(b)), [(3, 4), ()]),
+    "rsub_float": (lambda a: 2.0 - a, lambda a: ad.add(2.0, ad.neg(a)), [(5,)]),
+    "mean_all": (lambda a: ad.mean_(a), lambda a: ad.mul(ad.sum_(a), 1.0 / 12), [(3, 4)]),
+    "mean_axis": (lambda a: ad.mean_(a, axis=1),
+                  lambda a: ad.mul(ad.sum_(a, axis=1), 1.0 / 4), [(3, 4)]),
+    "mean_keepdims": (lambda a: ad.mean_(a, axis=0, keepdims=True),
+                      lambda a: ad.mul(ad.sum_(a, axis=0, keepdims=True), 1.0 / 3), [(3, 4)]),
+    "group_norm": (lambda x, g, b: ad.group_norm(x, g, b, 2),
+                   lambda x, g, b: composite_group_norm(x, g, b, 2), [(6, 5), (6,), (6,)]),
+    "expand_rows": (lambda v: ad.expand_rows(v, 4),
+                    lambda v: ad.matmul(ad.constant(np.ones((4, 1))), ad.reshape(v, (1, 3))),
+                    [(3,)]),
+    "matmul_add": (lambda a, b, c: ad.matmul_add(a, b, c),
+                   lambda a, b, c: ad.add(ad.matmul(a, b), c), [(3, 4), (4, 5), (3, 5)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUSED_CASES))
+def test_fused_node_matches_composite_graph_bit_for_bit(name):
+    fused, composite, shapes = FUSED_CASES[name]
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    params = [ad.parameter(rng.standard_normal(s), name=f"p{i}") for i, s in enumerate(shapes)]
+    probe = None
+    results = []
+    for build in (fused, composite):
+        ad.zero_grads(params)
+        out = build(*params)
+        if probe is None:
+            probe = ad.constant(rng.standard_normal(out.shape))
+        ad.sum_(ad.mul(out, probe)).backward()
+        results.append([out.data.copy()] + [p.grad.copy() for p in params])
+    for got, want in zip(*results):
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from meshmotion import autodiff as ad
 from meshmotion import body
 from meshmotion.container import ValidationError
+from oracles import composite_rest_relative_transforms, composite_rodrigues
 
 
 def np_rod(v):
@@ -57,6 +58,23 @@ def test_rodrigues_matches_numpy_oracle():
     for _ in range(200):
         v = rng.normal(0, 2.0, 3)
         assert np.allclose(body.rodrigues(ad.constant(v)).data, np_rod(v), atol=1e-12)
+
+
+def test_fused_rodrigues_matches_composite_graph_bit_for_bit():
+    rng = np.random.default_rng(21)
+    rows = rng.normal(0, 1.5, (40, 3))
+    rows[:4] *= 1e-9                    # series branch
+    rows[4] = 0.0
+    v = ad.parameter(rows, name="v")
+    probe = ad.constant(rng.standard_normal((40, 3, 3)))
+    results = []
+    for rot_fn in (body.rodrigues, composite_rodrigues):
+        v.grad = None
+        rot = rot_fn(v)
+        ad.sum_(ad.mul(rot, probe)).backward()
+        results.append((rot.data.copy(), v.grad.copy()))
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)
 
 
 def test_rodrigues_gradient_including_near_zero():
@@ -328,6 +346,22 @@ def test_skin_gradients_wrt_beta_and_theta(toy_model):
 
     err = ad.finite_diff_check(loss, [beta, theta], max_coords=24, rng=np.random.default_rng(1))
     assert err < 1e-4
+
+
+def test_batched_joint_transforms_match_per_joint_chain_bit_for_bit(toy_model):
+    rng = np.random.default_rng(22)
+    beta = ad.parameter(rng.normal(0, 0.5, (6, 10)), name="beta")
+    theta = ad.parameter(rng.normal(0, 0.4, (6, 72)), name="theta")
+    w_g = ad.constant(rng.standard_normal((6, body.N_JOINTS, 4, 4)))
+    w_j = ad.constant(rng.standard_normal((6, body.N_JOINTS, 3)))
+    results = []
+    for transforms in (body._rest_relative_transforms, composite_rest_relative_transforms):
+        beta.grad, theta.grad = None, None
+        g, _, posed = transforms(toy_model, body.shaped_template(toy_model, beta), theta)
+        ad.add(ad.sum_(ad.mul(g, w_g)), ad.sum_(ad.mul(posed, w_j))).backward()
+        results.append((g.data.copy(), posed.data.copy(), beta.grad.copy(), theta.grad.copy()))
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)
 
 
 def test_skin_gradients_near_zero_pose(toy_model):

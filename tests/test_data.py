@@ -5,7 +5,7 @@ import pytest
 
 from meshmotion import autodiff as ad
 from meshmotion import body, camera, data, losses
-from meshmotion.container import ValidationError
+from meshmotion.container import ValidationError, write_container
 
 
 @pytest.fixture(scope="module")
@@ -240,6 +240,18 @@ def test_dataset_roundtrip_bit_exact(small_dataset, tmp_path):
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.theta_gt, b.theta_gt)
     assert np.array_equal(loaded.feature_meta.qcam, small_dataset.feature_meta.qcam)
+
+
+def test_failed_write_keeps_previous_file(small_dataset, tmp_path):
+    path = tmp_path / "data.bin"
+    data.save_dataset(small_dataset, path)
+    before = path.read_bytes()
+    # the second section cannot be encoded, so the write raises after the
+    # magic and the first section are already out
+    with pytest.raises(ValueError):
+        write_container(path, data.DATA_MAGIC, [("ok", np.arange(3.0)), ("bad", ["not", "numbers"])])
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.bin"]
 
 
 def test_dataset_full3d_requires_theta(small_dataset, tmp_path):

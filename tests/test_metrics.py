@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from meshmotion import body, data, metrics, nets
-from oracles import procrustes_grid_search, sinusoid_mean_abs_accel
+from oracles import (nearest_neighbor_dynamics, pa_error_one_frame, procrustes_grid_search,
+                     sinusoid_mean_abs_accel)
 
 
 def random_rotation(rng):
@@ -105,6 +106,50 @@ def test_pa_mpjpe_never_above_mpjpe():
         p = rng.standard_normal((5, 8, 3))
         g = rng.standard_normal((5, 8, 3))
         assert metrics.pa_mpjpe(p, g) <= metrics.mpjpe(p, g) + 1e-9
+
+
+def _mixed_frames(rng, n=12, k=8):
+    """Random, mirrored and rank-deficient (pred, gt) frame pairs."""
+    p = rng.standard_normal((n, k, 3))
+    g = rng.standard_normal((n, k, 3))
+    g[3:6] = p[3:6] * np.array([-1.0, 1.0, 1.0])          # mirrored: reflection guard active
+    p[6:8, :, 1:] = 0.0                                   # collinear predictions: rank 1
+    p[8:10, :, 2] = 0.0                                   # planar predictions: rank 2
+    g[10] = p[10]                                         # exact match
+    return p, g
+
+
+def test_stacked_procrustes_matches_per_frame_calls():
+    p, g = _mixed_frames(np.random.default_rng(40))
+    stacked = metrics.procrustes_align(p, g)
+    assert stacked.degenerate[6:8].all() and not stacked.degenerate[:6].any()
+    for t in range(p.shape[0]):
+        one = metrics.procrustes_align(p[t], g[t])
+        assert isinstance(one.scale, float) and isinstance(one.degenerate, bool)
+        for field in ("aligned", "rotation", "scale", "translation", "residual"):
+            assert np.allclose(getattr(stacked, field)[t], getattr(one, field), rtol=0, atol=1e-12), \
+                (t, field)
+        assert stacked.degenerate[t] == one.degenerate
+        assert np.linalg.det(stacked.rotation[t]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_stacked_pa_mpjpe_matches_per_frame_calls():
+    p, g = _mixed_frames(np.random.default_rng(41))
+    per_frame = metrics.pa_mpjpe(p, g, per_frame=True)
+    singles = np.array([metrics.pa_mpjpe(p[t:t + 1], g[t:t + 1]) for t in range(p.shape[0])])
+    assert per_frame.shape == (p.shape[0],)
+    assert np.allclose(per_frame, singles, rtol=0, atol=1e-12)
+    oracle = [pa_error_one_frame(p[t], g[t]) * 1000.0 for t in range(p.shape[0])]
+    assert np.allclose(per_frame, oracle, rtol=0, atol=1e-9)
+    assert metrics.pa_mpjpe(p, g) == pytest.approx(per_frame.mean(), rel=0, abs=1e-12)
+    assert per_frame[10] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_pa_mpjpe_rejects_identical_prediction_points():
+    p = np.random.default_rng(42).standard_normal((3, 6, 3))
+    p[1] = 0.25
+    with pytest.raises(ValueError, match="identical"):
+        metrics.pa_mpjpe(p, np.ones_like(p))
 
 
 # ---------------------------------------------------------------------------
@@ -302,3 +347,26 @@ def test_dynamics_protocol_structure(eval_setup):
     assert d.nearest[0] == pytest.approx(0.0, abs=1e-6)
     assert d.nearest[1] == pytest.approx(0.0, abs=1e-6)
     assert d.nearest[2] == pytest.approx(0.0, abs=1e-6)
+
+
+def test_dynamics_nearest_matches_brute_force_oracle(eval_setup, toy_model):
+    model, model_nets, ds = eval_setup
+    train = data.gen_synthetic_dataset(toy_model, n_seqs=3, n_frames=20, fps=25.0, seed=12,
+                                       feature_dim=24, vis_dropout=0.0, feature_noise=0.01)
+    d = metrics.evaluate_dynamics(model, model_nets, ds, train_dataset=train)
+    back, fwd = min(model_nets.deltas), max(model_nets.deltas)
+    step_mag = max(abs(back), abs(fwd))
+
+    def triplets(bundle):
+        out = []
+        for s in bundle:
+            g = metrics.gt_joints_of(model, s)
+            for t in metrics._dynamics_centers(s, step_mag, model_nets.cfg.half_field):
+                out.append((g[t + back], g[t], g[t + fwd]))
+        return out
+
+    test_trips, train_trips = triplets(ds), triplets(train)
+    assert d.n_centers == len(test_trips) > 0 and len(train_trips) > 0
+    want = nearest_neighbor_dynamics(test_trips, train_trips) * 1000.0
+    assert np.allclose(d.nearest, want, rtol=0, atol=1e-9)
+    assert d.nearest[1] > 0.0   # a foreign pool: the search is not trivially exact

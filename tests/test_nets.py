@@ -3,7 +3,7 @@ import pytest
 
 from meshmotion import autodiff as ad
 from meshmotion import nets
-from meshmotion.container import ValidationError
+from meshmotion.container import ValidationError, read_container, write_container
 
 
 def small_cfg(**kw):
@@ -290,6 +290,37 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         assert np.array_equal(p.data, orig[name].data), name
         assert np.array_equal(m2[name], adam_m[name]), name
         assert np.array_equal(v2[name], adam_v[name]), name
+
+
+def _rewrite_checkpoint(path, edit):
+    sections = read_container(path, nets.CKPT_MAGIC)
+    edit(sections)
+    write_container(path, nets.CKPT_MAGIC, list(sections.items()))
+
+
+def test_checkpoint_rejects_transposed_parameter(tmp_path):
+    # same element count, wrong layout: an (85,h) tensor for the (h,85) output layer
+    cfg = small_cfg()
+    path = tmp_path / "ckpt.bin"
+    nets.save_checkpoint(path, nets.ModelNets.create(cfg, seed=0), step=0)
+
+    def transpose(sec):
+        w = sec["param/f_3d.out.w"].reshape(tuple(sec["shape/f_3d.out.w"]))
+        sec["param/f_3d.out.w"] = w.T.reshape(-1)
+        sec["shape/f_3d.out.w"] = np.array(w.T.shape, dtype=np.int64)
+
+    _rewrite_checkpoint(path, transpose)
+    with pytest.raises(ValidationError, match="f_3d.out.w"):
+        nets.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_unknown_parameter_section(tmp_path):
+    cfg = small_cfg()
+    path = tmp_path / "ckpt.bin"
+    nets.save_checkpoint(path, nets.ModelNets.create(cfg, seed=0), step=0)
+    _rewrite_checkpoint(path, lambda sec: sec.update({"param/f_3d.extra.w": np.zeros(4)}))
+    with pytest.raises(ValidationError, match="param/f_3d.extra.w"):
+        nets.load_checkpoint(path)
 
 
 def test_full_path_gradient_temporal_to_regressor():
