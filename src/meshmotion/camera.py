@@ -1,129 +1,45 @@
 """Weak-perspective camera: projection and closed-form least-squares fitting.
 
-Projection drops z orthographically, then applies a uniform scale and a 2-D
-translation in image units. The fit solves
+Both work on stacks of R frames. Projection drops z orthographically, then
+applies each row's uniform scale and 2-D translation in image units. The fit
+solves, row by row,
 
     min_{s,t} sum_i vis_i || s * x_i + t - y_i ||^2
 
-in closed form over centered coordinates. Both directions participate in
-autodiff graphs; the fit's gradient flow into the input points can be cut
-with ``grad_flow=False`` for callers that want the camera treated as a
-constant.
+in closed form over centered coordinates. A row with fewer than two visible
+points, or with coincident ones, has no unique solution: it is marked in
+the ``valid`` mask and its residual is zero, instead of raising. The scale
+is never clamped, so a negative optimum is returned as it is. Both
+directions participate in autodiff graphs; the fit's gradient flow into
+the input points can be cut with ``grad_flow=False`` for callers that want
+the camera treated as a constant.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 
 
-class CameraUnobservableError(ValueError):
-    """Too few or degenerate visible points to determine scale/translation."""
-
-
-@dataclass
-class CameraParams:
-    """Scale (image units per meter) and 2-D translation (image units)."""
-
-    s: float
-    t: np.ndarray  # (2,)
-
-    def as_array(self):
-        return np.array([self.s, self.t[0], self.t[1]])
-
-
-@dataclass
-class CameraFit:
-    """Result of the closed-form solve; tensors stay in the graph."""
-
-    s: ad.Tensor           # scalar
-    t: ad.Tensor           # (2,)
-    residual: ad.Tensor    # scalar, attained objective
-    n_visible: int
-    scale_nonpositive: bool  # flagged, never clamped: the solve is an oracle
-
-    def params(self) -> CameraParams:
-        return CameraParams(s=self.s.item(), t=self.t.data.copy())
-
-
 def project(points, s, t) -> ad.Tensor:
-    """Project joints (k,3) or (B,k,3) with scale s and translation t.
+    """Project (B,k,3) joints with per-row scale s (B,1) and translation t (B,2).
 
-    For the batched form, s is (B,1) and t is (B,2); per-sample scalars
-    otherwise. x = s * X[:, :2] + t.
+    x = s * X[:, :, :2] + t.
     """
     x = ad.as_tensor(points)
-    if x.ndim == 2:
-        xy = x[:, 0:2]
-        k = xy.shape[0]
-        s_t = ad.as_tensor(s)
-        t_t = ad.as_tensor(t)
-        if s_t.size != 1 or t_t.shape != (2,):
-            raise ad.ShapeError(f"project: need scalar s and (2,) t, got {tuple(s_t.shape)}, {tuple(t_t.shape)}")
-        s_scalar = ad.reshape(s_t, (1,))
-        shift = ad.matmul(ad.constant(np.ones((k, 1))), ad.reshape(t_t, (1, 2)))
-        return xy * s_scalar + shift
-    if x.ndim == 3:
-        b, k, _ = x.shape
-        xy = x[:, :, 0:2]
-        s_t = ad.as_tensor(s)
-        t_t = ad.as_tensor(t)
-        if s_t.shape != (b, 1) or t_t.shape != (b, 2):
-            raise ad.ShapeError(f"project batched: need s (B,1), t (B,2); got {tuple(s_t.shape)}, "
-                                f"{tuple(t_t.shape)} for B={b}")
-        s_full = ad.reshape(ad.matmul(s_t, ad.constant(np.ones((1, k * 2)))), (b, k, 2))
-        t_full = ad.matmul(ad.constant(np.ones((b, k, 1))), ad.reshape(t_t, (b, 1, 2)))
-        return xy * s_full + t_full
-    raise ad.ShapeError(f"project: expected (k,3) or (B,k,3), got {tuple(x.shape)}")
-
-
-def optimal_camera(x_orth, x_gt, vis, grad_flow: bool = True) -> CameraFit:
-    """Closed-form scale and translation aligning x_orth to x_gt on visible points.
-
-    x_orth: (k,2) orthographic projections (Tensor or array); x_gt: (k,2)
-    targets; vis: (k,) booleans. The optimum is s* = <xc, yc> / ||xc||^2 and
-    t* = mean(y) - s* mean(x) over visible points. The returned residual is
-    the attained objective. A nonpositive s* is reported via the flag.
-    """
-    x = ad.as_tensor(x_orth)
-    y = np.asarray(x_gt, dtype=np.float64)
-    v = np.asarray(vis, dtype=bool)
-    k = x.shape[0]
-    if x.shape != (k, 2) or y.shape != (k, 2) or v.shape != (k,):
-        raise ad.ShapeError(f"optimal_camera: shapes x{tuple(x.shape)} y{y.shape} vis{v.shape}")
-    n_vis = int(v.sum())
-    if n_vis < 2:
-        raise CameraUnobservableError(f"camera unobservable: {n_vis} visible keypoints (need >= 2)")
-
-    w_col = v.astype(np.float64)[:, None]          # (k,1) mask
-    w_row = ad.constant((w_col / n_vis).T)         # (1,k) averaging row
-    mask = ad.constant(np.repeat(w_col, 2, axis=1))
-    ones_k = ad.constant(np.ones((k, 1)))
-
-    x_masked = x * mask
-    y_const = ad.constant(y) * mask
-    x_mean = ad.matmul(w_row, x_masked)            # (1,2)
-    y_mean = ad.matmul(w_row, y_const)
-    xc = (x - ad.matmul(ones_k, x_mean)) * mask
-    yc = (ad.constant(y) - ad.matmul(ones_k, y_mean)) * mask
-
-    denom = ad.sum_(xc * xc)
-    if float(denom.data) <= 1e-24:
-        raise CameraUnobservableError("camera unobservable: visible points are coincident")
-    s_star = ad.div(ad.sum_(xc * yc), denom)       # scalar ()
-    s1 = ad.reshape(s_star, (1,))
-    t_star = ad.reshape(y_mean - x_mean * s1, (2,))
-
-    if not grad_flow:
-        s_star, s1, t_star = s_star.detach(), ad.reshape(s_star.detach(), (1,)), t_star.detach()
-
-    diff = (x * s1 + ad.matmul(ones_k, ad.reshape(t_star, (1, 2))) - ad.constant(y)) * mask
-    residual = ad.sum_(diff * diff)
-    return CameraFit(s=s_star, t=t_star, residual=residual, n_visible=n_vis,
-                     scale_nonpositive=bool(s_star.item() <= 0.0))
+    if x.ndim != 3:
+        raise ad.ShapeError(f"project: expected (B,k,3), got {tuple(x.shape)}")
+    b, k, _ = x.shape
+    xy = x[:, :, 0:2]
+    s_t = ad.as_tensor(s)
+    t_t = ad.as_tensor(t)
+    if s_t.shape != (b, 1) or t_t.shape != (b, 2):
+        raise ad.ShapeError(f"project: need s (B,1), t (B,2); got {tuple(s_t.shape)}, "
+                            f"{tuple(t_t.shape)} for B={b}")
+    s_full = ad.reshape(ad.matmul(s_t, ad.constant(np.ones((1, k * 2)))), (b, k, 2))
+    t_full = ad.matmul(ad.constant(np.ones((b, k, 1))), ad.reshape(t_t, (b, 1, 2)))
+    return xy * s_full + t_full
 
 
 def optimal_camera_rows(x_orth, x_gt, vis, grad_flow: bool = True):
@@ -170,12 +86,3 @@ def optimal_camera_rows(x_orth, x_gt, vis, grad_flow: bool = True):
     residual = ad.sum_(ad.reshape(diff * diff, (r, k * 2)), axis=1)
     residual = residual * ad.constant(valid.astype(np.float64))
     return {"s": s_col, "t": t_row, "residual": residual, "n_visible": n_vis, "valid": valid}
-
-
-def reprojection_objective(x_orth, x_gt, vis, s, t) -> float:
-    """Plain-number objective used by oracles and stationarity probes."""
-    x = np.asarray(x_orth, dtype=np.float64)
-    y = np.asarray(x_gt, dtype=np.float64)
-    v = np.asarray(vis, dtype=bool)
-    d = (s * x + np.asarray(t)[None, :] - y)[v]
-    return float(np.sum(d * d))

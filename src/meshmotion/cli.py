@@ -249,20 +249,17 @@ def cmd_predict(args) -> int:
     if not 0 <= args.frame < sample.n_frames:
         raise ValidationError(f"frame {args.frame} out of range for {sample.n_frames} frames")
 
-    phi = nets_model.hallucinator(ad.constant(sample.features[args.frame][None, :]))
-    full = losses.raw_to_full(nets_model.regressor(phi)).data[0]
+    pred = metrics.predict_sequence(model, nets_model, sample.features[args.frame][None, :],
+                                    "single-frame", deltas=True)
+    full = pred["full"]                                      # (1, 85)
     back, fwd = min(nets_model.deltas), max(nets_model.deltas)
-    pose_cur = ad.constant(full[None, 10:82])
-    pose_back = nets_model.delta(back)(phi, pose_cur).data[0]
-    pose_fwd = nets_model.delta(fwd)(phi, pose_cur).data[0]
-
+    poses = np.concatenate([pred["pose_past"], full[:, 10:82], pred["pose_future"]])
+    verts = body.skin(model, np.repeat(full[:, :10], 3, axis=0), poses).data
     sections = []
-    for tag, pose in (("past", pose_back), ("current", full[10:82]), ("future", pose_fwd)):
-        theta_full = np.concatenate([full[:10], pose, full[82:]])
-        verts = body.skin(model, full[:10], pose).data
-        joints = body.regress_joints(model, ad.constant(verts)).data
-        sections.extend([(f"theta_{tag}", theta_full), (f"joints_{tag}", joints),
-                         (f"vertices_{tag}", verts)])
+    for i, tag in enumerate(("past", "current", "future")):
+        theta_full = np.concatenate([full[0, :10], poses[i], full[0, 82:]])
+        sections.extend([(f"theta_{tag}", theta_full), (f"joints_{tag}", pred[f"joints_{tag}"][0]),
+                         (f"vertices_{tag}", verts[i])])
 
     with open(args.out, "w") as fh:
         fh.write(f"# dynamics dump: sequence {args.seq} frame {args.frame} "
@@ -363,29 +360,31 @@ def _gradcheck_cases(seed):
         return (lambda: ad.sum_(body.skin(model, beta, theta) * probe)), [beta, theta]
 
     def case_camera():
-        x = ad.parameter(rng.standard_normal((k, 2)), name="x_orth")
-        y = 1.3 * x.data + np.array([0.4, -0.2]) + 0.1 * rng.standard_normal((k, 2))
-        vis = np.ones(k, dtype=bool)
-        return (lambda: camera.optimal_camera(x, y, vis).residual), [x]
+        x = ad.parameter(rng.standard_normal((1, k, 2)), name="x_orth")
+        y = 1.3 * x.data + np.array([0.4, -0.2]) + 0.1 * rng.standard_normal((1, k, 2))
+        vis = np.ones((1, k), dtype=bool)
+        vis[0, 0] = False
+        return (lambda: ad.sum_(camera.optimal_camera_rows(x, y, vis)["residual"])), [x]
 
     def case_temporal_frame_losses():
         feats = ad.constant(rng.standard_normal((enc.receptive_field, enc.feature_dim)))
-        gt_pts = rng.normal(0, 40, (k, 2))
-        gt2d = losses.Keypoints2D(points=gt_pts, vis=np.ones(k, dtype=bool))
-        gt_full = rng.normal(0, 0.3, 85)
+        gt_pts = rng.normal(0, 40, (1, k, 2))
+        vis = np.ones((1, k), dtype=bool)
+        gt_full = rng.normal(0, 0.3, (1, 85))
         wts = losses.LossWeights()
         wrt = [nm.temporal.blocks[0][1][0], nm.temporal.blocks[0][2][2],
                nm.regressor.fc1.w, nm.regressor.out.b, nm.regressor.theta_mean]
 
         def f():
-            phi = nm.temporal(feats)
-            full = losses.raw_to_full(nm.regressor(phi))
-            mid = enc.half_field
-            row = full[mid]
-            x3d = body.keypoints_3d(model, full[mid:mid + 1, 0:10], full[mid:mid + 1, 10:82])
-            x2d = camera.project(x3d, ad.reshape(row[82:83], (1, 1)),
-                                 ad.reshape(row[83:85], (1, 2)))[0]
-            total, _ = losses.frame_loss(row, x2d, gt2d, nm.discriminators, wts, gt3d=gt_full)
+            full = losses.raw_to_full(nm.regressor(nm.temporal(feats)))
+            row = full[enc.half_field:enc.half_field + 1]         # the centre frame
+            beta, pose = row[:, 0:10], row[:, 10:82]
+            x2d = camera.project(body.keypoints_3d(model, beta, pose), row[:, 82:83], row[:, 83:85])
+            l2d, _ = losses.loss_2d_rows(x2d, gt_pts, vis)
+            total = (wts.w_2d * ad.sum_(l2d)
+                     + wts.w_3d * ad.sum_(losses.loss_3d_rows(row, gt_full))
+                     + wts.w_adv * losses.adv_prior_generator_loss(nm.discriminators, pose, beta)
+                     + wts.w_beta * ad.sum_(losses.beta_prior(beta)))
             cs, _ = losses.const_shape_loss(full[:, 0:10])
             return total + cs
 

@@ -29,25 +29,36 @@ class ValidationError(ValueError):
     """A file or data structure violates its documented contract."""
 
 
-def write_container(path, magic: str, sections):
-    """Write ``sections`` (iterable of (name, value)) under ``magic``.
+@contextlib.contextmanager
+def replacing_open(path, mode: str = "xb", **kwargs):
+    """Open a new temporary file beside ``path`` for writing; on a clean exit
+    rename it over ``path``.
 
-    Values may be numpy float/int arrays (flattened on disk) or strings.
-    The file is written under a temporary name in the same directory and
-    then renamed over ``path``, so a failed or interrupted write never
-    leaves a partial file at ``path``; a failed write also removes its
-    temporary file.
+    A failed or interrupted write never leaves a partial file at ``path``,
+    keeps what was there and removes its temporary file. ``mode`` must
+    create the file ("x" or "xb"); ``kwargs`` go to ``open``. No fsync: a
+    process crash is covered, a power loss is not.
     """
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
     try:
-        with open(tmp, "xb") as fh:
-            _write_sections(fh, magic, sections)
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def write_container(path, magic: str, sections):
+    """Write ``sections`` (iterable of (name, value)) under ``magic``.
+
+    Values may be numpy float/int arrays (flattened on disk) or strings.
+    The file is replaced whole (``replacing_open``).
+    """
+    with replacing_open(path) as fh:
+        _write_sections(fh, magic, sections)
 
 
 def _write_sections(fh, magic, sections):

@@ -19,7 +19,6 @@ from scipy.optimize import linear_sum_assignment
 from . import autodiff as ad
 from . import body
 from .container import ValidationError, read_container, require, write_container
-from .losses import Keypoints2D
 
 DATA_MAGIC = "HMMRDATA1"
 TIERS = ("full3d", "gt2d", "pseudo2d")
@@ -70,9 +69,6 @@ class SequenceSample:
         if self.theta_gt is not None and self.theta_gt.shape != (t, body.THETA_DIM):
             raise ValidationError(f"{source}: theta_gt shape {self.theta_gt.shape} != ({t}, 85)")
         return self
-
-    def frame_keypoints(self, t: int) -> Keypoints2D:
-        return Keypoints2D(points=self.kp2d[t], vis=self.vis[t])
 
 
 @dataclass
@@ -239,6 +235,22 @@ def gen_synthetic_dataset(model: body.BodyModel, n_seqs: int, n_frames: int, fps
 # ---------------------------------------------------------------------------
 # Pseudo-ground-truth track building
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class Keypoints2D:
+    """Image-space annotations: (k,2) coordinates plus per-point visibility."""
+
+    points: np.ndarray
+    vis: np.ndarray
+
+    def __post_init__(self):
+        self.points = np.asarray(self.points, dtype=np.float64)
+        self.vis = np.asarray(self.vis, dtype=bool)
+        if self.points.shape != (self.vis.shape[0], 2):
+            raise ValueError(f"keypoints {self.points.shape} vs visibility {self.vis.shape}")
+        if not np.all(np.isfinite(self.points[self.vis])):
+            raise ValueError("non-finite coordinates on visible keypoints")
 
 
 @dataclass

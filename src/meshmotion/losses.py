@@ -1,13 +1,14 @@
 """Training objectives: reprojection, parameter supervision, adversarial and
-shape priors, sequence-constancy, and the composite objectives.
+shape priors, and sequence-constancy.
 
 Conventions:
   * the 85-D prediction vector is laid out [shape(10) | pose(72) | camera(3)]
     with the camera slot holding (scale, tx, ty) after ``raw_to_full``,
+  * the per-frame terms take (R,...) row stacks and return one value per
+    row; weighting, masking and summing the rows into the objective happen
+    in the trainer,
   * 2-D reprojection error is averaged over visible keypoints so its scale
-    does not depend on the visibility pattern,
-  * sequence objectives sum over frames, mirroring the written form; batch
-    averaging happens in the trainer.
+    does not depend on the visibility pattern.
 """
 
 from __future__ import annotations
@@ -18,26 +19,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .nets import BETA_SLICE, CAM_SLICE, POSE_SLICE, THETA_DIM
-
-
-@dataclass
-class Keypoints2D:
-    """Image-space annotations: (k,2) coordinates plus per-point visibility."""
-
-    points: np.ndarray
-    vis: np.ndarray
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=np.float64)
-        self.vis = np.asarray(self.vis, dtype=bool)
-        if self.points.shape != (self.vis.shape[0], 2):
-            raise ValueError(f"keypoints {self.points.shape} vs visibility {self.vis.shape}")
-        if not np.all(np.isfinite(self.points[self.vis])):
-            raise ValueError("non-finite coordinates on visible keypoints")
-
-    @property
-    def n_visible(self) -> int:
-        return int(self.vis.sum())
 
 
 @dataclass
@@ -72,7 +53,7 @@ def raw_to_full(raw):
 
 
 # ---------------------------------------------------------------------------
-# per-frame terms (row-vector forms feed the trainer; scalar forms the tests)
+# per-frame terms, one value per row
 # ---------------------------------------------------------------------------
 
 
@@ -93,13 +74,6 @@ def loss_2d_rows(pred_x, gt_points, vis):
     sq = ad.sum_(ad.reshape(diff * diff, (r, k * 2)), axis=1)
     denom = ad.constant(np.maximum(n_vis, 1).astype(np.float64))
     return ad.div(sq, denom), n_vis
-
-
-def loss_2d(pred_x, gt: Keypoints2D):
-    """Scalar form: mean squared error over visible keypoints of one frame."""
-    per_row, n_vis = loss_2d_rows(ad.reshape(ad.as_tensor(pred_x), (1,) + tuple(ad.as_tensor(pred_x).shape)),
-                                  gt.points[None], gt.vis[None])
-    return ad.reshape(per_row, ()), int(n_vis[0])
 
 
 def parts_mask(parts) -> np.ndarray:
@@ -127,12 +101,6 @@ def loss_3d_rows(pred_full, gt_full, parts=("beta", "theta")):
     gt = np.asarray(gt_full, dtype=np.float64)
     diff = (pred - ad.constant(gt)) * ad.constant(np.tile(mask, (r, 1)))
     return ad.sum_(diff * diff, axis=1) * (1.0 / n_sel)
-
-
-def loss_3d(pred_full, gt_full, parts=("beta", "theta")):
-    p = ad.as_tensor(pred_full)
-    per_row = loss_3d_rows(ad.reshape(p, (1, THETA_DIM)), np.asarray(gt_full)[None], parts)
-    return ad.reshape(per_row, ())
 
 
 def beta_prior(beta):
@@ -173,49 +141,3 @@ def const_shape_loss(betas):
         return ad.constant(0.0), False
     diffs = b[1:, :] - b[0:t - 1, :]
     return ad.sum_(ad.l2_norm_rows(diffs)), True
-
-
-def frame_loss(pred_full, pred_x, gt2d: Keypoints2D, disc_set, weights: LossWeights,
-               gt3d=None, l3d_parts=("beta", "theta")):
-    """Single-frame composite: reprojection + (optional) supervision + priors.
-
-    Returns (total, breakdown dict of plain floats).
-    """
-    pred = ad.as_tensor(pred_full)
-    l2, n_vis = loss_2d(pred_x, gt2d)
-    terms = {"l2d": l2}
-    total = weights.w_2d * l2
-    if gt3d is not None:
-        l3 = loss_3d(pred, gt3d, l3d_parts)
-        total = total + weights.w_3d * l3
-        terms["l3d"] = l3
-    if disc_set is not None and weights.w_adv > 0:
-        ladv = adv_prior_generator_loss(
-            disc_set, ad.reshape(pred[POSE_SLICE], (1, POSE_SLICE.stop - POSE_SLICE.start)),
-            ad.reshape(pred[BETA_SLICE], (1, BETA_SLICE.stop)))
-        total = total + weights.w_adv * ladv
-        terms["ladv"] = ladv
-    lbeta = beta_prior(pred[BETA_SLICE])
-    total = total + weights.w_beta * lbeta
-    terms["lbeta"] = lbeta
-    return total, {k: v.item() for k, v in terms.items()}
-
-
-def temporal_objective(frame_losses, delta_losses, const_loss):
-    """Sum of per-frame losses, shifted-frame losses, and the constancy term."""
-    total = ad.constant(0.0)
-    for term in list(frame_losses) + list(delta_losses):
-        total = total + term
-    if const_loss is not None:
-        total = total + const_loss
-    return total
-
-
-def total_objective(temporal, hal, hal_frame_losses, hal_delta_losses):
-    """Joint objective: temporal path + feature matching + hallucinated paths."""
-    total = temporal
-    if hal is not None:
-        total = total + hal
-    for term in list(hal_frame_losses) + list(hal_delta_losses):
-        total = total + term
-    return total

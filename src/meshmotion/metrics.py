@@ -180,8 +180,8 @@ def mesh_errors(pred_full, gt_full, model: body.BodyModel, frame_mask=None):
     """(posed_mm, unposed_mm) mean vertex errors over a sequence.
 
     Posed meshes are compared after per-frame root (pelvis joint) centering.
-    Unposed meshes are both rebuilt with the zero pose and compared directly,
-    so the number reflects pure shape error.
+    Unposed meshes are the zero-pose (shaped template) meshes, compared
+    directly, so the number reflects pure shape error.
     """
     p = np.asarray(pred_full, dtype=np.float64)
     g = np.asarray(gt_full, dtype=np.float64)
@@ -190,14 +190,13 @@ def mesh_errors(pred_full, gt_full, model: body.BodyModel, frame_mask=None):
     if not mask.any():
         return float("nan"), float("nan")
 
-    # one skinning pass over [pred; gt; pred at zero pose; gt at zero pose]
-    # and one kinematic pass over [pred; gt] for the root joints
-    betas = np.concatenate([p[:, :10], g[:, :10]])
-    thetas = np.concatenate([p[:, 10:82], g[:, 10:82]])
-    verts = body.skin(model, ad.constant(np.concatenate([betas, betas])),
-                      ad.constant(np.concatenate([thetas, np.zeros_like(thetas)]))).data
-    _, joints = body.forward_kinematics(model, ad.constant(betas), ad.constant(thetas))
-    vp, vg, up, ug = np.split(verts, 4)
+    # one skinning pass and one kinematic pass over [pred; gt]; the unposed
+    # meshes are the shaped templates, which skinning at zero pose reproduces
+    betas = ad.constant(np.concatenate([p[:, :10], g[:, :10]]))
+    thetas = ad.constant(np.concatenate([p[:, 10:82], g[:, 10:82]]))
+    vp, vg = np.split(body.skin(model, betas, thetas).data, 2)
+    up, ug = np.split(body.shaped_template(model, betas).data, 2)
+    _, joints = body.forward_kinematics(model, betas, thetas)
     rp, rg = np.split(joints.data[:, 0:1, :], 2)
     posed = np.linalg.norm((vp - rp) - (vg - rg), axis=2)[mask].mean() * MM
     unposed = np.linalg.norm(up - ug, axis=2)[mask].mean() * MM
@@ -209,14 +208,20 @@ def mesh_errors(pred_full, gt_full, model: body.BodyModel, frame_mask=None):
 # ---------------------------------------------------------------------------
 
 
-def predict_sequence(model: body.BodyModel, nets_model, sample, mode: str = "temporal"):
-    """Run the network stack over one sequence with dropout disabled.
+def predict_sequence(model: body.BodyModel, nets_model, features, mode: str = "temporal",
+                     deltas: bool = False):
+    """The one dropout-free forward pass of the network stack, over (T,D) features.
 
-    mode 'temporal' uses the context encoder; 'single-frame' uses the
-    hallucinated context (or raw features when no hallucinator exists).
-    Returns dict with full (T,85), joints3d (T,k,3), pred2d (T,k,2).
+    mode 'temporal' runs the context encoder over the rows as one sequence.
+    'single-frame' runs the hallucinator on each row; a checkpoint without a
+    hallucinator feeds the raw features to the regressor instead, which was
+    never trained on them. Returns dict with full (T,85), joints_current
+    (T,k,3) and pred2d (T,k,2). With ``deltas`` the past (smallest step)
+    and future (largest step) delta predictors run on the same rows, adding
+    pose_past/pose_future (T,72) and joints_past/joints_future (T,k,3),
+    posed with the current frame's shape.
     """
-    feats = ad.constant(sample.features)
+    feats = ad.constant(features)
     if mode == "temporal":
         phi = nets_model.temporal(feats)
     elif mode == "single-frame":
@@ -224,9 +229,17 @@ def predict_sequence(model: body.BodyModel, nets_model, sample, mode: str = "tem
     else:
         raise ValueError(f"unknown prediction mode {mode!r}")
     full = raw_to_full(nets_model.regressor(phi)).data
-    joints = body.keypoints_3d(model, ad.constant(full[:, :10]), ad.constant(full[:, 10:82])).data
+    betas = ad.constant(full[:, :10])
+    cur_pose = ad.constant(full[:, 10:82])
+    joints = body.keypoints_3d(model, betas, cur_pose).data
     pred2d = full[:, 82:83, None] * joints[:, :, :2] + full[:, None, 83:85]
-    return {"full": full, "joints3d": joints, "pred2d": pred2d}
+    out = {"full": full, "joints_current": joints, "pred2d": pred2d}
+    if deltas:
+        for tag, step in (("past", min(nets_model.deltas)), ("future", max(nets_model.deltas))):
+            pose = nets_model.delta(step)(phi, cur_pose).data
+            out[f"pose_{tag}"] = pose
+            out[f"joints_{tag}"] = body.keypoints_3d(model, betas, ad.constant(pose)).data
+    return out
 
 
 def gt_joints_of(model, sample):
@@ -350,21 +363,20 @@ def evaluate(model: body.BodyModel, nets_model, dataset, mode: str = "temporal",
     for sample in dataset:
         excluded = sample.excluded if sample.excluded is not None else np.zeros(sample.n_frames, bool)
         mask = ~excluded
+        gt_joints = gt_joints_of(model, sample)
         if gt_as_prediction:
             if sample.theta_gt is None:
                 raise ValueError(f"{sample.id}: gt_as_prediction needs theta_gt")
-            full = sample.theta_gt.copy()
-            joints = gt_joints_of(model, sample)
+            full, joints = sample.theta_gt.copy(), gt_joints
             pred2d = full[:, 82:83, None] * joints[:, :, :2] + full[:, None, 83:85]
         else:
-            pred = predict_sequence(model, nets_model, sample, mode=mode)
-            full, joints, pred2d = pred["full"], pred["joints3d"], pred["pred2d"]
+            pred = predict_sequence(model, nets_model, sample.features, mode=mode)
+            full, joints, pred2d = pred["full"], pred["joints_current"], pred["pred2d"]
 
         pck_frac, _, pck_total = pck(pred2d, sample.kp2d, sample.vis, alpha, frame_mask=mask)
         row = SequenceMetrics(seq_id=sample.id, n_frames_used=int(mask.sum()), pck=pck_frac,
                               mpjpe_mm=None, pa_mpjpe_mm=None, accel_err_mm_s2=None,
                               mesh_posed_mm=None, mesh_unposed_mm=None)
-        gt_joints = gt_joints_of(model, sample)
         if gt_joints is not None and mask.any():
             row.mpjpe_mm = mpjpe(joints[mask], gt_joints[mask])
             row.pa_mpjpe_mm = pa_mpjpe(joints[mask], gt_joints[mask])
@@ -414,8 +426,9 @@ def _gt_triplets(g_joints, centers, back, fwd):
 def evaluate_dynamics(model: body.BodyModel, nets_model, dataset, train_dataset=None):
     """Past/current/future PA-MPJPE from single-frame input.
 
-    'ours': hallucinated context -> regressor for the current frame, delta
-    predictors for the shifted frames (shape reused from the current frame).
+    'ours': ``predict_sequence`` in single-frame mode on the centre frames,
+    with the delta predictors for the shifted frames (shape reused from the
+    current frame).
     'constant': the current prediction reused for past and future. 'nearest':
     the training pose whose joints best align with the current ground truth,
     carried over with its own past/future (needs ``train_dataset``).
@@ -449,16 +462,10 @@ def evaluate_dynamics(model: body.BodyModel, nets_model, dataset, train_dataset=
         if not centers:
             continue
         gt = _gt_triplets(gt_joints_of(model, sample), centers, back, fwd)
-        phi = nets_model.hallucinator(ad.constant(sample.features[centers]))
-        full = raw_to_full(nets_model.regressor(phi)).data
-        cur_pose = ad.constant(full[:, 10:82])
-        pose_back = nets_model.delta(back)(phi, cur_pose).data
-        pose_fwd = nets_model.delta(fwd)(phi, cur_pose).data
-        betas = full[:, :10]
-        j_cur = body.keypoints_3d(model, ad.constant(betas), ad.constant(full[:, 10:82])).data
-        j_back = body.keypoints_3d(model, ad.constant(betas), ad.constant(pose_back)).data
-        j_fwd = body.keypoints_3d(model, ad.constant(betas), ad.constant(pose_fwd)).data
-        preds = {"ours": np.stack([j_back, j_cur, j_fwd], axis=1),
+        out = predict_sequence(model, nets_model, sample.features[centers], "single-frame",
+                               deltas=True)
+        j_cur = out["joints_current"]
+        preds = {"ours": np.stack([out["joints_past"], j_cur, out["joints_future"]], axis=1),
                  "constant": np.stack([j_cur, j_cur, j_cur], axis=1)}
         if pool is not None:
             # the whole pool against each centre in one batched alignment;

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import body, camera
-from .container import ValidationError
+from .container import ValidationError, replacing_open
 from .losses import (LossWeights, adv_prior_discriminator_loss, adv_prior_generator_loss,
                      beta_prior, const_shape_loss, loss_2d_rows, loss_3d_rows, raw_to_full)
 from .nets import ModelNets, hallucination_loss
@@ -158,7 +158,7 @@ class BatchMixer:
 # ---------------------------------------------------------------------------
 
 
-def jitter_window(kp, vis, theta_gt, features, feature_meta, rng, cfg: TrainConfig):
+def jitter_window(kp, theta_gt, features, feature_meta, rng, cfg: TrainConfig):
     """Per-frame scale/translation noise on 2-D targets and feature encoding.
 
     Keypoints move as a detector's crop would: kp' = a * kp + b. For synthetic
@@ -250,8 +250,7 @@ def train_step(model: body.BodyModel, state: TrainState, batch, cfg: TrainConfig
         feats_w = sample.features[sl]
         theta_w = sample.theta_gt[sl] if sample.theta_gt is not None else None
         if cfg.use_jitter:
-            kp_w, feats_w = jitter_window(kp_w, vis_all[b], theta_w, feats_w,
-                                          feature_meta, jit_rng, cfg)
+            kp_w, feats_w = jitter_window(kp_w, theta_w, feats_w, feature_meta, jit_rng, cfg)
         kp_all[b] = kp_w
         feats_all[b] = feats_w
         if theta_w is not None:
@@ -485,8 +484,9 @@ def train(model: body.BodyModel, state: TrainState, datasets, cfg: TrainConfig,
 
 
 def write_history_csv(path, history):
+    """Write the loss history as CSV; an interrupted write keeps the old file."""
     cols = ("step",) + LOSS_COLUMNS + ("skipped",)
-    with open(path, "w", newline="") as fh:
+    with replacing_open(path, "x", newline="") as fh:
         wtr = csv.writer(fh)
         wtr.writerow(cols)
         for i, row in enumerate(history):

@@ -29,6 +29,15 @@ def camera_grid_search(x, y, vis, s_range=(0.1, 3.0), t_range=(-3.0, 3.0), n=81)
     return best
 
 
+def reprojection_objective(x_orth, x_gt, vis, s, t) -> float:
+    """Plain-number weak-perspective objective sum_i vis_i ||s x_i + t - y_i||^2."""
+    x = np.asarray(x_orth, dtype=np.float64)
+    y = np.asarray(x_gt, dtype=np.float64)
+    v = np.asarray(vis, dtype=bool)
+    d = (s * x + np.asarray(t)[None, :] - y)[v]
+    return float(np.sum(d * d))
+
+
 def procrustes_grid_search(pred, gt, step_deg=2.0):
     """Best similarity-alignment residual over a ZYZ Euler grid of rotations.
 

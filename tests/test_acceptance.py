@@ -108,15 +108,17 @@ def test_criterion_3_camera_solve():
         vis = rng.random(8) > 0.2
         if vis.sum() < 3:
             vis[:] = True
-        fit = camera.optimal_camera(x, y, vis)
+        fit = camera.optimal_camera_rows(x[None], y[None], vis[None])
         grid = camera_grid_search(x, y, vis)
-        assert fit.residual.item() <= grid + 1e-9, f"trial {trial}"
+        assert fit["residual"].data[0] <= grid + 1e-9, f"trial {trial}"
     rng2 = np.random.default_rng(2)
     x = rng2.standard_normal((9, 2))
-    fit = camera.optimal_camera(x, 1.7 * x + np.array([2.0, -3.0]), np.ones(9, dtype=bool))
-    assert fit.residual.item() < 1e-10
+    fit = camera.optimal_camera_rows(x[None], (1.7 * x + np.array([2.0, -3.0]))[None],
+                                     np.ones((1, 9), dtype=bool))
+    residual = fit["residual"].data[0]
+    assert residual < 1e-10
     ok("criterion 3: closed form <= grid oracle on 10 instances; "
-       f"exact-similarity residual {fit.residual.item():.1e} < 1e-10")
+       f"exact-similarity residual {residual:.1e} < 1e-10")
 
 
 # ---------------------------------------------------------------------------

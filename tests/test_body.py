@@ -143,6 +143,13 @@ def test_fk_world_transforms_carry_posed_joints(toy_model):
 def test_skin_zero_pose_zero_shape_is_template_bitexact(toy_model):
     verts = body.skin(toy_model, np.zeros(10), np.zeros(72))
     assert np.array_equal(verts.data, toy_model.template)
+    # at zero pose any shape gives its shaped template, bit for bit, in
+    # stacks of any size (metrics.mesh_errors relies on it)
+    rng = np.random.default_rng(11)
+    for rows in (1, 2, 7, 40):
+        betas = rng.standard_normal((rows, 10))
+        zero_pose = body.skin(toy_model, betas, np.zeros((rows, 72))).data
+        assert np.array_equal(zero_pose, body.shaped_template(toy_model, betas).data)
 
 
 def test_skin_unit_beta_adds_blendshape_column_exactly(toy_model):

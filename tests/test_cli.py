@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from meshmotion import autodiff as ad
-from meshmotion import body, cli, data, losses, nets
+from meshmotion import body, cli, data, losses, metrics, nets
 from meshmotion.container import ValidationError
 
 TINY_NET = ["--set", "feature_dim=24", "--set", "gn_groups=4", "--set", "gn_group_size=6",
@@ -208,6 +208,27 @@ def test_predict_dump_parses_and_matches_recomputation(workdir, trained, tmp_pat
     phi = nets_model.hallucinator(ad.constant(bundle.sequences[0].features[7][None, :]))
     expect = losses.raw_to_full(nets_model.regressor(phi)).data[0]
     assert np.allclose(sections["theta_current"], expect, atol=1e-6)
+
+
+def test_predict_dump_matches_inference_rows(workdir, trained, tmp_path):
+    dump = tmp_path / "pred.txt"
+    assert cli.run(["predict", "--model", str(workdir / "model.bin"), "--ckpt", str(trained),
+                    "--data", str(workdir / "data.bin"), "--seq", "0", "--frame", "7",
+                    "--out", str(dump)]) == 0
+    sections = cli.parse_prediction_dump(dump)
+    # the whole sequence through the inference function; row 7 is the frame
+    model = body.load_model(workdir / "model.bin")
+    nets_model, _, _, _, _ = nets.load_checkpoint(trained)
+    features = data.load_dataset(workdir / "data.bin").sequences[0].features
+    pred = metrics.predict_sequence(model, nets_model, features, "single-frame", deltas=True)
+    full = pred["full"][7]
+    half_digit = 5e-7 + 1e-12        # the dump rounds to 6 decimals
+    for tag, pose in (("past", pred["pose_past"][7]), ("current", full[10:82]),
+                      ("future", pred["pose_future"][7])):
+        expect = np.concatenate([full[:10], pose, full[82:]])
+        assert np.allclose(sections[f"theta_{tag}"], expect, rtol=0, atol=half_digit), tag
+        assert np.allclose(sections[f"joints_{tag}"].reshape(-1, 3), pred[f"joints_{tag}"][7],
+                           rtol=0, atol=half_digit), tag
 
 
 def test_predict_untrained_net_outputs_mean_pose(workdir, tmp_path):

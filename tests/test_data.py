@@ -50,10 +50,10 @@ def test_gen_gt_selfconsistency_2d_loss_zero(toy_model, small_dataset):
     full = s.theta_gt
     joints = body.keypoints_3d(toy_model, ad.constant(full[:, :10]),
                                ad.constant(full[:, 10:82])).data
-    for t in range(s.n_frames):
-        proj = full[t, 82] * joints[t, :, :2] + full[t, 83:85]
-        val, _ = losses.loss_2d(ad.constant(proj), s.frame_keypoints(t))
-        assert val.item() < 1e-18
+    proj = full[:, 82:83, None] * joints[:, :, :2] + full[:, None, 83:85]
+    vals, _ = losses.loss_2d_rows(ad.constant(proj), s.kp2d, s.vis)
+    assert vals.shape == (s.n_frames,)
+    assert np.all(vals.data < 1e-18)
 
 
 def test_gen_optimal_camera_refit_zero_residual(toy_model, small_dataset):
@@ -61,10 +61,10 @@ def test_gen_optimal_camera_refit_zero_residual(toy_model, small_dataset):
     full = s.theta_gt
     joints = body.keypoints_3d(toy_model, ad.constant(full[:, :10]),
                                ad.constant(full[:, 10:82])).data
-    for t in (0, s.n_frames - 1):
-        fit = camera.optimal_camera(joints[t, :, :2], s.kp2d[t], s.vis[t])
-        assert fit.residual.item() < 1e-16
-        assert fit.s.item() == pytest.approx(full[t, 82], rel=1e-9)
+    ends = [0, s.n_frames - 1]
+    fit = camera.optimal_camera_rows(joints[ends, :, :2], s.kp2d[ends], s.vis[ends])
+    assert np.all(fit["residual"].data < 1e-16)
+    assert fit["s"].data[:, 0] == pytest.approx(full[ends, 82], rel=1e-9)
 
 
 def test_gen_feature_meta_tracks_camera_slots(toy_model, small_dataset):
@@ -110,7 +110,7 @@ def test_filter_frames_thresholds_at_six(toy_model):
 def kp_at(center, k=8, spread=10.0):
     pts = np.tile(np.asarray(center, dtype=float), (k, 1))
     pts += np.linspace(0, spread, k)[:, None]
-    return losses.Keypoints2D(points=pts, vis=np.ones(k, dtype=bool))
+    return data.Keypoints2D(points=pts, vis=np.ones(k, dtype=bool))
 
 
 def test_single_smooth_track():

@@ -19,68 +19,74 @@ class ConstDisc:
         return ad.constant(np.full((m, self.n_scores), self.value))
 
 
-def kp(points, vis=None):
-    points = np.asarray(points, dtype=np.float64)
-    if vis is None:
-        vis = np.ones(len(points), dtype=bool)
-    return losses.Keypoints2D(points=points, vis=np.asarray(vis, dtype=bool))
+def loss_2d(pred, gt, vis=None):
+    """loss_2d_rows on one (k,2) frame: (value, visible count)."""
+    gt = np.asarray(gt, dtype=np.float64)
+    vis = np.ones(len(gt), dtype=bool) if vis is None else np.asarray(vis, dtype=bool)
+    val, n_vis = losses.loss_2d_rows(ad.constant(np.asarray(pred, dtype=np.float64)[None]),
+                                     gt[None], vis[None])
+    assert val.shape == (1,) and n_vis.shape == (1,)
+    return val.data[0], int(n_vis[0])
+
+
+def loss_3d(pred, gt, parts=("beta", "theta")):
+    """loss_3d_rows on one 85-D prediction."""
+    val = losses.loss_3d_rows(ad.constant(np.asarray(pred)[None]), np.asarray(gt)[None], parts)
+    assert val.shape == (1,)
+    return val.data[0]
 
 
 # ---------------------------------------------------------------------------
-# loss_2d
+# loss_2d_rows
 # ---------------------------------------------------------------------------
 
 
 def test_loss_2d_zero_at_match():
     pts = np.random.default_rng(0).standard_normal((5, 2))
-    val, n_vis = losses.loss_2d(ad.constant(pts), kp(pts))
-    assert val.item() == 0.0
+    val, n_vis = loss_2d(pts, pts)
+    assert val == 0.0
     assert n_vis == 5
 
 
 def test_loss_2d_single_point_arithmetic():
-    pred = np.array([[3.0, 4.0]])
-    val, _ = losses.loss_2d(ad.constant(pred), kp([[0.0, 0.0]]))
-    assert val.item() == pytest.approx(25.0, abs=1e-12)
+    val, _ = loss_2d([[3.0, 4.0]], [[0.0, 0.0]])
+    assert val == pytest.approx(25.0, abs=1e-12)
 
 
 def test_loss_2d_mean_over_visible():
-    pred = np.array([[3.0, 4.0], [0.0, 0.0]])
-    val, _ = losses.loss_2d(ad.constant(pred), kp([[0.0, 0.0], [0.0, 0.0]]))
-    assert val.item() == pytest.approx(12.5, abs=1e-12)
+    val, _ = loss_2d([[3.0, 4.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]])
+    assert val == pytest.approx(12.5, abs=1e-12)
 
 
 def test_loss_2d_invisible_point_is_ignored():
-    gt = kp([[0.0, 0.0], [1.0, 1.0]], vis=[True, False])
-    a = losses.loss_2d(ad.constant([[0.5, 0.0], [9.0, 9.0]]), gt)[0].item()
-    b = losses.loss_2d(ad.constant([[0.5, 0.0], [-431.0, 17.0]]), gt)[0].item()
+    gt = [[0.0, 0.0], [1.0, 1.0]]
+    a = loss_2d([[0.5, 0.0], [9.0, 9.0]], gt, vis=[True, False])[0]
+    b = loss_2d([[0.5, 0.0], [-431.0, 17.0]], gt, vis=[True, False])[0]
     assert a == b
 
 
 def test_loss_2d_no_visible_returns_zero_flagged():
-    gt = kp([[0.0, 0.0]], vis=[False])
-    val, n_vis = losses.loss_2d(ad.constant([[5.0, 5.0]]), gt)
-    assert val.item() == 0.0
+    val, n_vis = loss_2d([[5.0, 5.0]], [[0.0, 0.0]], vis=[False])
+    assert val == 0.0
     assert n_vis == 0
 
 
 # ---------------------------------------------------------------------------
-# loss_3d
+# loss_3d_rows
 # ---------------------------------------------------------------------------
 
 
 def test_loss_3d_zero_at_match():
     rng = np.random.default_rng(1)
     full = rng.standard_normal(85)
-    assert losses.loss_3d(ad.constant(full), full).item() == 0.0
+    assert loss_3d(full, full) == 0.0
 
 
 def test_loss_3d_unit_beta_offset_beta_mask():
     gt = np.zeros(85)
     pred = gt.copy()
     pred[0] += 1.0
-    val = losses.loss_3d(ad.constant(pred), gt, parts=("beta",))
-    assert val.item() == pytest.approx(0.1, abs=1e-12)
+    assert loss_3d(pred, gt, parts=("beta",)) == pytest.approx(0.1, abs=1e-12)
 
 
 def test_loss_3d_masked_components_ignored():
@@ -88,8 +94,7 @@ def test_loss_3d_masked_components_ignored():
     gt = rng.standard_normal(85)
     pred = gt.copy()
     pred[82:] += 100.0  # camera heavily perturbed
-    val = losses.loss_3d(ad.constant(pred), gt, parts=("beta", "theta"))
-    assert val.item() == 0.0
+    assert loss_3d(pred, gt, parts=("beta", "theta")) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -232,84 +237,46 @@ def test_const_shape_gradient_at_generic_point():
 
 
 # ---------------------------------------------------------------------------
-# composites
+# the per-frame terms together, as the trainer sums them
 # ---------------------------------------------------------------------------
 
 
 def test_frame_loss_zero_on_perfect_prediction():
-    gt_full = np.zeros(85)
-    gt_full[82] = 1.0  # unit camera scale
-    pts = np.zeros((4, 2))
-    w = losses.LossWeights(w_adv=1.0)
-    total, terms = losses.frame_loss(ad.constant(gt_full), ad.constant(pts),
-                                     kp(pts), ConstDisc(1.0), w, gt3d=gt_full)
-    assert total.item() == 0.0
-    assert terms["l2d"] == 0.0 and terms["l3d"] == 0.0 and terms["ladv"] == 0.0
-
-
-def test_frame_loss_weight_zero_removes_gradient():
-    rng = np.random.default_rng(13)
-    pred = ad.parameter(rng.standard_normal(85), name="pred")
-    pts = rng.standard_normal((4, 2))
-    gt = kp(pts + 1.0)
-
-    def grad_with(w_beta):
-        pred.grad = None
-        w = losses.LossWeights(w_2d=0.0, w_adv=0.0, w_beta=w_beta)
-        x = ad.constant(pts)
-        total, _ = losses.frame_loss(pred, x, gt, None, w)
-        total.backward()
-        return np.zeros(85) if pred.grad is None else pred.grad.copy()
-
-    g0 = grad_with(0.0)
-    g1 = grad_with(1.0)
-    assert np.all(g0[:10] == 0.0)
-    assert np.any(g1[:10] != 0.0)
+    gt_full = np.zeros((1, 85))
+    gt_full[0, 82] = 1.0  # unit camera scale
+    pts = np.zeros((1, 4, 2))
+    pred = ad.constant(gt_full)
+    l2d, _ = losses.loss_2d_rows(ad.constant(pts), pts, np.ones((1, 4), dtype=bool))
+    l3d = losses.loss_3d_rows(pred, gt_full)
+    ladv = losses.adv_prior_generator_loss(ConstDisc(1.0), pred[:, 10:82], pred[:, 0:10])
+    lbeta = losses.beta_prior(pred[:, 0:10])
+    assert l2d.data[0] == 0.0 and l3d.data[0] == 0.0 and ladv.item() == 0.0
+    assert lbeta.data[0] == 0.0
 
 
 def test_frame_loss_full_composite_gradient(toy_model):
     from meshmotion import body, camera
 
     rng = np.random.default_rng(14)
-    raw = ad.parameter(rng.normal(0, 0.2, 85), name="raw")
-    gt_pts = rng.normal(0, 50, (toy_model.n_keypoints, 2))
-    gt2d = kp(gt_pts)
+    raw = ad.parameter(rng.normal(0, 0.2, (1, 85)), name="raw")
+    gt_pts = rng.normal(0, 50, (1, toy_model.n_keypoints, 2))
+    vis = np.ones((1, toy_model.n_keypoints), dtype=bool)
     cfg = EncoderConfig(feature_dim=16, gn_groups=4, gn_group_size=4, disc_hidden=8)
     disc = DiscriminatorSet(cfg, np.random.default_rng(15))
     w = losses.LossWeights()
 
     def f():
         full = losses.raw_to_full(raw)
-        x3d = body.keypoints_3d(toy_model, full[0:10], full[10:82])
-        x2d = camera.project(x3d, full[82:83], full[83:85])
-        total, _ = losses.frame_loss(full, x2d, gt2d, disc, w)
-        return total
+        beta, pose = full[:, 0:10], full[:, 10:82]
+        x3d = body.keypoints_3d(toy_model, beta, pose)
+        x2d = camera.project(x3d, full[:, 82:83], full[:, 83:85])
+        l2d, _ = losses.loss_2d_rows(x2d, gt_pts, vis)
+        return (w.w_2d * ad.sum_(l2d)
+                + w.w_adv * losses.adv_prior_generator_loss(disc, pose, beta)
+                + w.w_beta * ad.sum_(losses.beta_prior(beta)))
 
     err = ad.finite_diff_check(f, raw, max_coords=30, rng=np.random.default_rng(16))
     assert err < 1e-4
-
-
-def test_temporal_objective_single_frame_reduces_to_frame_loss():
-    term = ad.constant(3.25)
-    assert losses.temporal_objective([term], [], None).item() == 3.25
-
-
-def test_temporal_objective_hand_summed_five_frames():
-    rng = np.random.default_rng(17)
-    frames = [ad.constant(x) for x in rng.random(5)]
-    deltas = [ad.constant(x) for x in rng.random(2)]
-    const = ad.constant(0.5)
-    got = losses.temporal_objective(frames, deltas, const).item()
-    want = sum(t.item() for t in frames) + sum(t.item() for t in deltas) + 0.5
-    assert got == pytest.approx(want, abs=1e-12)
-
-
-def test_total_objective_composition():
-    t, h = ad.constant(1.0), ad.constant(2.0)
-    hf = [ad.constant(3.0)]
-    hd = [ad.constant(4.0), ad.constant(5.0)]
-    assert losses.total_objective(t, h, hf, hd).item() == pytest.approx(15.0)
-    assert losses.total_objective(t, None, [], []).item() == pytest.approx(1.0)
 
 
 def test_raw_to_full_exponentiates_scale():
