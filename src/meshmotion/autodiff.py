@@ -7,15 +7,13 @@ of every reachable tensor that has ``requires_grad`` set.
 
 Design constraints honored throughout:
   * float64 everywhere (tight finite-difference checks stay meaningful),
-  * no broadcasting beyond scalar-times-tensor; other shape mixing must be
-    explicit (``tile_leading``, ones-matmul expansion),
+  * elementwise ops and ``matmul``'s batch dims broadcast as in numpy; the
+    backward pass sums each gradient back to its operand's shape,
   * tensors are treated as immutable once created and are safe to share
     read-only across threads; each graph is single-threaded.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -28,10 +26,6 @@ class ShapeError(ValueError):
 
 class NumericalError(ArithmeticError):
     """Non-finite values encountered where finite ones are required."""
-
-
-def _is_scalar_shape(shape):
-    return math.prod(shape) == 1
 
 
 _POST = object()  # marks a finished tensor on Tensor.backward's traversal stack
@@ -201,43 +195,47 @@ def custom_op(data, parents, backward_fn) -> Tensor:
 
     ``backward_fn(g)`` must add each parent's gradient with ``_accum`` (or
     ``_accum_fresh`` for an array nothing else holds) when that parent has
-    ``requires_grad`` set. The node is a constant when no parent needs
+    ``requires_grad`` set; ``_unbroadcast`` sums a gradient back to a value
+    the forward pass broadcast. The node is a constant when no parent needs
     gradients.
     """
     return _node(data, tuple(parents), backward_fn)
 
 
-def _binary_shapes(a: Tensor, b: Tensor, opname: str):
-    """Allow equal shapes or a size-1 operand on either side; reject the rest."""
-    if a.shape == b.shape:
-        return
-    if _is_scalar_shape(a.shape) or _is_scalar_shape(b.shape):
-        return
-    raise ShapeError(f"{opname}: shapes {tuple(a.shape)} and {tuple(b.shape)} do not conform "
-                     "(only scalar-with-tensor mixing is allowed)")
+def _unbroadcast(g, shape):
+    """Sum a gradient of a broadcast result back down to an operand's ``shape``.
 
-
-def _reduce_to(g, shape):
-    """Sum a gradient down to a size-1 operand's shape."""
+    Sums the leading axes the operand lacks and the axes where it has size 1
+    (the rule in HIPS/autograd's numpy_vjps.py), in one reduction.
+    """
     if g.shape == shape:
         return g
-    return np.sum(g).reshape(shape)
+    lead = g.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(lead + i for i, n in enumerate(shape)
+                                      if n == 1 and g.shape[lead + i] != 1)
+    return np.sum(g, axis=axes, keepdims=True).reshape(shape)
+
+
+def _no_broadcast(opname, a, b):
+    return ShapeError(f"{opname}: shapes {tuple(a.shape)} and {tuple(b.shape)} do not broadcast")
 
 
 # -- elementwise arithmetic ----------------------------------------------------
+# Operands broadcast as in numpy; shapes that do not broadcast raise ShapeError.
 
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.shape != b.data.shape:
-        _binary_shapes(a, b, "add")
-    out_data = a.data + b.data
+    try:
+        out_data = a.data + b.data
+    except ValueError:
+        raise _no_broadcast("add", a, b) from None
 
     def backward_fn(g):
         if a.requires_grad:
-            a._accum(_reduce_to(g, a.shape))
+            a._accum(_unbroadcast(g, a.shape))
         if b.requires_grad:
-            b._accum(_reduce_to(g, b.shape))
+            b._accum(_unbroadcast(g, b.shape))
 
     return _node(out_data, (a, b), backward_fn)
 
@@ -255,45 +253,48 @@ def neg(a) -> Tensor:
 def sub(a, b) -> Tensor:
     """a - b as one node; same values as add(a, neg(b))."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.shape != b.data.shape:
-        _binary_shapes(a, b, "sub")
-    out_data = a.data - b.data
+    try:
+        out_data = a.data - b.data
+    except ValueError:
+        raise _no_broadcast("sub", a, b) from None
 
     def backward_fn(g):
         if a.requires_grad:
-            a._accum(_reduce_to(g, a.shape))
+            a._accum(_unbroadcast(g, a.shape))
         if b.requires_grad:
-            b._accum_fresh(-_reduce_to(g, b.shape))
+            b._accum_fresh(-_unbroadcast(g, b.shape))
 
     return _node(out_data, (a, b), backward_fn)
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.shape != b.data.shape:
-        _binary_shapes(a, b, "mul")
-    out_data = a.data * b.data
+    try:
+        out_data = a.data * b.data
+    except ValueError:
+        raise _no_broadcast("mul", a, b) from None
 
     def backward_fn(g):
         if a.requires_grad:
-            a._accum_fresh(_reduce_to(g * b.data, a.shape))
+            a._accum_fresh(_unbroadcast(g * b.data, a.shape))
         if b.requires_grad:
-            b._accum_fresh(_reduce_to(g * a.data, b.shape))
+            b._accum_fresh(_unbroadcast(g * a.data, b.shape))
 
     return _node(out_data, (a, b), backward_fn)
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.shape != b.data.shape:
-        _binary_shapes(a, b, "div")
-    out_data = a.data / b.data
+    try:
+        out_data = a.data / b.data
+    except ValueError:
+        raise _no_broadcast("div", a, b) from None
 
     def backward_fn(g):
         if a.requires_grad:
-            a._accum_fresh(_reduce_to(g / b.data, a.shape))
+            a._accum_fresh(_unbroadcast(g / b.data, a.shape))
         if b.requires_grad:
-            b._accum_fresh(_reduce_to(-g * a.data / (b.data * b.data), b.shape))
+            b._accum_fresh(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return _node(out_data, (a, b), backward_fn)
 
@@ -405,88 +406,70 @@ def l2_norm_rows(a) -> Tensor:
 # -- linear algebra and structure ------------------------------------------------
 
 
-def _matmul_shapes(a_shape, b_shape):
+def _matmul(a, b, opname):
+    """np.matmul of two >=2-D tensors' data, its batch dims broadcast."""
+    a_shape, b_shape = a.data.shape, b.data.shape
     if len(a_shape) < 2 or len(b_shape) < 2:
-        raise ShapeError(f"matmul needs >=2-D operands, got {a_shape} @ {b_shape}")
-    if len(a_shape) != len(b_shape) or a_shape[:-2] != b_shape[:-2]:
-        raise ShapeError(f"matmul: batch dims differ, {a_shape} @ {b_shape} "
-                         "(tile_leading makes batch mixing explicit)")
+        raise ShapeError(f"{opname} needs >=2-D operands, got {a_shape} @ {b_shape}")
     if a_shape[-1] != b_shape[-2]:
-        raise ShapeError(f"matmul: inner dims differ, {a_shape} @ {b_shape}")
+        raise ShapeError(f"{opname}: inner dims differ, {a_shape} @ {b_shape}")
+    try:
+        return np.matmul(a.data, b.data)
+    except ValueError:
+        raise ShapeError(f"{opname}: batch dims do not broadcast, {a_shape} @ {b_shape}") from None
+
+
+def _matmul_backward(a, b, g):
+    if a.requires_grad:
+        a._accum_fresh(_unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
+    if b.requires_grad:
+        b._accum_fresh(_unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product: both 2-D, or both N-D with identical leading (batch) dims."""
+    """Matrix product of >=2-D operands; leading (batch) dims broadcast as in np.matmul."""
     a, b = as_tensor(a), as_tensor(b)
-    _matmul_shapes(a.data.shape, b.data.shape)
-    out_data = np.matmul(a.data, b.data)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a._accum_fresh(np.matmul(g, np.swapaxes(b.data, -1, -2)))
-        if b.requires_grad:
-            b._accum_fresh(np.matmul(np.swapaxes(a.data, -1, -2), g))
-
-    return _node(out_data, (a, b), backward_fn)
+    out_data = _matmul(a, b, "matmul")
+    return _node(out_data, (a, b), lambda g: _matmul_backward(a, b, g))
 
 
 def matmul_add(a, b, c) -> Tensor:
     """a @ b + c as one node, with the values and gradients of add(matmul(a, b), c).
 
-    ``c`` must have the product's shape.
+    ``c`` may be any shape that broadcasts to the product's, a (n,) bias say.
     """
     a, b, c = as_tensor(a), as_tensor(b), as_tensor(c)
-    _matmul_shapes(a.data.shape, b.data.shape)
-    prod = np.matmul(a.data, b.data)
-    if prod.shape != c.data.shape:
-        raise ShapeError(f"matmul_add: product {prod.shape} and addend {c.data.shape} differ")
-    out_data = prod + c.data
+    prod = _matmul(a, b, "matmul_add")
+    try:
+        out_data = prod + c.data
+        if out_data.shape != prod.shape:
+            raise ValueError
+    except ValueError:
+        raise ShapeError(f"matmul_add: addend {c.data.shape} does not broadcast to "
+                         f"product {prod.shape}") from None
 
     def backward_fn(g):
         if c.requires_grad:
-            c._accum(g)
+            c._accum(_unbroadcast(g, c.shape))
         if a.requires_grad or b.requires_grad:
             # the product node of add(matmul(a, b), c) saw a private copy of g
-            g = g if g.flags.c_contiguous else np.array(g, dtype=np.float64)
-            if a.requires_grad:
-                a._accum_fresh(np.matmul(g, np.swapaxes(b.data, -1, -2)))
-            if b.requires_grad:
-                b._accum_fresh(np.matmul(np.swapaxes(a.data, -1, -2), g))
+            _matmul_backward(a, b, g if g.flags.c_contiguous else np.array(g, dtype=np.float64))
 
     return _node(out_data, (a, b, c), backward_fn)
 
 
-def expand_rows(v, rows: int) -> Tensor:
-    """Stack ``rows`` copies of a 1-D tensor (n,) into (rows, n).
-
-    One node with the values and gradient of
-    matmul(ones((rows, 1)), reshape(v, (1, n))).
-    """
-    v = as_tensor(v)
-    if v.ndim != 1:
-        raise ShapeError(f"expand_rows needs a 1-D tensor, got shape {tuple(v.shape)}")
-    n = v.shape[0]
-    ones = np.ones((int(rows), 1))
-    out_data = np.matmul(ones, v.data.reshape(1, n))
+def broadcast_to(a, shape) -> Tensor:
+    """``a`` broadcast to ``shape`` as a tensor of its own, for ops that do
+    not broadcast (``concat``); the gradient sums back to ``a``'s shape."""
+    a = as_tensor(a)
+    shape = tuple(map(int, shape))
+    out_data = np.broadcast_to(a.data, shape)
 
     def backward_fn(g):
-        if v.requires_grad:
-            v._accum_fresh(np.matmul(np.swapaxes(ones, -1, -2), g).reshape(n))
+        if a.requires_grad:
+            a._accum(_unbroadcast(g, a.shape))
 
-    return _node(out_data, (v,), backward_fn)
-
-
-def tile_leading(a, n: int) -> Tensor:
-    """Explicit constant replication of a tensor along a new leading batch axis.
-
-    Only allowed for non-trainable tensors; trainable ones must be expanded
-    through differentiable ops so gradients stay well-defined.
-    """
-    a = as_tensor(a)
-    if a.requires_grad:
-        raise ShapeError("tile_leading is for constants; expand trainable tensors explicitly")
-    view = np.broadcast_to(a.data, (int(n),) + a.data.shape)
-    return Tensor(view)
+    return _node(out_data, (a,), backward_fn)
 
 
 def reshape(a, shape) -> Tensor:
@@ -680,7 +663,7 @@ def group_norm(x, gamma, beta, n_groups: int, eps: float = 1e-5) -> Tensor:
 
     One tape node. Forward and backward run, value for value and in the same
     order, the numpy operations of the composite graph (mean, centre,
-    variance, divide, ones-matmul expansions) it replaces, so results are
+    variance, divide, broadcast scale and shift) it replaces, so results are
     bit-identical to building that graph node by node.
     """
     x = as_tensor(x)
@@ -690,37 +673,31 @@ def group_norm(x, gamma, beta, n_groups: int, eps: float = 1e-5) -> Tensor:
         raise ShapeError(f"group_norm: {c} channels not divisible into {n_groups} groups")
     gsize = c // n_groups
     inv = 1.0 / float(gsize)
-    ones_col = np.ones((n_groups, gsize, 1))
-    ones_row = np.ones((1, t_len))
     xg = x.data.reshape(n_groups, gsize, t_len)
-    m_full = np.matmul(ones_col, np.sum(xg, axis=1, keepdims=True) * inv)    # (G, gsize, T)
-    centered = xg - m_full
+    centered = xg - np.sum(xg, axis=1, keepdims=True) * inv                  # (G, gsize, T)
     var = np.sum(centered * centered, axis=1, keepdims=True) * inv            # (G, 1, T)
     denom = np.sqrt(var + eps)
-    d_full = np.matmul(ones_col, denom)
-    normed = (centered / d_full).reshape(c, t_len)
-    scale = np.matmul(gamma.data.reshape(c, 1), ones_row)
-    out_data = normed * scale + np.matmul(beta.data.reshape(c, 1), ones_row)
+    normed = (centered / denom).reshape(c, t_len)
+    scale = gamma.data.reshape(c, 1)
+    out_data = normed * scale + beta.data.reshape(c, 1)
 
     def backward_fn(g):
-        ones_row_t = np.swapaxes(ones_row, -1, -2)
         if x.requires_grad:
-            ones_col_t = np.swapaxes(ones_col, -1, -2)
             g_n = (g * scale).reshape(n_groups, gsize, t_len)
-            g_c = g_n / d_full
-            g_denom = np.matmul(ones_col_t, -g_n * centered / (d_full * d_full))
+            g_c = g_n / denom
+            g_denom = _unbroadcast(-g_n * centered / (denom * denom), denom.shape)
             g_var = g_denom * 0.5 / denom
             g_sq = g_var * inv                  # spread over each group below
             g_c += g_sq * centered          # both factors of centered * centered
             g_c += g_sq * centered
-            g_m = np.matmul(ones_col_t, -g_c)
+            g_m = -_unbroadcast(g_c, denom.shape)
             g_xg = g_c.copy()
             g_xg += g_m * inv
             x._accum_fresh(g_xg.reshape(c, t_len))
         if gamma.requires_grad:
-            gamma._accum_fresh(np.matmul(g * normed, ones_row_t).reshape(c))
+            gamma._accum_fresh(_unbroadcast(g * normed, scale.shape).reshape(c))
         if beta.requires_grad:
-            beta._accum_fresh(np.matmul(g, ones_row_t).reshape(c))
+            beta._accum_fresh(_unbroadcast(g, scale.shape).reshape(c))
 
     return _node(out_data, (x, gamma, beta), backward_fn)
 

@@ -185,23 +185,20 @@ def _rodrigues_rows(v: ad.Tensor, m: int) -> ad.Tensor:
     zero = np.zeros((m, 1))
     k = np.concatenate([zero, -z, y, z, zero, -x, -y, x, zero], axis=1).reshape(m, 3, 3)
     k2 = np.matmul(k, k)
-    ones9 = np.ones((1, 9))
-    c1e = np.matmul(c1, ones9).reshape(m, 3, 3)
-    c2e = np.matmul(c2, ones9).reshape(m, 3, 3)
-    eye = np.broadcast_to(np.eye(3), (m, 3, 3))
-    out = eye + c1e * k + c2e * k2
+    c1e = c1.reshape(m, 1, 1)
+    c2e = c2.reshape(m, 1, 1)
+    out = np.eye(3) + c1e * k + c2e * k2
 
     def backward_fn(g):
-        ones9_t = np.swapaxes(ones9, -1, -2)
         # c1 K term, then the c1 coefficient down to the squared angle
-        g_c1 = np.matmul(np.ascontiguousarray((g * k).reshape(m, 9)), ones9_t)
+        g_c1 = ad._unbroadcast(g * k, c1e.shape).reshape(m, 1)
         g_k = g * c1e
         g_s = -(g_c1 * small) * (1.0 / 6.0)
         g_c1_big = g_c1 * big
         g_a = -g_c1_big * sin_a / (a * a)
         g_a += g_c1_big / a * np.cos(a)
         # c2 K^2 term, then the c2 coefficient
-        g_c2 = np.matmul(np.ascontiguousarray((g * k2).reshape(m, 9)), ones9_t)
+        g_c2 = ad._unbroadcast(g * k2, c2e.shape).reshape(m, 1)
         g_k2 = g * c2e
         g_s += -(g_c2 * small) * (1.0 / 24.0)
         g_hs2 = g_c2 * big * 0.5
@@ -248,7 +245,7 @@ def shaped_template(model: BodyModel, beta) -> ad.Tensor:
     n = model.n_vertices
     dirs_flat = ad.constant(np.transpose(model.shape_dirs, (2, 0, 1)).reshape(SHAPE_DIM, n * 3))
     offs = ad.reshape(ad.matmul(beta, dirs_flat), (b, n, 3))
-    shaped = ad.tile_leading(model.template, b) + offs
+    shaped = ad.add(model.template, offs)
     return shaped[0] if single else shaped
 
 
@@ -260,7 +257,7 @@ def _rest_relative_transforms(model: BodyModel, shaped, theta):
     and identity at zero pose.
     """
     b = shaped.shape[0]
-    joints_rest = ad.matmul(ad.tile_leading(model.rest_regressor, b), shaped)  # (B,24,3)
+    joints_rest = ad.matmul(model.rest_regressor, shaped)       # (B,24,3)
     rots = rodrigues(ad.reshape(theta, (b * N_JOINTS, 3)))
     rots = ad.reshape(rots, (b, N_JOINTS, 3, 3))
     # the local transforms do not depend on the chain: build all 24 at once
@@ -311,9 +308,8 @@ def skin(model: BodyModel, beta, theta) -> ad.Tensor:
     shaped = shaped_template(model, beta_b)
     g, _, _ = _rest_relative_transforms(model, shaped, theta_b)
     b, n = shaped.shape[0], model.n_vertices
-    eye_flat = np.broadcast_to(np.eye(4).reshape(16), (b, N_JOINTS, 16))
-    h_flat = ad.reshape(g, (b, N_JOINTS, 16)) - ad.constant(eye_flat)
-    per_vertex = ad.matmul(ad.tile_leading(model.skin_weights, b), h_flat)   # (B,N,16)
+    h_flat = ad.reshape(g, (b, N_JOINTS, 16)) - np.eye(4).reshape(16)
+    per_vertex = ad.matmul(model.skin_weights, h_flat)                       # (B,N,16)
     vh = ad.concat([shaped, ad.constant(np.ones((b, n, 1)))], axis=2)
     moved = ad.matmul(ad.reshape(per_vertex, (b * n, 4, 4)), ad.reshape(vh, (b * n, 4, 1)))
     verts = shaped + ad.reshape(moved[:, 0:3, :], (b, n, 3))
@@ -329,7 +325,7 @@ def regress_joints(model: BodyModel, vertices) -> ad.Tensor:
     if v.shape[-2] != model.n_vertices:
         raise ad.ShapeError(f"regress_joints: {v.shape[-2]} vertices != regressor columns "
                             f"{model.n_vertices}")
-    x = ad.matmul(ad.tile_leading(model.joint_regressor, v.shape[0]), v)
+    x = ad.matmul(model.joint_regressor, v)
     return x[0] if single else x
 
 

@@ -30,16 +30,13 @@ def project(points, s, t) -> ad.Tensor:
     x = ad.as_tensor(points)
     if x.ndim != 3:
         raise ad.ShapeError(f"project: expected (B,k,3), got {tuple(x.shape)}")
-    b, k, _ = x.shape
-    xy = x[:, :, 0:2]
+    b = x.shape[0]
     s_t = ad.as_tensor(s)
     t_t = ad.as_tensor(t)
     if s_t.shape != (b, 1) or t_t.shape != (b, 2):
         raise ad.ShapeError(f"project: need s (B,1), t (B,2); got {tuple(s_t.shape)}, "
                             f"{tuple(t_t.shape)} for B={b}")
-    s_full = ad.reshape(ad.matmul(s_t, ad.constant(np.ones((1, k * 2)))), (b, k, 2))
-    t_full = ad.matmul(ad.constant(np.ones((b, k, 1))), ad.reshape(t_t, (b, 1, 2)))
-    return xy * s_full + t_full
+    return x[:, :, 0:2] * ad.reshape(s_t, (b, 1, 1)) + ad.reshape(t_t, (b, 1, 2))
 
 
 def optimal_camera_rows(x_orth, x_gt, vis, grad_flow: bool = True):
@@ -58,17 +55,13 @@ def optimal_camera_rows(x_orth, x_gt, vis, grad_flow: bool = True):
     if y.shape != (r, k, 2) or v.shape != (r, k):
         raise ad.ShapeError(f"optimal_camera_rows: shapes x{tuple(x.shape)} y{y.shape} vis{v.shape}")
     n_vis = v.sum(axis=1)
-    mask = np.repeat(v[:, :, None], 2, axis=2).astype(np.float64)   # (R,k,2)
-    n_safe = np.maximum(n_vis, 1).astype(np.float64)
+    mask = v[:, :, None].astype(np.float64)                         # (R,k,1)
+    n_safe = np.maximum(n_vis, 1).astype(np.float64)[:, None]       # (R,1)
 
-    mask_t = ad.constant(mask)
     y_clean = np.where(mask > 0, y, 0.0)                            # NaN-safe targets
-    x_masked = x * mask_t
-    inv_n = ad.constant(np.repeat((1.0 / n_safe)[:, None], 2, axis=1))
-    x_mean = ad.sum_(x_masked, axis=1) * inv_n                      # (R,2)
-    y_mean = y_clean.sum(axis=1) / n_safe[:, None]                  # (R,2) constant
-    ones_k = ad.constant(np.ones((r, k, 1)))
-    xc = (x - ad.matmul(ones_k, ad.reshape(x_mean, (r, 1, 2)))) * mask_t
+    x_mean = ad.sum_(x * mask, axis=1) * (1.0 / n_safe)             # (R,2)
+    y_mean = y_clean.sum(axis=1) / n_safe                           # (R,2) constant
+    xc = (x - ad.reshape(x_mean, (r, 1, 2))) * mask
     yc = ad.constant((y_clean - y_mean[:, None, :]) * mask)
 
     denom = ad.sum_(ad.reshape(xc * xc, (r, k * 2)), axis=1)        # (R,)
@@ -76,13 +69,11 @@ def optimal_camera_rows(x_orth, x_gt, vis, grad_flow: bool = True):
     denom_safe = denom + ad.constant((~valid).astype(np.float64))   # >= 1 where invalid
     s_col = ad.reshape(ad.div(ad.sum_(ad.reshape(xc * yc, (r, k * 2)), axis=1), denom_safe),
                        (r, 1))
-    t_row = ad.constant(y_mean) - x_mean * ad.matmul(s_col, ad.constant(np.ones((1, 2))))
+    t_row = ad.constant(y_mean) - x_mean * s_col
     if not grad_flow:
         s_col, t_row = s_col.detach(), t_row.detach()
 
-    s_full = ad.reshape(ad.matmul(s_col, ad.constant(np.ones((1, k * 2)))), (r, k, 2))
-    t_full = ad.matmul(ones_k, ad.reshape(t_row, (r, 1, 2)))
-    diff = (x * s_full + t_full - ad.constant(y_clean)) * mask_t
+    diff = (x * ad.reshape(s_col, (r, 1, 1)) + ad.reshape(t_row, (r, 1, 2)) - y_clean) * mask
     residual = ad.sum_(ad.reshape(diff * diff, (r, k * 2)), axis=1)
     residual = residual * ad.constant(valid.astype(np.float64))
     return {"s": s_col, "t": t_row, "residual": residual, "n_visible": n_vis, "valid": valid}

@@ -68,9 +68,9 @@ def loss_2d_rows(pred_x, gt_points, vis):
     r, k, _ = pred.shape
     v = np.asarray(vis, dtype=bool)
     n_vis = v.sum(axis=1)
-    mask = np.repeat(v[:, :, None], 2, axis=2).astype(np.float64)
+    mask = v[:, :, None].astype(np.float64)                         # (R,k,1)
     gt = np.where(mask > 0, np.asarray(gt_points, dtype=np.float64), 0.0)
-    diff = (pred * ad.constant(mask) - ad.constant(gt * mask))
+    diff = pred * mask - gt * mask
     sq = ad.sum_(ad.reshape(diff * diff, (r, k * 2)), axis=1)
     denom = ad.constant(np.maximum(n_vis, 1).astype(np.float64))
     return ad.div(sq, denom), n_vis
@@ -99,7 +99,7 @@ def loss_3d_rows(pred_full, gt_full, parts=("beta", "theta")):
     if n_sel == 0:
         return ad.constant(np.zeros(r))
     gt = np.asarray(gt_full, dtype=np.float64)
-    diff = (pred - ad.constant(gt)) * ad.constant(np.tile(mask, (r, 1)))
+    diff = (pred - gt) * mask
     return ad.sum_(diff * diff, axis=1) * (1.0 / n_sel)
 
 

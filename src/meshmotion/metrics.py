@@ -357,6 +357,7 @@ def evaluate(model: body.BodyModel, nets_model, dataset, mode: str = "temporal",
     training set is supplied, the nearest-neighbor baseline.
     """
     per_seq = []
+    gt_by_seq = []
     pools = {k: _Pool() for k in ("pck", "mpjpe_mm", "pa_mpjpe_mm", "accel_err_mm_s2",
                                   "mesh_posed_mm", "mesh_unposed_mm")}
     n_frames_total = 0
@@ -364,6 +365,7 @@ def evaluate(model: body.BodyModel, nets_model, dataset, mode: str = "temporal",
         excluded = sample.excluded if sample.excluded is not None else np.zeros(sample.n_frames, bool)
         mask = ~excluded
         gt_joints = gt_joints_of(model, sample)
+        gt_by_seq.append(gt_joints)
         if gt_as_prediction:
             if sample.theta_gt is None:
                 raise ValueError(f"{sample.id}: gt_as_prediction needs theta_gt")
@@ -402,7 +404,8 @@ def evaluate(model: body.BodyModel, nets_model, dataset, mode: str = "temporal",
         aggregate[key] = pool.mean()
     dyn = None
     if dynamics:
-        dyn = evaluate_dynamics(model, nets_model, dataset, train_dataset=train_dataset)
+        dyn = evaluate_dynamics(model, nets_model, dataset, train_dataset=train_dataset,
+                                gt_joints=gt_by_seq)
     return MetricReport(per_sequence=per_seq, aggregate=aggregate, dynamics=dyn)
 
 
@@ -423,7 +426,8 @@ def _gt_triplets(g_joints, centers, back, fwd):
     return np.stack([g_joints[c + back], g_joints[c], g_joints[c + fwd]], axis=1)
 
 
-def evaluate_dynamics(model: body.BodyModel, nets_model, dataset, train_dataset=None):
+def evaluate_dynamics(model: body.BodyModel, nets_model, dataset, train_dataset=None,
+                      gt_joints=None):
     """Past/current/future PA-MPJPE from single-frame input.
 
     'ours': ``predict_sequence`` in single-frame mode on the centre frames,
@@ -432,6 +436,9 @@ def evaluate_dynamics(model: body.BodyModel, nets_model, dataset, train_dataset=
     'constant': the current prediction reused for past and future. 'nearest':
     the training pose whose joints best align with the current ground truth,
     carried over with its own past/future (needs ``train_dataset``).
+
+    ``gt_joints``, when given, holds ``gt_joints_of`` for each sequence of
+    ``dataset`` in order, as ``evaluate`` has already computed them.
     """
     steps = sorted(nets_model.deltas)
     if not steps or nets_model.hallucinator is None:
@@ -455,13 +462,14 @@ def evaluate_dynamics(model: body.BodyModel, nets_model, dataset, train_dataset=
 
     sums = {"ours": np.zeros(3), "constant": np.zeros(3), "nearest": np.zeros(3)}
     n_centers = 0
-    for sample in dataset:
+    for i, sample in enumerate(dataset):
         if sample.theta_gt is None:
             continue
         centers = _dynamics_centers(sample, step_mag, hf)
         if not centers:
             continue
-        gt = _gt_triplets(gt_joints_of(model, sample), centers, back, fwd)
+        g_joints = gt_joints_of(model, sample) if gt_joints is None else gt_joints[i]
+        gt = _gt_triplets(g_joints, centers, back, fwd)
         out = predict_sequence(model, nets_model, sample.features[centers], "single-frame",
                                deltas=True)
         j_cur = out["joints_current"]

@@ -88,7 +88,7 @@ class Linear:
         self.name = name
 
     def __call__(self, x):
-        return ad.matmul_add(x, self.w, ad.expand_rows(self.b, x.shape[0]))
+        return ad.matmul_add(x, self.w, self.b)
 
     def params(self):
         return [self.w, self.b]
@@ -156,7 +156,7 @@ class IefRegressor:
 
     def __call__(self, phi, masks=None, iters=None):
         iters = self.cfg.ief_iters if iters is None else iters
-        theta = ad.expand_rows(self.theta_mean, phi.shape[0])
+        theta = ad.broadcast_to(self.theta_mean, (phi.shape[0], THETA_DIM))
         for i in range(iters):
             inp = ad.concat([phi, theta], axis=1)
             h1 = ad.relu(self.fc1(inp))
@@ -264,9 +264,8 @@ class DiscriminatorSet:
         m = feats.shape[0]
         j = N_BODY_JOINTS
         fj = ad.transpose(feats, (1, 0, 2))                      # (J, M, 9)
-        ones_m = ad.constant(np.ones((j, m, 1)))
-        h1 = ad.relu(ad.matmul_add(fj, self.joint_fc_w, ad.matmul(ones_m, self.joint_fc_b)))
-        sj = ad.matmul_add(h1, self.joint_out_w, ad.matmul(ones_m, self.joint_out_b))
+        h1 = ad.relu(ad.matmul_add(fj, self.joint_fc_w, self.joint_fc_b))
+        sj = ad.matmul_add(h1, self.joint_out_w, self.joint_out_b)
         joint_scores = ad.transpose(ad.reshape(sj, (j, m)))      # (M, J)
         flat = ad.reshape(feats, (m, 9 * j))
         all_score = self.all_out(ad.relu(self.all_fc2(ad.relu(self.all_fc1(flat)))))

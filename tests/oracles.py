@@ -133,15 +133,11 @@ def composite_group_norm(x, gamma, beta, n_groups, eps=1e-5):
     gsize = c // n_groups
     xg = ad.reshape(x, (n_groups, gsize, t_len))
     m = ad.mul(ad.sum_(xg, axis=1, keepdims=True), 1.0 / gsize)
-    ones_col = ad.constant(np.ones((n_groups, gsize, 1)))
-    centered = ad.add(xg, ad.neg(ad.matmul(ones_col, m)))
+    centered = ad.add(xg, ad.neg(m))
     var = ad.mul(ad.sum_(ad.mul(centered, centered), axis=1, keepdims=True), 1.0 / gsize)
     denom = ad.sqrt(ad.add(var, eps))
-    normed = ad.reshape(ad.div(centered, ad.matmul(ones_col, denom)), (c, t_len))
-    ones_row = ad.constant(np.ones((1, t_len)))
-    scale = ad.matmul(ad.reshape(gamma, (c, 1)), ones_row)
-    shift = ad.matmul(ad.reshape(beta, (c, 1)), ones_row)
-    return ad.add(ad.mul(normed, scale), shift)
+    normed = ad.reshape(ad.div(centered, denom), (c, t_len))
+    return ad.add(ad.mul(normed, ad.reshape(gamma, (c, 1))), ad.reshape(beta, (c, 1)))
 
 
 def composite_rodrigues(v):
@@ -164,18 +160,16 @@ def composite_rodrigues(v):
     k_flat = ad.concat([zero, ad.neg(z), y, z, zero, ad.neg(x), ad.neg(y), x, zero], axis=1)
     k = ad.reshape(k_flat, (m, 3, 3))
     k2 = ad.matmul(k, k)
-    ones9 = ad.constant(np.ones((1, 9)))
-    c1e = ad.reshape(ad.matmul(c1, ones9), (m, 3, 3))
-    c2e = ad.reshape(ad.matmul(c2, ones9), (m, 3, 3))
-    eye = ad.constant(np.broadcast_to(np.eye(3), (m, 3, 3)))
-    return ad.add(ad.add(eye, ad.mul(c1e, k)), ad.mul(c2e, k2))
+    c1e = ad.reshape(c1, (m, 1, 1))
+    c2e = ad.reshape(c2, (m, 1, 1))
+    return ad.add(ad.add(ad.constant(np.eye(3)), ad.mul(c1e, k)), ad.mul(c2e, k2))
 
 
 def composite_rest_relative_transforms(model, shaped, theta):
     """Joint transforms built joint by joint: (G, joints_rest, joints_posed)."""
     n = body.N_JOINTS
     b = shaped.shape[0]
-    joints_rest = ad.matmul(ad.tile_leading(model.rest_regressor, b), shaped)
+    joints_rest = ad.matmul(model.rest_regressor, shaped)
     rots = ad.reshape(body.rodrigues(ad.reshape(theta, (b * n, 3))), (b, n, 3, 3))
     bottom = ad.constant(np.broadcast_to(np.array([0.0, 0.0, 0.0, 1.0]), (b, 1, 4)))
     g_parts = []

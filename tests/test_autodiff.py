@@ -109,16 +109,11 @@ def test_shape_mismatch_reports_both_shapes():
     assert "(2, 3)" in str(ei.value) and "(3, 3)" in str(ei.value)
     with pytest.raises(ad.ShapeError):
         ad.matmul(a, ad.constant(np.ones((2, 2))))
-
-
-def test_no_general_broadcasting():
-    a = ad.constant(np.ones((4, 3)))
-    row = ad.constant(np.ones((1, 3)))
-    with pytest.raises(ad.ShapeError):
-        ad.add(a, row)
-    # scalar-with-tensor is the one allowed mix
-    out = ad.add(a, ad.constant(5.0))
-    assert np.array_equal(out.data, np.full((4, 3), 6.0))
+    with pytest.raises(ad.ShapeError, match=r"\(2, 3, 4\) @ \(3, 4, 5\)"):
+        ad.matmul(np.ones((2, 3, 4)), np.ones((3, 4, 5)))      # batch dims do not broadcast
+    for addend in (np.ones((4, 3)), np.ones((5, 2, 3))):      # mismatched, or grows the product
+        with pytest.raises(ad.ShapeError):
+            ad.matmul_add(a, b, addend)
 
 
 def test_batched_matmul_matches_loop():
@@ -157,6 +152,13 @@ OP_CASES = {
                    lambda rng: [ad.parameter(rand(rng, 2, 3), name="a"), ad.parameter(rand(rng, 1), name="s")]),
     "matmul": (lambda a, b: ad.sum_(ad.mul(ad.matmul(a, b), ad.matmul(a, b))),
                lambda rng: [ad.parameter(rand(rng, 3, 4), name="a"), ad.parameter(rand(rng, 4, 2), name="b")]),
+    "matmul_broadcast": (lambda a, b: ad.sum_(ad.mul(ad.matmul(a, b), ad.matmul(a, b))),
+                         lambda rng: [ad.parameter(rand(rng, 4, 5), name="a"),
+                                      ad.parameter(rand(rng, 2, 5, 3), name="b")]),
+    "matmul_add_bias": (lambda a, b, c: ad.sum_(ad.mul(ad.matmul_add(a, b, c), ad.matmul_add(a, b, c))),
+                        lambda rng: [ad.parameter(rand(rng, 3, 4), name="a"),
+                                     ad.parameter(rand(rng, 4, 2), name="b"),
+                                     ad.parameter(rand(rng, 2), name="c")]),
     "bmm": (lambda a, b: ad.sum_(ad.matmul(a, b)),
             lambda rng: [ad.parameter(rand(rng, 4, 2, 3), name="a"), ad.parameter(rand(rng, 4, 3, 2), name="b")]),
     "reshape_transpose": (lambda a: ad.sum_(ad.mul(ad.transpose(ad.reshape(a, (3, 4))), ad.constant(rand(np.random.default_rng(7), 4, 3)))),
@@ -191,6 +193,16 @@ OP_CASES = {
                      lambda rng: [ad.parameter(rand(rng, 4, 3) + 1.5, name="a")]),
 }
 
+# elementwise ops on broadcast shapes, gradients on both operands; the
+# divisor is kept away from zero
+OP_CASES.update({
+    f"{name}_broadcast_{len(sa)}d": (
+        lambda a, b, fn=fn: ad.sum_(ad.mul(fn(a, b), fn(a, b))),
+        lambda rng, sa=sa, sb=sb: [ad.parameter(rand(rng, *sa), name="a"),
+                                   ad.parameter(rand(rng, *sb) + 3.0, name="b")])
+    for name, fn in (("add", ad.add), ("sub", ad.sub), ("mul", ad.mul), ("div", ad.div))
+    for sa, sb in (((4, 3), (3,)), ((4, 1, 3), (2, 3)))})
+
 
 @pytest.mark.parametrize("opname", sorted(OP_CASES))
 def test_op_gradients_match_finite_differences(opname):
@@ -214,11 +226,10 @@ FUSED_CASES = {
                       lambda a: ad.mul(ad.sum_(a, axis=0, keepdims=True), 1.0 / 3), [(3, 4)]),
     "group_norm": (lambda x, g, b: ad.group_norm(x, g, b, 2),
                    lambda x, g, b: composite_group_norm(x, g, b, 2), [(6, 5), (6,), (6,)]),
-    "expand_rows": (lambda v: ad.expand_rows(v, 4),
-                    lambda v: ad.matmul(ad.constant(np.ones((4, 1))), ad.reshape(v, (1, 3))),
-                    [(3,)]),
     "matmul_add": (lambda a, b, c: ad.matmul_add(a, b, c),
                    lambda a, b, c: ad.add(ad.matmul(a, b), c), [(3, 4), (4, 5), (3, 5)]),
+    "matmul_add_bias": (lambda a, b, c: ad.matmul_add(a, b, c),
+                        lambda a, b, c: ad.add(ad.matmul(a, b), c), [(2, 3, 4), (2, 4, 5), (5,)]),
 }
 
 

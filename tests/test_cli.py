@@ -1,9 +1,12 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import meshmotion
 from meshmotion import autodiff as ad
 from meshmotion import body, cli, data, losses, metrics, nets
 from meshmotion.container import ValidationError
@@ -66,6 +69,24 @@ def test_module_entrypoint_runs():
                          capture_output=True, text=True)
     assert out.returncode == 0
     assert "gradcheck" in out.stdout
+
+
+@pytest.mark.parametrize("first,pinned", [("numpy", False), ("numpy", True),
+                                          ("meshmotion", False)])
+def test_blas_pin_warns_only_when_it_cannot_work(first, pinned):
+    """Importing numpy first without OPENBLAS_NUM_THREADS leaves the host's
+    thread count in place; that one order, and only it, must warn."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    src = str(Path(meshmotion.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if pinned:
+        env["OPENBLAS_NUM_THREADS"] = "1"
+    out = subprocess.run([sys.executable, "-W", "always", "-c",
+                          f"import {first}, numpy, meshmotion"],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert ("RuntimeWarning" in out.stderr) == (first == "numpy" and not pinned), out.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +202,32 @@ def test_eval_dynamics_mode_writes_both_reports(workdir, trained, tmp_path):
     dyn = (out / "dynamics.csv").read_text().splitlines()
     assert dyn[0].startswith("method")
     assert {r.split(",")[0] for r in dyn[1:]} == {"ours", "constant", "nearest_neighbor"}
+
+
+def test_eval_dynamics_skins_each_ground_truth_once(workdir, trained, tmp_path, monkeypatch):
+    calls = []
+    gt_joints_of = metrics.gt_joints_of
+
+    def counting(model, sample):
+        calls.append(sample.id)
+        return gt_joints_of(model, sample)
+
+    monkeypatch.setattr(metrics, "gt_joints_of", counting)
+    assert cli.run(["eval", "--model", str(workdir / "model.bin"), "--ckpt", str(trained),
+                    "--data", str(workdir / "data.bin"), "--out", str(tmp_path / "dyn"),
+                    "--mode", "hallucinated-dynamics",
+                    "--train-data", str(workdir / "data.bin")]) == 0
+    n_seqs = len(data.load_dataset(workdir / "data.bin"))
+    # one per test sequence, one per training-pool sequence
+    assert len(calls) == 2 * n_seqs
+
+    # the joints evaluate hands over give what evaluate_dynamics computes itself
+    model = body.load_model(workdir / "model.bin")
+    model_nets = nets.load_checkpoint(trained)[0]
+    ds = data.load_dataset(workdir / "data.bin")
+    handed = metrics.evaluate(model, model_nets, ds, mode="single-frame", dynamics=True,
+                              train_dataset=ds).dynamics
+    assert handed == metrics.evaluate_dynamics(model, model_nets, ds, train_dataset=ds)
 
 
 # ---------------------------------------------------------------------------

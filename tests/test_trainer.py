@@ -4,6 +4,7 @@ import zlib
 import numpy as np
 import pytest
 
+from meshmotion import autodiff as ad
 from meshmotion import body, camera, data, nets, training
 from meshmotion.container import ValidationError
 from meshmotion.losses import LossWeights
@@ -40,6 +41,35 @@ def fresh_state(cfg=None, tcfg=None, seed=3):
 # ---------------------------------------------------------------------------
 # train_step basics
 # ---------------------------------------------------------------------------
+
+
+def test_training_step_makes_no_ones_matmul(toy_model, monkeypatch):
+    """Bias rows and per-row camera scales broadcast; none is a product with
+    a constant of ones (criterion-8 config, one step)."""
+    full = data.gen_synthetic_dataset(toy_model, 16, 16, 25.0, seed=300, motion_kind="ballistic",
+                                      feature_dim=32, vis_dropout=0.0, feature_noise=0.01)
+    train_ds = data.DatasetBundle(full.sequences[:10], full.feature_meta)
+    enc = nets.EncoderConfig(feature_dim=32, gn_groups=8, gn_group_size=4, ief_hidden=64,
+                             disc_hidden=16)
+    tcfg = training.TrainConfig(seq_len=16, batch_size=4, steps=1, lr=5e-4, seed=0,
+                                use_jitter=False, delta_centers_per_seq=3)
+    products, ones_operands = [], []
+
+    def watch(op):
+        def wrapped(a, b, *rest):
+            products.append(op.__name__)
+            for x in (ad.as_tensor(a), ad.as_tensor(b)):
+                if not x.requires_grad and np.all(x.data == 1.0):
+                    ones_operands.append((op.__name__, x.shape))
+            return op(a, b, *rest)
+        return wrapped
+
+    monkeypatch.setattr(ad, "matmul", watch(ad.matmul))
+    monkeypatch.setattr(ad, "matmul_add", watch(ad.matmul_add))
+    state = training.init_state(nets.ModelNets.create(enc, seed=tcfg.seed), tcfg)
+    training.train(toy_model, state, [(train_ds, 1)], tcfg)
+    assert state.step == 1 and "matmul" in products and "matmul_add" in products
+    assert ones_operands == []
 
 
 def test_zero_learning_rate_leaves_parameters_unchanged(train_setup):
