@@ -10,9 +10,8 @@ in closed form over centered coordinates. A row with fewer than two visible
 points, or with coincident ones, has no unique solution: it is marked in
 the ``valid`` mask and its residual is zero, instead of raising. The scale
 is never clamped, so a negative optimum is returned as it is. Both
-directions participate in autodiff graphs; the fit's gradient flow into
-the input points can be cut with ``grad_flow=False`` for callers that want
-the camera treated as a constant.
+directions participate in autodiff graphs, and the fit's gradient flows
+into the input points.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ def project(points, s, t) -> ad.Tensor:
     return x[:, :, 0:2] * ad.reshape(s_t, (b, 1, 1)) + ad.reshape(t_t, (b, 1, 2))
 
 
-def optimal_camera_rows(x_orth, x_gt, vis, grad_flow: bool = True):
+def optimal_camera_rows(x_orth, x_gt, vis):
     """Vectorized closed-form solve over a batch of frames.
 
     x_orth: (R,k,2) tensor; x_gt: (R,k,2) array; vis: (R,k) bools. Rows with
@@ -70,8 +69,6 @@ def optimal_camera_rows(x_orth, x_gt, vis, grad_flow: bool = True):
     s_col = ad.reshape(ad.div(ad.sum_(ad.reshape(xc * yc, (r, k * 2)), axis=1), denom_safe),
                        (r, 1))
     t_row = ad.constant(y_mean) - x_mean * s_col
-    if not grad_flow:
-        s_col, t_row = s_col.detach(), t_row.detach()
 
     diff = (x * ad.reshape(s_col, (r, 1, 1)) + ad.reshape(t_row, (r, 1, 2)) - y_clean) * mask
     residual = ad.sum_(ad.reshape(diff * diff, (r, k * 2)), axis=1)

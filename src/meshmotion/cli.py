@@ -6,20 +6,18 @@ config, unmet preconditions), 3 numerical failure (gradient check above
 tolerance, non-finite values).
 
 Configuration is a flat key=value text file ('#' comments allowed); any key
-can be overridden on the command line with --set key=value. Keys cover the
-architecture (feature_dim, n_blocks, kernel, gn_groups, gn_group_size,
-ief_iters, ief_hidden, dropout_rate, delta_steps, use_hal, disc_hidden), the
-trainer (seq_len, batch_size, steps, lr, lr_disc, adam_beta1, adam_beta2,
-seed, jitter_scale_lo, jitter_scale_hi, jitter_trans, use_jitter,
-delta_centers_per_seq, l3d_parts, cam_grad_flow, hal_detach_target,
-checkpoint_every), and the loss weights (w_2d, w_3d, w_adv, w_beta, w_const,
-w_hal, w_delta).
+can be overridden on the command line with --set key=value. The keys are
+the fields of ``nets.EncoderConfig`` (architecture), ``training.TrainConfig``
+(trainer) and ``losses.LossWeights`` (loss weights), each parsed as its
+default's type: booleans as 1/0, true/false, yes/no or on/off, and tuples
+as comma lists (``delta_steps=-5,5``, ``jitter_scale=0.9,1.1``).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -42,41 +40,30 @@ class _Parser(argparse.ArgumentParser):
 # Configuration plumbing
 # ---------------------------------------------------------------------------
 
-_ENCODER_KEYS = {
-    "feature_dim": int, "n_blocks": int, "kernel": int, "gn_groups": int,
-    "gn_group_size": int, "ief_iters": int, "ief_hidden": int, "disc_hidden": int,
-    "dropout_rate": float, "delta_steps": "int_tuple", "use_hal": "bool",
-}
-_TRAIN_KEYS = {
-    "seq_len": int, "batch_size": int, "steps": int, "lr": float, "lr_disc": float,
-    "adam_beta1": float, "adam_beta2": float, "seed": int, "jitter_scale_lo": float,
-    "jitter_scale_hi": float, "jitter_trans": float, "use_jitter": "bool",
-    "delta_centers_per_seq": int, "l3d_parts": "str_tuple", "cam_grad_flow": "bool",
-    "hal_detach_target": "bool", "checkpoint_every": int,
-}
-_WEIGHT_KEYS = {"w_2d", "w_3d", "w_adv", "w_beta", "w_const", "w_hal", "w_delta"}
+
+def _parse_bool(raw):
+    lower = raw.strip().lower()
+    if lower in ("1", "true", "yes", "on"):
+        return True
+    if lower in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(raw)
 
 
-def _convert(key, kind, raw):
-    try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind == "bool":
-            lower = raw.strip().lower()
-            if lower in ("1", "true", "yes", "on"):
-                return True
-            if lower in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
-        if kind == "int_tuple":
-            return tuple(int(x) for x in raw.split(",") if x.strip() != "")
-        if kind == "str_tuple":
-            return tuple(x.strip() for x in raw.split(",") if x.strip() != "")
-    except ValueError as exc:
-        raise ValidationError(f"config key {key}={raw!r}: cannot parse") from exc
-    raise ValidationError(f"config key {key}: unknown kind {kind}")
+def _parser(default):
+    """Text parser for a config value of ``default``'s type."""
+    if isinstance(default, bool):
+        return _parse_bool
+    if isinstance(default, tuple):
+        elem = type(default[0])
+        return lambda raw: tuple(elem(x) for x in raw.split(",") if x.strip() != "")
+    return type(default)
+
+
+_CONFIG_CLASSES = (nets.EncoderConfig, training.TrainConfig, losses.LossWeights)
+# key -> (config class, parser); TrainConfig.weights is set through LossWeights' keys
+_CONFIG_KEYS = {f.name: (cls, _parser(f.default))
+                for cls in _CONFIG_CLASSES for f in fields(cls) if f.name != "weights"}
 
 
 def parse_config_file(path) -> dict:
@@ -94,26 +81,18 @@ def parse_config_file(path) -> dict:
 
 def build_configs(raw: dict):
     """Flat key/value dict -> (EncoderConfig, TrainConfig)."""
-    enc_kwargs, train_kwargs, weight_kwargs = {}, {}, {}
+    kwargs = {cls: {} for cls in _CONFIG_CLASSES}
     for key, val in raw.items():
-        if key in _ENCODER_KEYS:
-            enc_kwargs[key] = _convert(key, _ENCODER_KEYS[key], val)
-        elif key in _TRAIN_KEYS:
-            train_kwargs[key] = _convert(key, _TRAIN_KEYS[key], val)
-        elif key in _WEIGHT_KEYS:
-            weight_kwargs[key] = _convert(key, float, val)
-        else:
+        if key not in _CONFIG_KEYS:
             raise ValidationError(f"unknown config key {key!r}")
-    scale_lo = train_kwargs.pop("jitter_scale_lo", None)
-    scale_hi = train_kwargs.pop("jitter_scale_hi", None)
-    tcfg = training.TrainConfig(**train_kwargs)
-    if scale_lo is not None or scale_hi is not None:
-        lo = scale_lo if scale_lo is not None else tcfg.jitter_scale[0]
-        hi = scale_hi if scale_hi is not None else tcfg.jitter_scale[1]
-        tcfg.jitter_scale = (lo, hi)
-    if weight_kwargs:
-        tcfg.weights = losses.LossWeights(**weight_kwargs)
-    enc = nets.EncoderConfig(**enc_kwargs).validate()
+        cls, parse = _CONFIG_KEYS[key]
+        try:
+            kwargs[cls][key] = parse(val)
+        except ValueError as exc:
+            raise ValidationError(f"config key {key}={val!r}: cannot parse") from exc
+    tcfg = training.TrainConfig(**kwargs[training.TrainConfig],
+                                weights=losses.LossWeights(**kwargs[losses.LossWeights]))
+    enc = nets.EncoderConfig(**kwargs[nets.EncoderConfig]).validate()
     return enc, tcfg
 
 
@@ -376,16 +355,16 @@ def _gradcheck_cases(seed):
                nm.regressor.fc1.w, nm.regressor.out.b, nm.regressor.theta_mean]
 
         def f():
-            full = losses.raw_to_full(nm.regressor(nm.temporal(feats)))
-            row = full[enc.half_field:enc.half_field + 1]         # the centre frame
+            out = training.forward(model, nm, [nm.temporal(feats)])
+            centre = slice(enc.half_field, enc.half_field + 1)
+            row = out["full"][0][centre]
             beta, pose = row[:, 0:10], row[:, 10:82]
-            x2d = camera.project(body.keypoints_3d(model, beta, pose), row[:, 82:83], row[:, 83:85])
-            l2d, _ = losses.loss_2d_rows(x2d, gt_pts, vis)
+            l2d, _ = losses.loss_2d_rows(out["pred2d"][centre], gt_pts, vis)
             total = (wts.w_2d * ad.sum_(l2d)
                      + wts.w_3d * ad.sum_(losses.loss_3d_rows(row, gt_full))
                      + wts.w_adv * losses.adv_prior_generator_loss(nm.discriminators, pose, beta)
                      + wts.w_beta * ad.sum_(losses.beta_prior(beta)))
-            cs, _ = losses.const_shape_loss(full[:, 0:10])
+            cs, _ = losses.const_shape_loss(out["full"][0][:, 0:10])
             return total + cs
 
         return f, wrt

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import autodiff as ad
-from . import body
+from . import body, camera
 from .container import ValidationError, read_container, require, write_container
 
 DATA_MAGIC = "HMMRDATA1"
@@ -208,7 +208,7 @@ def gen_synthetic_dataset(model: body.BodyModel, n_seqs: int, n_frames: int, fps
 
         betas = np.tile(beta, (n_frames, 1))
         joints = body.keypoints_3d(model, ad.constant(betas), ad.constant(thetas)).data
-        kp2d = scale[:, None, None] * joints[:, :, :2] + trans[:, None, :]
+        kp2d = camera.project(joints, scale[:, None], trans).data
         if kp_noise > 0:
             kp2d = kp2d + rng.normal(0.0, kp_noise, kp2d.shape)
         vis = rng.random((n_frames, k)) >= vis_dropout

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .nets import BETA_SLICE, CAM_SLICE, POSE_SLICE, THETA_DIM
+from .nets import CAM_SLICE, THETA_DIM
 
 
 @dataclass
@@ -76,31 +76,19 @@ def loss_2d_rows(pred_x, gt_points, vis):
     return ad.div(sq, denom), n_vis
 
 
-def parts_mask(parts) -> np.ndarray:
-    """0/1 vector over the 85 dims selecting supervised components."""
-    mask = np.zeros(THETA_DIM)
-    lookup = {"beta": BETA_SLICE, "theta": POSE_SLICE, "cam": CAM_SLICE}
-    for p in parts:
-        if p not in lookup:
-            raise ValueError(f"unknown supervision part {p!r}; expected subset of {sorted(lookup)}")
-        mask[lookup[p]] = 1.0
-    return mask
+# 3-D supervision covers shape and pose; the camera slot is left to the 2-D loss
+_SUPERVISED = (np.arange(THETA_DIM) < CAM_SLICE.start).astype(np.float64)
 
 
-def loss_3d_rows(pred_full, gt_full, parts=("beta", "theta")):
-    """Per-row mean squared error over the supervised components.
+def loss_3d_rows(pred_full, gt_full):
+    """Per-row mean squared error over the shape and pose components.
 
     Pose is compared directly in axis-angle. Returns an (R,) tensor.
     """
     pred = ad.as_tensor(pred_full)
-    r = pred.shape[0]
-    mask = parts_mask(parts)
-    n_sel = mask.sum()
-    if n_sel == 0:
-        return ad.constant(np.zeros(r))
     gt = np.asarray(gt_full, dtype=np.float64)
-    diff = (pred - gt) * mask
-    return ad.sum_(diff * diff, axis=1) * (1.0 / n_sel)
+    diff = (pred - gt) * _SUPERVISED
+    return ad.sum_(diff * diff, axis=1) * (1.0 / CAM_SLICE.start)
 
 
 def beta_prior(beta):

@@ -26,9 +26,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
-from . import body
+from . import body, camera
 from .autodiff import NumericalError
-from .losses import raw_to_full
+from .training import forward
 
 MM = 1000.0
 
@@ -210,16 +210,17 @@ def mesh_errors(pred_full, gt_full, model: body.BodyModel, frame_mask=None):
 
 def predict_sequence(model: body.BodyModel, nets_model, features, mode: str = "temporal",
                      deltas: bool = False):
-    """The one dropout-free forward pass of the network stack, over (T,D) features.
+    """The dropout-free forward pass of the network stack, over (T,D) features.
 
     mode 'temporal' runs the context encoder over the rows as one sequence.
     'single-frame' runs the hallucinator on each row; a checkpoint without a
     hallucinator feeds the raw features to the regressor instead, which was
-    never trained on them. Returns dict with full (T,85), joints_current
-    (T,k,3) and pred2d (T,k,2). With ``deltas`` the past (smallest step)
-    and future (largest step) delta predictors run on the same rows, adding
-    pose_past/pose_future (T,72) and joints_past/joints_future (T,k,3),
-    posed with the current frame's shape.
+    never trained on them. The rest is ``training.forward``. Returns dict
+    with full (T,85), joints_current (T,k,3) and pred2d (T,k,2). With
+    ``deltas`` the delta predictors run on the same rows, adding the past
+    (smallest step) and future (largest step) pose_past/pose_future (T,72)
+    and joints_past/joints_future (T,k,3), posed with the current frame's
+    shape.
     """
     feats = ad.constant(features)
     if mode == "temporal":
@@ -228,25 +229,29 @@ def predict_sequence(model: body.BodyModel, nets_model, features, mode: str = "t
         phi = nets_model.hallucinator(feats) if nets_model.hallucinator is not None else feats
     else:
         raise ValueError(f"unknown prediction mode {mode!r}")
-    full = raw_to_full(nets_model.regressor(phi)).data
-    betas = ad.constant(full[:, :10])
-    cur_pose = ad.constant(full[:, 10:82])
-    joints = body.keypoints_3d(model, betas, cur_pose).data
-    pred2d = full[:, 82:83, None] * joints[:, :, :2] + full[:, None, 83:85]
-    out = {"full": full, "joints_current": joints, "pred2d": pred2d}
+    t_len = phi.shape[0]
+    fwd = forward(model, nets_model, [phi], np.arange(t_len) if deltas else ())
+    joints, poses = fwd["joints"].data, fwd["pose"].data
+    out = {"full": fwd["full"][0].data, "joints_current": joints[:t_len],
+           "pred2d": fwd["pred2d"].data}
     if deltas:
-        for tag, step in (("past", min(nets_model.deltas)), ("future", max(nets_model.deltas))):
-            pose = nets_model.delta(step)(phi, cur_pose).data
-            out[f"pose_{tag}"] = pose
-            out[f"joints_{tag}"] = body.keypoints_3d(model, betas, ad.constant(pose)).data
+        # delta rows follow the current rows in sorted step order
+        for tag, i in (("past", 1), ("future", len(nets_model.deltas))):
+            rows = slice(i * t_len, (i + 1) * t_len)
+            out[f"pose_{tag}"] = poses[rows]
+            out[f"joints_{tag}"] = joints[rows]
     return out
+
+
+def _keypoints_of(model, theta_gt):
+    return body.keypoints_3d(model, ad.constant(theta_gt[:, :10]),
+                             ad.constant(theta_gt[:, 10:82])).data
 
 
 def gt_joints_of(model, sample):
     if sample.theta_gt is None:
         return None
-    return body.keypoints_3d(model, ad.constant(sample.theta_gt[:, :10]),
-                             ad.constant(sample.theta_gt[:, 10:82])).data
+    return _keypoints_of(model, sample.theta_gt)
 
 
 @dataclass
@@ -370,7 +375,7 @@ def evaluate(model: body.BodyModel, nets_model, dataset, mode: str = "temporal",
             if sample.theta_gt is None:
                 raise ValueError(f"{sample.id}: gt_as_prediction needs theta_gt")
             full, joints = sample.theta_gt.copy(), gt_joints
-            pred2d = full[:, 82:83, None] * joints[:, :, :2] + full[:, None, 83:85]
+            pred2d = camera.project(joints, full[:, 82:83], full[:, 83:85]).data
         else:
             pred = predict_sequence(model, nets_model, sample.features, mode=mode)
             full, joints, pred2d = pred["full"], pred["joints_current"], pred["pred2d"]
@@ -449,14 +454,16 @@ def evaluate_dynamics(model: body.BodyModel, nets_model, dataset, train_dataset=
     hf = nets_model.cfg.half_field
 
     pool = None     # (P, 3, k, 3) past/current/future ground truth of every training centre
-    if train_dataset is not None:
+    train_gt = [s for s in train_dataset or () if s.theta_gt is not None]
+    if train_gt:
+        # every training frame's ground-truth joints in one body-model call
+        joints = _keypoints_of(model, np.concatenate([s.theta_gt for s in train_gt]))
+        splits = np.cumsum([s.n_frames for s in train_gt])[:-1]
         trips = []
-        for s in train_dataset:
-            if s.theta_gt is None:
-                continue
+        for s, g_joints in zip(train_gt, np.split(joints, splits)):
             centers = _dynamics_centers(s, step_mag, hf)
             if centers:
-                trips.append(_gt_triplets(gt_joints_of(model, s), centers, back, fwd))
+                trips.append(_gt_triplets(g_joints, centers, back, fwd))
         if trips:
             pool = np.concatenate(trips)
 

@@ -217,14 +217,13 @@ class Hallucinator:
         return self.fc1.params() + self.fc2.params()
 
 
-def hallucination_loss(phi_context, phi_hal, detach_target: bool = True):
+def hallucination_loss(phi_context, phi_hal):
     """Euclidean distance per row between context and hallucinated features.
 
-    Returns the mean over rows. By default the context side is detached so
-    the hallucinator chases the encoder rather than dragging it around.
+    Returns the mean over rows. The context side is detached so the
+    hallucinator chases the encoder rather than dragging it around.
     """
-    target = phi_context.detach() if detach_target else phi_context
-    return ad.mean_(ad.l2_norm_rows(target - phi_hal))
+    return ad.mean_(ad.l2_norm_rows(phi_context.detach() - phi_hal))
 
 
 def pose_rotation_features(theta_pose):

@@ -31,8 +31,8 @@ class Adam:
         bc2 = 1.0 - b2 ** self.t
         for p in self.params:
             g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
+            if g is None:       # not in this step's graph: parameter and moments stay
+                continue
             m = self.m[p.name] = b1 * self.m[p.name] + (1 - b1) * g
             v = self.v[p.name] = b2 * self.v[p.name] + (1 - b2) * (g * g)
             p.data = p.data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)

@@ -7,10 +7,11 @@ frame windows, jitter, dropout masks, discriminator sampling) derives from
 (config seed, step index) alone, so training resumed from a checkpoint is
 bit-identical to an uninterrupted run.
 
-Per step, all frame evaluations from every path (current frames, shifted
-frames, hallucinated variants) are concatenated into one batched mesh/
-projection graph, which keeps graph size independent of batch and sequence
-length.
+Per step, ``forward`` concatenates all frame evaluations from every path
+(current frames, shifted frames, hallucinated variants) into one batched
+mesh/projection graph, which keeps graph size independent of batch and
+sequence length. Without a dropout generator the same function is the
+inference pass behind evaluation and prediction.
 """
 
 from __future__ import annotations
@@ -56,15 +57,14 @@ class TrainConfig:
     jitter_trans: float = 11.2     # pixels: 0.05 of a 224-unit frame
     use_jitter: bool = True
     delta_centers_per_seq: int = 2
-    l3d_parts: tuple = ("beta", "theta")
-    cam_grad_flow: bool = True
-    hal_detach_target: bool = True
     checkpoint_every: int = 500
 
     def validate(self, enc_cfg):
         self.weights.validate()
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
+        if len(self.jitter_scale) != 2:
+            raise ValidationError(f"jitter_scale needs two values lo,hi, got {self.jitter_scale}")
         if self.seq_len < enc_cfg.receptive_field:
             raise ValidationError(
                 f"seq_len {self.seq_len} shorter than the receptive field {enc_cfg.receptive_field}")
@@ -213,6 +213,49 @@ def _delta_centers(cfg_enc, seq_len: int, count: int, rng) -> list:
     return [int(t) for t in rng.integers(lo, hi + 1, size=count)]
 
 
+def forward(model: body.BodyModel, nets_model: ModelNets, phis, delta_rows=(), drop_rng=None):
+    """The regressor -> delta -> body-model chain that training and inference share.
+
+    ``phis`` holds one (n, D) context-feature block per path (temporal,
+    hallucinated). The regressor runs on every path in one call; then, path
+    by path and step by step in sorted order, each delta predictor runs on
+    the path's ``delta_rows``, keeping the shape of the row it starts from.
+    With ``drop_rng`` the dropout masks are drawn from it in that order,
+    regressor first; without it the pass is dropout-free.
+
+    Returns a dict: ``full``, the (n, 85) prediction rows of each path;
+    ``beta`` (R, 10), ``pose`` (R, 72) and ``joints`` (R, k, 3), every path's
+    rows followed by every delta prediction's; and ``pred2d`` (P*n, k, 2),
+    the path rows' keypoints projected with their own cameras.
+    """
+    enc = nets_model.cfg
+
+    def masks(n_rows):
+        return (ad.dropout_mask(drop_rng, (n_rows, enc.ief_hidden), enc.dropout_rate),
+                ad.dropout_mask(drop_rng, (n_rows, enc.ief_hidden), enc.dropout_rate))
+
+    phi = ad.concat(phis, axis=0)
+    reg_masks = None if drop_rng is None else [masks(phi.shape[0]) for _ in range(enc.ief_iters)]
+    full_rows = raw_to_full(nets_model.regressor(phi, masks=reg_masks))
+    n = phis[0].shape[0]
+    full = [full_rows[i * n:(i + 1) * n, :] for i in range(len(phis))]
+    betas = [f[:, 0:10] for f in full]
+    poses = [f[:, 10:82] for f in full]
+    if len(delta_rows):
+        for phi_p, full_p in zip(phis, full):
+            phi_c = ad.gather_rows(phi_p, delta_rows)
+            full_c = ad.gather_rows(full_p, delta_rows)
+            for step in sorted(nets_model.deltas):
+                dmask = None if drop_rng is None else masks(len(delta_rows))
+                poses.append(nets_model.delta(step)(phi_c, full_c[:, 10:82], masks=dmask))
+                betas.append(full_c[:, 0:10])
+    beta = ad.concat(betas, axis=0)
+    pose = ad.concat(poses, axis=0)
+    joints = body.keypoints_3d(model, beta, pose)
+    pred2d = camera.project(joints[0:len(phis) * n, :, :], full_rows[:, 82:83], full_rows[:, 83:85])
+    return {"full": full, "beta": beta, "pose": pose, "joints": joints, "pred2d": pred2d}
+
+
 def train_step(model: body.BodyModel, state: TrainState, batch, cfg: TrainConfig,
                feature_meta=None, real_pool=None):
     """One generator update followed by one discriminator update.
@@ -271,57 +314,18 @@ def train_step(model: body.BodyModel, state: TrainState, batch, cfg: TrainConfig
     frame_w = frame_ok.reshape(bt).astype(np.float64)
     n_frames_used = frame_w.sum()
 
-    # -- encoder paths ---------------------------------------------------------
+    # -- encoder paths and the shared forward chain ----------------------------
     phi_temporal = ad.concat([nets_model.temporal(ad.constant(feats_all[b]))
                               for b in range(n_batch)], axis=0)        # (BT, D)
-    feats_flat = ad.constant(feats_all.reshape(bt, enc.feature_dim))
-    paths = [("t", phi_temporal)]
+    phis = [phi_temporal]
     if use_hal:
-        phi_hal = nets_model.hallucinator(feats_flat)
-        paths.append(("h", phi_hal))
-
-    phi_joint = ad.concat([p for _, p in paths], axis=0)
-    n_rows_reg = phi_joint.shape[0]
-    masks = [(ad.dropout_mask(drop_rng, (n_rows_reg, enc.ief_hidden), enc.dropout_rate),
-              ad.dropout_mask(drop_rng, (n_rows_reg, enc.ief_hidden), enc.dropout_rate))
-             for _ in range(enc.ief_iters)]
-    theta_raw = nets_model.regressor(phi_joint, masks=masks)            # (P*BT, 85)
-    full_rows = raw_to_full(theta_raw)
-
-    path_full = {name: full_rows[i * bt:(i + 1) * bt, :] for i, (name, _) in enumerate(paths)}
-    path_phi = dict(paths)
-
-    # -- delta predictions -----------------------------------------------------
+        phis.append(nets_model.hallucinator(ad.constant(feats_all.reshape(bt, enc.feature_dim))))
     centers = []
     if use_deltas:
         per_seq = [_delta_centers(enc, t_len, cfg.delta_centers_per_seq, center_rng)
                    for _ in range(n_batch)]
         centers = [(b, t) for b in range(n_batch) for t in per_seq[b]]
-
-    delta_specs = []   # (path, step_size, batch_idx, center_t) aligned with delta_rows order
-    delta_betas, delta_poses = [], []
-    for pname, _ in paths:
-        if not use_deltas:
-            break
-        full_p = path_full[pname]
-        phi_p = path_phi[pname]
-        rows = [b * t_len + t for b, t in centers]
-        phi_c = ad.gather_rows(phi_p, rows)
-        full_c = ad.gather_rows(full_p, rows)
-        for step_size in sorted(nets_model.deltas):
-            dmask = (ad.dropout_mask(drop_rng, (len(rows), enc.ief_hidden), enc.dropout_rate),
-                     ad.dropout_mask(drop_rng, (len(rows), enc.ief_hidden), enc.dropout_rate))
-            pose_shift = nets_model.delta(step_size)(phi_c, full_c[:, 10:82], masks=dmask)
-            delta_betas.append(full_c[:, 0:10])
-            delta_poses.append(pose_shift)
-            delta_specs.extend((pname, step_size, b, t) for b, t in centers)
-
-    # -- one batched mesh evaluation for every path ----------------------------
-    beta_blocks = [path_full[p][:, 0:10] for p, _ in paths]
-    pose_blocks = [path_full[p][:, 10:82] for p, _ in paths]
-    all_beta = ad.concat(beta_blocks + delta_betas, axis=0)
-    all_pose = ad.concat(pose_blocks + delta_poses, axis=0)
-    joints = body.keypoints_3d(model, all_beta, all_pose)               # (R, k, 3)
+    out = forward(model, nets_model, phis, [b * t_len + t for b, t in centers], drop_rng)
 
     kp_flat = kp_all.reshape(bt, k, 2)
     vis_flat = vis_all.reshape(bt, k)
@@ -329,49 +333,40 @@ def train_step(model: body.BodyModel, state: TrainState, batch, cfg: TrainConfig
     total = ad.constant(0.0)
 
     # frame paths: predicted camera projection + 2d/3d losses
-    for i, (pname, _) in enumerate(paths):
-        rows = slice(i * bt, (i + 1) * bt)
-        raw_p = theta_raw[i * bt:(i + 1) * bt, :]
-        s_col = ad.exp(raw_p[:, 82:83])
-        t_col = raw_p[:, 83:85]
-        pred2d = camera.project(joints[rows.start:rows.stop, :, :], s_col, t_col)
-        l2d_vec, _ = loss_2d_rows(pred2d, kp_flat, vis_flat)
+    for i, full_p in enumerate(out["full"]):
+        l2d_vec, _ = loss_2d_rows(out["pred2d"][i * bt:(i + 1) * bt, :, :], kp_flat, vis_flat)
         l2d = ad.sum_(l2d_vec * ad.constant(frame_w)) * (1.0 / n_batch)
         total = total + w.w_2d * l2d
-        breakdown["l2d" if pname == "t" else "lhal_frame"] += l2d.item()
+        breakdown["l2d" if i == 0 else "lhal_frame"] += l2d.item()
 
         if has_3d.any():
             w3d = (frame_ok & has_3d[:, None]).reshape(bt).astype(np.float64)
             if w3d.any():
                 gt_rows = np.nan_to_num(gt_full.reshape(bt, 85))
-                l3d_vec = loss_3d_rows(path_full[pname], gt_rows, cfg.l3d_parts)
-                l3d = ad.sum_(l3d_vec * ad.constant(w3d)) * (1.0 / n_batch)
+                l3d = ad.sum_(loss_3d_rows(full_p, gt_rows) * ad.constant(w3d)) * (1.0 / n_batch)
                 total = total + w.w_3d * l3d
                 breakdown["l3d"] += l3d.item()
 
-        lbeta_vec = beta_prior(path_full[pname][:, 0:10])
-        lbeta = ad.sum_(lbeta_vec * ad.constant(frame_w)) * (1.0 / n_batch)
+        lbeta = ad.sum_(beta_prior(full_p[:, 0:10]) * ad.constant(frame_w)) * (1.0 / n_batch)
         total = total + w.w_beta * lbeta
         breakdown["lbeta"] += lbeta.item()
 
     # delta paths: closed-form camera then reprojection at the shifted frame
-    if delta_specs:
-        n_frame_rows = len(paths) * bt
-        nd = len(delta_specs)
-        tgt = [(b, t_c + step_size) for (_, step_size, b, t_c) in delta_specs]
+    if centers:
+        n_frame_rows = len(phis) * bt
+        tgt = [(b, t + step_size) for _ in phis for step_size in sorted(nets_model.deltas)
+               for b, t in centers]
         kp_tgt = np.stack([kp_all[b, t] for b, t in tgt])
         vis_tgt = np.stack([vis_all[b, t] for b, t in tgt])
         row_ok = np.array([not excluded[b, t] for b, t in tgt])
-        x_orth = joints[n_frame_rows:n_frame_rows + nd, :, 0:2]
-        fits = camera.optimal_camera_rows(x_orth, kp_tgt, vis_tgt, grad_flow=cfg.cam_grad_flow)
+        fits = camera.optimal_camera_rows(out["joints"][n_frame_rows:, :, 0:2], kp_tgt, vis_tgt)
         dweight = (row_ok & fits["valid"]).astype(np.float64)
         per_vis = dweight / np.maximum(fits["n_visible"], 1)
         ldelta = ad.sum_(fits["residual"] * ad.constant(per_vis)) * w.w_2d
         if has_3d.any():
             gt_pose = np.stack([np.nan_to_num(gt_full[b, t, 10:82]) for b, t in tgt])
             w3d_rows = dweight * np.array([has_3d[b] for b, _ in tgt], dtype=np.float64)
-            pose_rows = all_pose[n_frame_rows:n_frame_rows + nd, :]
-            diff = pose_rows - ad.constant(gt_pose)
+            diff = out["pose"][n_frame_rows:, :] - ad.constant(gt_pose)
             l3d_vec = ad.sum_(diff * diff, axis=1) * (1.0 / body.POSE_DIM)
             ldelta = ldelta + w.w_3d * ad.sum_(l3d_vec * ad.constant(w3d_rows))
         ldelta = ldelta * (1.0 / n_batch)
@@ -380,14 +375,14 @@ def train_step(model: body.BodyModel, state: TrainState, batch, cfg: TrainConfig
 
     # adversarial prior over every predicted pose/shape row
     if w.w_adv > 0:
-        ladv = adv_prior_generator_loss(nets_model.discriminators, all_pose, all_beta)
+        ladv = adv_prior_generator_loss(nets_model.discriminators, out["pose"], out["beta"])
         total = total + w.w_adv * ladv
         breakdown["ladv"] = ladv.item()
 
     # shape constancy per sequence along the temporal path
     if w.w_const > 0:
         lconst = ad.constant(0.0)
-        betas_t = path_full["t"][:, 0:10]
+        betas_t = out["full"][0][:, 0:10]
         for b in range(n_batch):
             seq_betas = betas_t[b * t_len:(b + 1) * t_len, :]
             term, has_signal = const_shape_loss(seq_betas)
@@ -399,7 +394,7 @@ def train_step(model: body.BodyModel, state: TrainState, batch, cfg: TrainConfig
 
     # feature matching for the hallucinator
     if use_hal and w.w_hal > 0:
-        lhal = hallucination_loss(phi_temporal, path_phi["h"], detach_target=cfg.hal_detach_target)
+        lhal = hallucination_loss(phi_temporal, phis[1])
         total = total + w.w_hal * lhal
         breakdown["lhal"] = lhal.item()
 
@@ -413,8 +408,8 @@ def train_step(model: body.BodyModel, state: TrainState, batch, cfg: TrainConfig
 
     # -- discriminator update ----------------------------------------------------
     if w.w_adv > 0:
-        fake_pose = all_pose.data.copy()
-        fake_beta = all_beta.data.copy()
+        fake_pose = out["pose"].data.copy()
+        fake_beta = out["beta"].data.copy()
         idx = disc_rng.integers(0, real_pool.shape[0], fake_pose.shape[0])
         real_rows = real_pool[idx]
         state.adam_disc.zero_grad()

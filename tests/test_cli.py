@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 import meshmotion
 from meshmotion import autodiff as ad
-from meshmotion import body, cli, data, losses, metrics, nets
+from meshmotion import body, cli, data, losses, metrics, nets, training
 from meshmotion.container import ValidationError
 
 TINY_NET = ["--set", "feature_dim=24", "--set", "gn_groups=4", "--set", "gn_group_size=6",
@@ -97,11 +98,33 @@ def test_blas_pin_warns_only_when_it_cannot_work(first, pinned):
 def test_config_file_parsing_and_overrides(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("# comment\nfeature_dim=24\ngn_groups=4\ngn_group_size=6\n"
-                   "w_2d=10\nlr=0.001\ndelta_steps=-3,3\nl3d_parts=beta,theta\n")
+                   "w_2d=10\nlr=0.001\ndelta_steps=-3,3\njitter_scale=0.95,1.05\n")
     enc, tcfg = cli.build_configs(cli.parse_config_file(cfg))
     assert enc.feature_dim == 24 and enc.delta_steps == (-3, 3)
     assert tcfg.weights.w_2d == 10.0 and tcfg.lr == 0.001
-    assert tcfg.l3d_parts == ("beta", "theta")
+    assert tcfg.jitter_scale == (0.95, 1.05)
+
+
+def test_every_config_field_round_trips():
+    """Each field of the three config dataclasses is a key; a non-default
+    value written as text comes back with its value and type."""
+    def other(v):
+        if isinstance(v, bool):
+            return not v
+        if isinstance(v, tuple):
+            return tuple(other(x) for x in v)
+        return v + 2 if isinstance(v, int) else v + 0.25
+
+    expect = {f.name: other(f.default)
+              for cls in (nets.EncoderConfig, training.TrainConfig, losses.LossWeights)
+              for f in fields(cls) if f.name != "weights"}
+    expect["feature_dim"] = expect["gn_groups"] * expect["gn_group_size"]  # the group-norm layout
+    text = {key: ",".join(map(str, v)) if isinstance(v, tuple) else str(v)
+            for key, v in expect.items()}
+    enc, tcfg = cli.build_configs(text)
+    got = vars(enc) | vars(tcfg) | vars(tcfg.weights)
+    for key, val in expect.items():
+        assert repr(got[key]) == repr(val), key      # value and type, tuples element-wise
 
 
 def test_config_rejects_unknown_key():
@@ -212,14 +235,26 @@ def test_eval_dynamics_skins_each_ground_truth_once(workdir, trained, tmp_path, 
         calls.append(sample.id)
         return gt_joints_of(model, sample)
 
+    kp3d_rows = []
+    keypoints_3d = body.keypoints_3d
+
+    def counting_kp3d(model, beta, pose):
+        kp3d_rows.append(pose.shape[0])
+        return keypoints_3d(model, beta, pose)
+
     monkeypatch.setattr(metrics, "gt_joints_of", counting)
+    monkeypatch.setattr(body, "keypoints_3d", counting_kp3d)
     assert cli.run(["eval", "--model", str(workdir / "model.bin"), "--ckpt", str(trained),
                     "--data", str(workdir / "data.bin"), "--out", str(tmp_path / "dyn"),
                     "--mode", "hallucinated-dynamics",
                     "--train-data", str(workdir / "data.bin")]) == 0
     n_seqs = len(data.load_dataset(workdir / "data.bin"))
-    # one per test sequence, one per training-pool sequence
-    assert len(calls) == 2 * n_seqs
+    # one per test sequence; the training pool is one stacked body-model call
+    assert len(calls) == n_seqs
+    # per test sequence: its ground truth, and one pass each in evaluate and
+    # in the dynamics protocol; plus the training pool
+    assert len(kp3d_rows) == 3 * n_seqs + 1
+    assert sum(len(s.theta_gt) for s in data.load_dataset(workdir / "data.bin")) in kp3d_rows
 
     # the joints evaluate hands over give what evaluate_dynamics computes itself
     model = body.load_model(workdir / "model.bin")

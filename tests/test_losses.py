@@ -29,9 +29,9 @@ def loss_2d(pred, gt, vis=None):
     return val.data[0], int(n_vis[0])
 
 
-def loss_3d(pred, gt, parts=("beta", "theta")):
+def loss_3d(pred, gt):
     """loss_3d_rows on one 85-D prediction."""
-    val = losses.loss_3d_rows(ad.constant(np.asarray(pred)[None]), np.asarray(gt)[None], parts)
+    val = losses.loss_3d_rows(ad.constant(np.asarray(pred)[None]), np.asarray(gt)[None])
     assert val.shape == (1,)
     return val.data[0]
 
@@ -82,11 +82,11 @@ def test_loss_3d_zero_at_match():
     assert loss_3d(full, full) == 0.0
 
 
-def test_loss_3d_unit_beta_offset_beta_mask():
+def test_loss_3d_unit_beta_offset():
     gt = np.zeros(85)
     pred = gt.copy()
     pred[0] += 1.0
-    assert loss_3d(pred, gt, parts=("beta",)) == pytest.approx(0.1, abs=1e-12)
+    assert loss_3d(pred, gt) == pytest.approx(1.0 / 82, abs=1e-12)  # mean over shape and pose
 
 
 def test_loss_3d_masked_components_ignored():
@@ -94,7 +94,7 @@ def test_loss_3d_masked_components_ignored():
     gt = rng.standard_normal(85)
     pred = gt.copy()
     pred[82:] += 100.0  # camera heavily perturbed
-    assert loss_3d(pred, gt, parts=("beta", "theta")) == 0.0
+    assert loss_3d(pred, gt) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from meshmotion import autodiff as ad
 from meshmotion import body, camera, data, nets, training
 from meshmotion.container import ValidationError
 from meshmotion.losses import LossWeights
+from meshmotion.optim import Adam
 
 
 def tiny_cfg(**kw):
@@ -199,6 +200,19 @@ def test_delta_weight_zero_leaves_delta_parameters_untouched(train_setup):
     moved = any(np.any(state2.adam_gen.m[p.name] != 0.0)
                 for dp in state2.nets.deltas.values() for p in dp.params())
     assert moved
+
+
+def test_adam_skips_parameter_without_gradient():
+    """A parameter that had a gradient and then has none keeps its value and moments."""
+    p = ad.parameter(np.array([1.0, -2.0]), name="p")
+    opt = Adam([p], lr=0.1)
+    p.grad = np.array([0.5, 0.25])
+    opt.step()
+    value, m, v = p.data.copy(), opt.m["p"].copy(), opt.v["p"].copy()
+    opt.zero_grad()
+    opt.step()
+    assert np.array_equal(p.data, value)
+    assert np.array_equal(opt.m["p"], m) and np.array_equal(opt.v["p"], v)
 
 
 def test_all_filtered_batch_is_skipped_with_warning(train_setup, caplog):
