@@ -1,8 +1,8 @@
 """Differentiable articulated body: shape blendshapes, kinematics, skinning.
 
 The mesh function takes 10 shape coefficients and 72 pose values (24 joints
-in axis-angle) and produces vertex positions in meters. Joint locations are
-regressed linearly from the mesh. All operations build autodiff graphs, so
+in axis-angle) and produces vertex positions in meters. Keypoints are a
+linear regression of the mesh. All operations build autodiff graphs, so
 gradients flow from any downstream loss back into shape and pose.
 
 Conventions:
@@ -13,12 +13,19 @@ Conventions:
     shaped template bit for bit,
   * skinning uses the residual form v + sum_j w_ij (G_j - I) [v;1], which is
     ordinary linear blend skinning up to the (tiny) deviation of each weight
-    row's sum from 1.
+    row's sum from 1,
+  * the keypoint path never builds the mesh: skinning and regression are
+    both linear, so ``keypoints_3d`` contracts the joint transforms with
+    per-model constants (``BodyModel.keypoint_fold``) folded from the
+    template, blendshapes, skin weights and regressors. ``skin`` is for
+    vertices only (evaluation and prediction); both share one fused
+    kinematic chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +38,8 @@ POSE_DIM = 3 * N_JOINTS
 THETA_DIM = SHAPE_DIM + POSE_DIM + 3  # shape + pose + camera = 85
 
 SMALL_ANGLE = 1e-8  # below this rotation angle, use the series branch
+
+_EYE_3X4 = np.eye(4)[0:3]
 
 MODEL_MAGIC = "HMMRMDL1"
 
@@ -82,6 +91,17 @@ KEYPOINT_JOINTS = [0, 1, 2, 4, 5, 7, 8, 12, 16, 17, 18, 19, 20, 21,
                    15, 3, 6, 9, 13, 14, 10, 11, 22, 23]
 
 
+def _index(idx):
+    """Joint indices (a list) as a slice, a view with no copy, when they are
+    consecutive or one index repeated (a length-1 slice, which broadcasts),
+    else as an index array."""
+    if all(i == idx[0] for i in idx):
+        return slice(idx[0], idx[0] + 1)
+    if idx == list(range(idx[0], idx[-1] + 1)):
+        return slice(idx[0], idx[-1] + 1)
+    return np.array(idx)
+
+
 @dataclass
 class BodyModel:
     """Toy articulated body with the same parameter dimensions as the full-size one."""
@@ -92,6 +112,35 @@ class BodyModel:
     parents: np.ndarray         # (24,), parents[0] == -1
     skin_weights: np.ndarray    # (N, 24), nonnegative rows summing to 1
     rest_regressor: np.ndarray  # (24, N), regresses skeleton joints from vertices
+
+    @cached_property
+    def keypoint_fold(self) -> "KeypointFold":
+        """The folded keypoint constants, computed on first use (the model's
+        arrays are treated as immutable from then on)."""
+        return KeypointFold.of(self)
+
+    @cached_property
+    def tree_levels(self) -> list:
+        """Non-root joints by depth in the tree, root side first: one
+        (joints, parents, ranks) entry per depth, joints in increasing order.
+        ``ranks`` splits the level by child rank (a parent's first, second,
+        ... child) into (positions in the level, parents) pairs, so no
+        parent occurs twice in one pair. Every index is a slice where it
+        can be (see ``_index``)."""
+        parents = [int(p) for p in self.parents]
+        depth = [0] * N_JOINTS
+        for j in range(1, N_JOINTS):
+            depth[j] = depth[parents[j]] + 1
+        levels = []
+        for d in range(1, max(depth) + 1):
+            joints = [j for j in range(N_JOINTS) if depth[j] == d]
+            level_parents = [parents[j] for j in joints]
+            rank = [level_parents[:i].count(p) for i, p in enumerate(level_parents)]
+            ranks = [(_index([i for i, r in enumerate(rank) if r == n]),
+                      _index([p for p, r in zip(level_parents, rank) if r == n]))
+                     for n in range(max(rank) + 1)]
+            levels.append((_index(joints), _index(level_parents), ranks))
+        return levels
 
     @property
     def n_vertices(self) -> int:
@@ -135,6 +184,43 @@ class BodyModel:
                 raise ValidationError(f"{source}: {name} row {worst} sums to {sums[worst]:.12f}, "
                                       "expected 1 within 1e-9")
         return self
+
+
+@dataclass(frozen=True)
+class KeypointFold:
+    """Per-model constants of the keypoint path.
+
+    With [v;1] = [T;1] + sum_c beta_c [S_c;0] the homogeneous shaped vertex,
+    keypoints are X_k = A_k(beta) + sum_j (G_j - I)[:3] M_kj(beta), where
+    A(beta) = W (T + S beta) and M_kj(beta) = sum_n W_kn w_nj [v_n;1] is
+    affine in beta: M = M_0 + sum_c beta_c M_c. Rest joints fold the same
+    way, J(beta) = J_0 + J_dirs beta.
+    """
+
+    blend: np.ndarray      # (24*4, 11*k): rows (joint, homogeneous coord), columns (c, keypoint)
+    offset: np.ndarray     # (3, 11, k): A_0, then A's blendshape columns, per axis
+    rest: np.ndarray       # (24, 3) rest joints J_0
+    rest_dirs: np.ndarray  # (10, 24*3) rest-joint blendshape map J_dirs
+
+    @classmethod
+    def of(cls, model: "BodyModel") -> "KeypointFold":
+        n, k = model.n_vertices, model.n_keypoints
+        # column c of the basis: the template for c = 0, blendshape c after it
+        basis = np.concatenate([model.template[:, :, None], model.shape_dirs], axis=2)  # (N,3,11)
+        hom = np.zeros((n, 4, SHAPE_DIM + 1))
+        hom[:, 0:3] = basis
+        hom[:, 3, 0] = 1.0
+        # (W_kn w_nj) per keypoint, then one product with [v;1]'s basis per keypoint
+        reg_skin = model.joint_regressor[:, :, None] * model.skin_weights        # (k,N,24)
+        blend = np.matmul(reg_skin.transpose(0, 2, 1), hom.reshape(n, -1))       # (k,24,44)
+        blend = blend.reshape(k, N_JOINTS * 4, -1)
+        offset = (model.joint_regressor @ basis.reshape(n, -1)).reshape(k, 3, -1)
+        rest = (model.rest_regressor @ basis.reshape(n, -1)).reshape(N_JOINTS, 3, -1)
+        rest_dirs = rest[:, :, 1:].transpose(2, 0, 1).reshape(SHAPE_DIM, -1)
+        return cls(blend=np.ascontiguousarray(blend.transpose(1, 2, 0).reshape(N_JOINTS * 4, -1)),
+                   offset=np.ascontiguousarray(offset.transpose(1, 2, 0)),
+                   rest=np.ascontiguousarray(rest[:, :, 0]),
+                   rest_dirs=np.ascontiguousarray(rest_dirs))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +309,7 @@ def _rodrigues_rows(v: ad.Tensor, m: int) -> ad.Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Kinematics and skinning
+# Kinematics, the keypoint fold and skinning
 # ---------------------------------------------------------------------------
 
 
@@ -236,6 +322,106 @@ def _as_batch(t, width):
     if t.ndim != 2 or t.shape[1] != width:
         raise ad.ShapeError(f"expected ({width},) or (B,{width}), got {tuple(t.shape)}")
     return t, False
+
+
+def pose_rotations(theta) -> ad.Tensor:
+    """Pose rows to their joint rotation block: (B,72) -> (B,24,3,3).
+
+    A (B,24,3,3) block is returned as it is, so callers that need the
+    rotations of the same rows more than once convert them once and pass
+    the block on.
+    """
+    t = ad.as_tensor(theta)
+    if t.ndim == 4 and t.shape[1:] == (N_JOINTS, 3, 3):
+        return t
+    if t.ndim != 2 or t.shape[1] != POSE_DIM:
+        raise ad.ShapeError(f"expected (B,{POSE_DIM}) pose rows or a (B,{N_JOINTS},3,3) "
+                            f"rotation block, got {tuple(t.shape)}")
+    b = t.shape[0]
+    return ad.reshape(rodrigues(ad.reshape(t, (b * N_JOINTS, 3))), (b, N_JOINTS, 3, 3))
+
+
+def _joint_transforms(model: BodyModel, rots, joints_rest) -> ad.Tensor:
+    """Rest-relative joint transforms G (B,24,4,4) as one tape node.
+
+    rots: (B,24,3,3) local rotations; joints_rest: (B,24,3) shaped rest
+    joints. Joint j's local transform rotates about its rest joint, and
+    G_j = G_parent(j) @ local_j, so G is exact identity at zero pose. The
+    forward pass runs the chain's 4x4 numpy products one tree level at a
+    time; the backward pass is the reverse pass over the tree, which adds
+    each joint's own gradient and then its children's in increasing joint
+    order. That is the order in which a graph of one tape matmul per joint
+    accumulates them, so values and gradients are bit-identical to such a
+    graph's (the test oracle builds one).
+    """
+    rd, jd = rots.data, joints_rest.data
+    b = rd.shape[0]
+    if jd.shape != (b, N_JOINTS, 3):
+        raise ad.ShapeError(f"{b} rotation rows need (B,{N_JOINTS},3) rest joints, "
+                            f"got {tuple(jd.shape)}")
+    j_col = jd.reshape(b, N_JOINTS, 3, 1)
+    local = np.empty((b, N_JOINTS, 4, 4))
+    local[:, :, 0:3, 0:3] = rd
+    local[:, :, 0:3, 3:4] = j_col - np.matmul(rd, j_col)
+    local[:, :, 3, :] = (0.0, 0.0, 0.0, 1.0)
+    levels = model.tree_levels
+    g = np.empty_like(local)
+    g[:, 0] = local[:, 0]
+    for joints, parents, _ in levels:
+        g[:, joints] = np.matmul(g[:, parents], local[:, joints])
+
+    def backward_fn(grad):
+        # deepest level first: a level's gradient is final once its children
+        # have added theirs, and is then replaced by its local transforms'
+        d_g = np.array(grad, dtype=np.float64)
+        for joints, parents, ranks in reversed(levels):
+            d_joint = d_g[:, joints]
+            to_parent = np.matmul(d_joint, np.swapaxes(local[:, joints], -1, -2))
+            d_local = np.matmul(np.swapaxes(g[:, parents], -1, -2), d_joint)
+            for rows, rank_parents in ranks:
+                d_g[:, rank_parents] += to_parent[:, rows]
+            d_g[:, joints] = d_local
+        d_t = d_g[:, :, 0:3, 3:4]       # the root's local transform is its G
+        neg_d_t = -d_t
+        if rots.requires_grad:
+            rots._accum_fresh(d_g[:, :, 0:3, 0:3] + neg_d_t * np.swapaxes(j_col, -1, -2))
+        if joints_rest.requires_grad:
+            d_j = d_t + np.matmul(np.swapaxes(rd, -1, -2), neg_d_t)
+            joints_rest._accum_fresh(d_j.reshape(b, N_JOINTS, 3))
+
+    return ad.custom_op(g, (rots, joints_rest), backward_fn)
+
+
+def _fold_keypoints(model: BodyModel, g, beta) -> ad.Tensor:
+    """Keypoints (B,k,3) from joint transforms (B,24,4,4) and shape (B,10), one tape node.
+
+    X_k = A_k(beta) + sum_j (G_j - I)[:3] M_kj(beta): the joint regressor
+    applied to skinned vertices, with both linear maps folded into the
+    per-model constants of ``BodyModel.keypoint_fold``. One GEMM contracts
+    (G - I) with the 11 blocks of M(beta) = M_0 + sum_c beta_c M_c; a
+    per-row sum weights the blocks by [1, beta].
+    """
+    fold = model.keypoint_fold
+    b = g.shape[0]
+    k = model.n_keypoints
+    weights = np.concatenate([np.ones((b, 1)), beta.data], axis=1)            # (B,11)
+    h = np.empty((b, 3, N_JOINTS, 4))                                          # (G - I)[:3]
+    np.subtract(g.data[:, :, 0:3, :].transpose(0, 2, 1, 3), _EYE_3X4[:, None, :], out=h)
+    blocks = (h.reshape(b * 3, N_JOINTS * 4) @ fold.blend).reshape(b, 3, SHAPE_DIM + 1, k)
+    blocks += fold.offset                                                      # (B,3,11,k)
+    out = np.einsum("rack,rc->rka", blocks, weights)
+
+    def backward_fn(grad):
+        if beta.requires_grad:
+            beta._accum_fresh(np.einsum("rka,rack->rc", grad, blocks)[:, 1:])
+        if g.requires_grad:
+            d_blocks = np.einsum("rka,rc->rack", grad, weights).reshape(b * 3, -1)
+            d_h = (d_blocks @ fold.blend.T).reshape(b, 3, N_JOINTS, 4)
+            d_g = np.zeros((b, N_JOINTS, 4, 4))
+            d_g[:, :, 0:3, :] = d_h.transpose(0, 2, 1, 3)
+            g._accum_fresh(d_g)
+
+    return ad.custom_op(out, (g, beta), backward_fn)
 
 
 def shaped_template(model: BodyModel, beta) -> ad.Tensor:
@@ -252,26 +438,14 @@ def shaped_template(model: BodyModel, beta) -> ad.Tensor:
 def _rest_relative_transforms(model: BodyModel, shaped, theta):
     """Per-joint transforms relative to the shaped rest skeleton.
 
-    shaped: (B,N,3) tensor; theta: (B,72) tensor. Returns (G, joints_rest,
-    joints_posed) with G (B,24,4,4) mapping rest-space points to posed space
-    and identity at zero pose.
+    shaped: (B,N,3) tensor; theta: (B,72) pose rows or their (B,24,3,3)
+    rotation block. Returns (G, joints_rest, joints_posed) with G
+    (B,24,4,4) mapping rest-space points to posed space and identity at
+    zero pose.
     """
     b = shaped.shape[0]
     joints_rest = ad.matmul(model.rest_regressor, shaped)       # (B,24,3)
-    rots = rodrigues(ad.reshape(theta, (b * N_JOINTS, 3)))
-    rots = ad.reshape(rots, (b, N_JOINTS, 3, 3))
-    # the local transforms do not depend on the chain: build all 24 at once
-    j_col = ad.reshape(joints_rest, (b, N_JOINTS, 3, 1))
-    t_loc = j_col - ad.matmul(rots, j_col)                      # (B,24,3,1)
-    bottom = ad.constant(np.broadcast_to(np.array([0.0, 0.0, 0.0, 1.0]), (b, N_JOINTS, 1, 4)))
-    local = ad.concat([ad.concat([rots, t_loc], axis=3), bottom], axis=2)  # (B,24,4,4)
-    g_parts = []
-    for j in range(N_JOINTS):
-        local_j = local[:, j]                                   # (B,4,4)
-        parent = int(model.parents[j])
-        g_j = local_j if parent < 0 else ad.matmul(g_parts[parent], local_j)
-        g_parts.append(g_j)
-    g = ad.concat([ad.reshape(p, (b, 1, 4, 4)) for p in g_parts], axis=1)
+    g = _joint_transforms(model, pose_rotations(theta), joints_rest)
     jh = ad.concat([ad.reshape(joints_rest, (b * N_JOINTS, 3, 1)),
                     ad.constant(np.ones((b * N_JOINTS, 1, 1)))], axis=1)
     posed = ad.matmul(ad.reshape(g, (b * N_JOINTS, 4, 4)), jh)
@@ -279,17 +453,28 @@ def _rest_relative_transforms(model: BodyModel, shaped, theta):
     return g, joints_rest, joints_posed
 
 
+def _shape_and_pose(beta, theta):
+    """(beta (B,10), rotation block (B,24,3,3), single) for shape (10,) or
+    (B,10) and pose (72,), (B,72), (24,3,3) or (B,24,3,3)."""
+    beta_b, single_b = _as_batch(beta, SHAPE_DIM)
+    pose = ad.as_tensor(theta)
+    single_t = pose.ndim in (1, 3)
+    rots = pose_rotations(ad.reshape(pose, (1,) + tuple(pose.shape)) if single_t else pose)
+    if beta_b.shape[0] != rots.shape[0]:
+        raise ad.ShapeError(f"{beta_b.shape[0]} shape rows for {rots.shape[0]} pose rows")
+    return beta_b, rots, single_b and single_t
+
+
 def forward_kinematics(model: BodyModel, beta, theta):
     """World transforms (...,24,4,4) and posed joints (...,24,3).
 
     Joint j's transform composes its parent's with the local rotation about
-    the shaped rest joint; joint 0 carries the global rotation.
+    the shaped rest joint; joint 0 carries the global rotation. ``theta`` is
+    pose rows or their rotation block, as for ``keypoints_3d``.
     """
-    beta_b, single_b = _as_batch(beta, SHAPE_DIM)
-    theta_b, single_t = _as_batch(theta, POSE_DIM)
-    single = single_b and single_t
+    beta_b, rots, single = _shape_and_pose(beta, theta)
     shaped = shaped_template(model, beta_b)
-    g, _, joints_posed = _rest_relative_transforms(model, shaped, theta_b)
+    g, _, joints_posed = _rest_relative_transforms(model, shaped, rots)
     b = shaped.shape[0]
     rot_world = g[:, :, 0:3, 0:3]
     trans = ad.reshape(joints_posed, (b, N_JOINTS, 3, 1))
@@ -301,12 +486,11 @@ def forward_kinematics(model: BodyModel, beta, theta):
 
 
 def skin(model: BodyModel, beta, theta) -> ad.Tensor:
-    """Mesh vertices under shape and pose: (...,N,3)."""
-    beta_b, single_b = _as_batch(beta, SHAPE_DIM)
-    theta_b, single_t = _as_batch(theta, POSE_DIM)
-    single = single_b and single_t
+    """Mesh vertices under shape and pose: (...,N,3). For vertices only;
+    keypoints come from ``keypoints_3d``, which never builds the mesh."""
+    beta_b, rots, single = _shape_and_pose(beta, theta)
     shaped = shaped_template(model, beta_b)
-    g, _, _ = _rest_relative_transforms(model, shaped, theta_b)
+    g, _, _ = _rest_relative_transforms(model, shaped, rots)
     b, n = shaped.shape[0], model.n_vertices
     h_flat = ad.reshape(g, (b, N_JOINTS, 16)) - np.eye(4).reshape(16)
     per_vertex = ad.matmul(model.skin_weights, h_flat)                       # (B,N,16)
@@ -330,8 +514,22 @@ def regress_joints(model: BodyModel, vertices) -> ad.Tensor:
 
 
 def keypoints_3d(model: BodyModel, beta, theta) -> ad.Tensor:
-    """Convenience path: skin then regress."""
-    return regress_joints(model, skin(model, beta, theta))
+    """Keypoints under shape and pose: (...,k,3), equal to
+    ``regress_joints(skin(...))`` up to roundoff but without the mesh.
+
+    ``theta`` is pose rows, (72,) or (B,72), or their rotation block,
+    (24,3,3) or (B,24,3,3), which a caller that also needs the rotations
+    elsewhere converts once with ``pose_rotations``. The graph is the
+    folded rest joints, one node for the kinematic chain and one for the
+    folded skinning and regression (plus the conversion, for pose rows).
+    """
+    beta_b, rots, single = _shape_and_pose(beta, theta)
+    fold = model.keypoint_fold
+    # rest joints J_0 + J_dirs beta, as shaped_template adds its offsets
+    offs = ad.reshape(ad.matmul(beta_b, fold.rest_dirs), (beta_b.shape[0], N_JOINTS, 3))
+    joints_rest = ad.add(fold.rest, offs)
+    x = _fold_keypoints(model, _joint_transforms(model, rots, joints_rest), beta_b)
+    return x[0] if single else x
 
 
 # ---------------------------------------------------------------------------

@@ -338,6 +338,12 @@ def _gradcheck_cases(seed):
         probe = ad.constant(rng.standard_normal((model.n_vertices, 3)))
         return (lambda: ad.sum_(body.skin(model, beta, theta) * probe)), [beta, theta]
 
+    def case_keypoints():
+        beta = ad.parameter(rng.normal(0, 0.4, (3, 10)), name="beta")
+        theta = ad.parameter(rng.normal(0, 0.3, (3, 72)), name="theta")
+        probe = ad.constant(rng.standard_normal((3, k, 3)))
+        return (lambda: ad.sum_(body.keypoints_3d(model, beta, theta) * probe)), [beta, theta]
+
     def case_camera():
         x = ad.parameter(rng.standard_normal((1, k, 2)), name="x_orth")
         y = 1.3 * x.data + np.array([0.4, -0.2]) + 0.1 * rng.standard_normal((1, k, 2))
@@ -358,11 +364,11 @@ def _gradcheck_cases(seed):
             out = training.forward(model, nm, [nm.temporal(feats)])
             centre = slice(enc.half_field, enc.half_field + 1)
             row = out["full"][0][centre]
-            beta, pose = row[:, 0:10], row[:, 10:82]
+            beta, rots = row[:, 0:10], out["rots"][centre]
             l2d, _ = losses.loss_2d_rows(out["pred2d"][centre], gt_pts, vis)
             total = (wts.w_2d * ad.sum_(l2d)
                      + wts.w_3d * ad.sum_(losses.loss_3d_rows(row, gt_full))
-                     + wts.w_adv * losses.adv_prior_generator_loss(nm.discriminators, pose, beta)
+                     + wts.w_adv * losses.adv_prior_generator_loss(nm.discriminators, rots, beta)
                      + wts.w_beta * ad.sum_(losses.beta_prior(beta)))
             cs, _ = losses.const_shape_loss(out["full"][0][:, 0:10])
             return total + cs
@@ -399,7 +405,7 @@ def _gradcheck_cases(seed):
         return f, wrt
 
     def case_discriminators():
-        real = rng.normal(0, 0.3, (3, 72))
+        real = body.pose_rotations(ad.constant(rng.normal(0, 0.3, (3, 72))))
         fake_pose = ad.parameter(rng.normal(0, 0.4, (3, 72)), name="fake_pose")
         rb = rng.normal(0, 0.3, (3, 10))
         fb = rng.normal(0, 0.4, (3, 10))
@@ -407,8 +413,10 @@ def _gradcheck_cases(seed):
                nm.discriminators.shape_fc.w, fake_pose]
 
         def f():
+            # the critics take rotation blocks, as in training; the fakes' is
+            # built from a pose parameter so the check covers rodrigues too
             return losses.adv_prior_discriminator_loss(
-                nm.discriminators, real, rb, fake_pose, fb)
+                nm.discriminators, real, rb, body.pose_rotations(fake_pose), fb)
 
         return f, wrt
 
@@ -418,7 +426,8 @@ def _gradcheck_cases(seed):
                           ("path:f_movie+f_3d+frame_losses", case_temporal_frame_losses),
                           ("path:f_delta+optimal_camera", case_delta_camera_path),
                           ("path:hallucinator+losses", case_hallucinator_path),
-                          ("path:discriminators", case_discriminators)):
+                          ("path:discriminators", case_discriminators),
+                          ("path:keypoints_3d", case_keypoints)):
         cases.append((name, builder))
     return cases
 

@@ -100,7 +100,10 @@ def beta_prior(beta):
 
 
 def adv_prior_generator_loss(disc_set, theta_pose, beta):
-    """Sum over critics of batch-mean (score - 1)^2 on predicted rows."""
+    """Sum over critics of batch-mean (score - 1)^2 on predicted rows.
+
+    Poses are pose rows or their rotation block, as ``disc_set`` takes them.
+    """
     scores = disc_set(ad.as_tensor(theta_pose), ad.as_tensor(beta))
     per_disc = ad.mean_(ad.pow_const(scores - 1.0, 2.0), axis=0)
     return ad.sum_(per_disc)

@@ -190,13 +190,14 @@ def mesh_errors(pred_full, gt_full, model: body.BodyModel, frame_mask=None):
     if not mask.any():
         return float("nan"), float("nan")
 
-    # one skinning pass and one kinematic pass over [pred; gt]; the unposed
-    # meshes are the shaped templates, which skinning at zero pose reproduces
+    # one skinning pass and one kinematic pass over [pred; gt], sharing one
+    # rotation block; the unposed meshes are the shaped templates, which
+    # skinning at zero pose reproduces
     betas = ad.constant(np.concatenate([p[:, :10], g[:, :10]]))
-    thetas = ad.constant(np.concatenate([p[:, 10:82], g[:, 10:82]]))
-    vp, vg = np.split(body.skin(model, betas, thetas).data, 2)
+    rots = body.pose_rotations(ad.constant(np.concatenate([p[:, 10:82], g[:, 10:82]])))
+    vp, vg = np.split(body.skin(model, betas, rots).data, 2)
     up, ug = np.split(body.shaped_template(model, betas).data, 2)
-    _, joints = body.forward_kinematics(model, betas, thetas)
+    _, joints = body.forward_kinematics(model, betas, rots)
     rp, rg = np.split(joints.data[:, 0:1, :], 2)
     posed = np.linalg.norm((vp - rp) - (vg - rg), axis=2)[mask].mean() * MM
     unposed = np.linalg.norm(up - ug, axis=2)[mask].mean() * MM

@@ -226,14 +226,6 @@ def hallucination_loss(phi_context, phi_hal):
     return ad.mean_(ad.l2_norm_rows(phi_context.detach() - phi_hal))
 
 
-def pose_rotation_features(theta_pose):
-    """Joint rotations (global excluded) as flattened matrices: (M,72)->(M,23,9)."""
-    t = ad.as_tensor(theta_pose)
-    m = t.shape[0]
-    rots = body.rodrigues(ad.reshape(t[:, 3:], (m * N_BODY_JOINTS, 3)))
-    return ad.reshape(rots, (m, N_BODY_JOINTS, 9))
-
-
 class DiscriminatorSet:
     """25 least-squares critics: one per joint rotation, one over all joint
     rotations jointly, one over the shape coefficients.
@@ -258,10 +250,15 @@ class DiscriminatorSet:
         self.shape_out = Linear(rng, h, 1, "disc.shape.out")
 
     def __call__(self, theta_pose, beta):
-        """Scores (M, 25) for pose rows (M,72) and shape rows (M,10)."""
-        feats = pose_rotation_features(theta_pose)
-        m = feats.shape[0]
+        """Scores (M, 25) for poses and shape rows (M,10).
+
+        The poses are (M,72) axis-angle rows or their (M,24,3,3) rotation
+        block (``body.pose_rotations``); the critics see joints 1..23.
+        """
+        rots = body.pose_rotations(theta_pose)
+        m = rots.shape[0]
         j = N_BODY_JOINTS
+        feats = ad.reshape(rots[:, 1:], (m, j, 9))
         fj = ad.transpose(feats, (1, 0, 2))                      # (J, M, 9)
         h1 = ad.relu(ad.matmul_add(fj, self.joint_fc_w, self.joint_fc_b))
         sj = ad.matmul_add(h1, self.joint_out_w, self.joint_out_b)

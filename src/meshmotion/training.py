@@ -190,7 +190,12 @@ def jitter_window(kp, theta_gt, features, feature_meta, rng, cfg: TrainConfig):
 
 
 def build_real_pose_pool(datasets):
-    """Rows of [beta | pose] drawn from every ground-truth-carrying sequence."""
+    """The discriminator's real rows from every ground-truth-carrying sequence.
+
+    Returns (beta (N,10), rotations (N,24,3,3)), or None without ground
+    truth. The poses are converted to rotations here, once per training
+    run, so a step only indexes them.
+    """
     rows = []
     for bundle, _ratio in datasets:
         for s in bundle:
@@ -198,7 +203,20 @@ def build_real_pose_pool(datasets):
                 rows.append(s.theta_gt[:, :82])
     if not rows:
         return None
-    return np.concatenate(rows, axis=0)
+    theta = np.concatenate(rows, axis=0)
+    return theta[:, 0:10], body.pose_rotations(ad.constant(theta[:, 10:82])).data
+
+
+def _require_finite(step: int, what: str, values):
+    """Raise NumericalError naming each (name, value) pair whose value is not all finite."""
+    bad = [name for name, value in values if not np.all(np.isfinite(value))]
+    if bad:
+        raise ad.NumericalError(f"step {step}: non-finite {what} {', '.join(bad)}; "
+                                "no parameter was updated")
+
+
+def _require_finite_grads(step: int, params):
+    _require_finite(step, "gradient of", ((p.name, p.grad) for p in params if p.grad is not None))
 
 
 def _require_real_pool(cfg: TrainConfig, real_pool):
@@ -224,8 +242,10 @@ def forward(model: body.BodyModel, nets_model: ModelNets, phis, delta_rows=(), d
     regressor first; without it the pass is dropout-free.
 
     Returns a dict: ``full``, the (n, 85) prediction rows of each path;
-    ``beta`` (R, 10), ``pose`` (R, 72) and ``joints`` (R, k, 3), every path's
-    rows followed by every delta prediction's; and ``pred2d`` (P*n, k, 2),
+    ``beta`` (R, 10), ``pose`` (R, 72), ``rots`` (R, 24, 3, 3) and
+    ``joints`` (R, k, 3), every path's rows followed by every delta
+    prediction's, where ``rots`` holds the pose rows' rotations, converted
+    once for the body model and the critics; and ``pred2d`` (P*n, k, 2),
     the path rows' keypoints projected with their own cameras.
     """
     enc = nets_model.cfg
@@ -251,17 +271,22 @@ def forward(model: body.BodyModel, nets_model: ModelNets, phis, delta_rows=(), d
                 betas.append(full_c[:, 0:10])
     beta = ad.concat(betas, axis=0)
     pose = ad.concat(poses, axis=0)
-    joints = body.keypoints_3d(model, beta, pose)
+    rots = body.pose_rotations(pose)
+    joints = body.keypoints_3d(model, beta, rots)
     pred2d = camera.project(joints[0:len(phis) * n, :, :], full_rows[:, 82:83], full_rows[:, 83:85])
-    return {"full": full, "beta": beta, "pose": pose, "joints": joints, "pred2d": pred2d}
+    return {"full": full, "beta": beta, "pose": pose, "rots": rots, "joints": joints,
+            "pred2d": pred2d}
 
 
 def train_step(model: body.BodyModel, state: TrainState, batch, cfg: TrainConfig,
                feature_meta=None, real_pool=None):
     """One generator update followed by one discriminator update.
 
-    ``batch`` is a list of (SequenceSample, window_start). Returns the loss
-    breakdown dict (plain floats); parameters and moments update in place.
+    ``batch`` is a list of (SequenceSample, window_start) and ``real_pool``
+    is ``build_real_pose_pool``'s. Returns the loss breakdown dict (plain
+    floats); parameters and moments update in place. A non-finite loss term
+    or gradient raises NumericalError naming it, before any parameter,
+    moment or the step counter changes.
     """
     _require_real_pool(cfg, real_pool)
     nets_model = state.nets
@@ -375,7 +400,7 @@ def train_step(model: body.BodyModel, state: TrainState, batch, cfg: TrainConfig
 
     # adversarial prior over every predicted pose/shape row
     if w.w_adv > 0:
-        ladv = adv_prior_generator_loss(nets_model.discriminators, out["pose"], out["beta"])
+        ladv = adv_prior_generator_loss(nets_model.discriminators, out["rots"], out["beta"])
         total = total + w.w_adv * ladv
         breakdown["ladv"] = ladv.item()
 
@@ -399,26 +424,29 @@ def train_step(model: body.BodyModel, state: TrainState, batch, cfg: TrainConfig
         breakdown["lhal"] = lhal.item()
 
     breakdown["total"] = total.item()
+    _require_finite(step, "loss terms", breakdown.items())
 
-    # -- generator update -------------------------------------------------------
+    # -- gradients of both updates, all checked before any parameter moves -----
     state.adam_gen.zero_grad()
     state.adam_disc.zero_grad()
     total.backward()
-    state.adam_gen.step()
-
-    # -- discriminator update ----------------------------------------------------
+    _require_finite_grads(step, state.adam_gen.params)
     if w.w_adv > 0:
-        fake_pose = out["pose"].data.copy()
-        fake_beta = out["beta"].data.copy()
-        idx = disc_rng.integers(0, real_pool.shape[0], fake_pose.shape[0])
-        real_rows = real_pool[idx]
-        state.adam_disc.zero_grad()
-        dloss = adv_prior_discriminator_loss(
-            nets_model.discriminators, real_rows[:, 10:82], real_rows[:, 0:10],
-            fake_pose, fake_beta)
-        dloss.backward()
-        state.adam_disc.step()
+        # the fakes are this step's rotations; the critics' gradients from the
+        # generator pass are dropped
+        real_beta, real_rots = real_pool
+        idx = disc_rng.integers(0, real_beta.shape[0], out["rots"].shape[0])
+        dloss = adv_prior_discriminator_loss(nets_model.discriminators, real_rots[idx],
+                                             real_beta[idx], out["rots"].data, out["beta"].data)
         breakdown["ldisc"] = dloss.item()
+        _require_finite(step, "loss terms", [("ldisc", breakdown["ldisc"])])
+        state.adam_disc.zero_grad()
+        dloss.backward()
+        _require_finite_grads(step, state.adam_disc.params)
+
+    state.adam_gen.step()
+    if w.w_adv > 0:
+        state.adam_disc.step()
 
     breakdown["skipped"] = 0.0
     breakdown["frames_used"] = float(n_frames_used)

@@ -381,3 +381,34 @@ def test_skin_gradients_near_zero_pose(toy_model):
 
     err = ad.finite_diff_check(loss, theta, max_coords=24, rng=np.random.default_rng(2))
     assert err < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# the folded keypoint path
+# ---------------------------------------------------------------------------
+
+# relative tolerance of the fold against skinning then regressing: both sum
+# the same linear maps in a different order, so they agree to roundoff
+# (about 1.5e-15 measured); 1e-12 leaves room for other BLAS builds
+FOLD_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("rows", [1, 7, 384])
+@pytest.mark.parametrize("pose_scale", [0.0, 1e-9, 0.6])
+def test_folded_keypoints_match_skin_then_regress(toy_model, rows, pose_scale):
+    rng = np.random.default_rng(rows)
+    beta = ad.parameter(rng.normal(0, 0.7, (rows, 10)), name="beta")
+    theta = ad.parameter(rng.standard_normal((rows, 72)) * pose_scale, name="theta")
+    probe = ad.constant(rng.standard_normal((rows, toy_model.n_keypoints, 3)))
+    results = []
+    for keypoints in (lambda: body.keypoints_3d(toy_model, beta, theta),
+                      lambda: body.regress_joints(toy_model, body.skin(toy_model, beta, theta))):
+        beta.grad, theta.grad = None, None
+        x = keypoints()
+        ad.sum_(ad.mul(x, probe)).backward()
+        results.append((x.data, beta.grad, theta.grad))
+    for got, want in zip(*results):
+        assert np.max(np.abs(got - want)) <= FOLD_RTOL * np.max(np.abs(want))
+    # the rotation block of the same rows gives the same keypoints, bit for bit
+    rots = body.pose_rotations(ad.constant(theta.data))
+    assert np.array_equal(body.keypoints_3d(toy_model, beta, rots).data, results[0][0])

@@ -176,6 +176,24 @@ def test_train_losses_csv_byte_stable(workdir, tmp_path):
     assert (out1 / "losses.csv").read_bytes() == (out2 / "losses.csv").read_bytes()
 
 
+def test_train_nan_feature_exits_numerical_and_writes_nothing(workdir, tmp_path, capsys):
+    from dataclasses import replace
+    bundle = data.load_dataset(workdir / "data.bin")
+    seqs = []
+    for s in bundle:
+        feats = s.features.copy()
+        feats[8] = np.nan       # inside every 13-frame window
+        seqs.append(replace(s, features=feats))
+    data.save_dataset(data.DatasetBundle(seqs, bundle.feature_meta), tmp_path / "nan.bin")
+    out = tmp_path / "run"
+    code = cli.run(["train", "--model", str(workdir / "model.bin"),
+                    "--data", str(tmp_path / "nan.bin"), "--out", str(out),
+                    "--steps", "3", "--seed", "5"] + TINY_NET + ["--set", "checkpoint_every=1"])
+    assert code == cli.NUMERICAL_EXIT == 3
+    assert "non-finite loss terms l2d" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------

@@ -73,6 +73,42 @@ def test_training_step_makes_no_ones_matmul(toy_model, monkeypatch):
     assert ones_operands == []
 
 
+def test_training_step_converts_each_pose_to_rotations_once(toy_model, monkeypatch):
+    """The body model and the critics share one rotation block per step; the
+    discriminator update reuses it and the run's real-pose pool (criterion-8
+    config, one step)."""
+    full = data.gen_synthetic_dataset(toy_model, 16, 16, 25.0, seed=300, motion_kind="ballistic",
+                                      feature_dim=32, vis_dropout=0.0, feature_noise=0.01)
+    datasets = [(data.DatasetBundle(full.sequences[:10], full.feature_meta), 1)]
+    enc = nets.EncoderConfig(feature_dim=32, gn_groups=8, gn_group_size=4, ief_hidden=64,
+                             disc_hidden=16)
+    tcfg = training.TrainConfig(seq_len=16, batch_size=4, steps=1, lr=5e-4, seed=0,
+                                use_jitter=False, delta_centers_per_seq=3)
+    state = training.init_state(nets.ModelNets.create(enc, seed=tcfg.seed), tcfg)
+    pool = training.build_real_pose_pool(datasets)
+    batch = training.BatchMixer(datasets, tcfg.seq_len, tcfg.batch_size, tcfg.seed).batch(0)
+    rotated_rows = []
+    rodrigues = body.rodrigues
+
+    def counting(axis_angle):
+        rotated_rows.append(ad.as_tensor(axis_angle).shape[0])
+        return rodrigues(axis_angle)
+
+    keypoint_rows = []
+    keypoints_3d = body.keypoints_3d
+
+    def counting_kp3d(model, beta, pose):
+        keypoint_rows.append(pose.shape[0])
+        return keypoints_3d(model, beta, pose)
+
+    monkeypatch.setattr(body, "rodrigues", counting)
+    monkeypatch.setattr(body, "keypoints_3d", counting_kp3d)
+    row = training.train_step(toy_model, state, batch, tcfg, feature_meta=full.feature_meta,
+                              real_pool=pool)
+    assert row["ldisc"] > 0.0 and len(keypoint_rows) == 1
+    assert rotated_rows == [keypoint_rows[0] * body.N_JOINTS]
+
+
 def test_zero_learning_rate_leaves_parameters_unchanged(train_setup):
     model, ds = train_setup
     state, tcfg = fresh_state(tcfg=tiny_tcfg(lr=0.0, lr_disc=0.0, steps=2))
@@ -184,6 +220,53 @@ def test_adversarial_prior_without_gt_poses_fails_before_any_update(train_setup)
     assert state.adam_gen.t == 0 and state.adam_disc.t == 0
     for p in state.nets.all_params():
         assert np.array_equal(p.data, before[p.name]), p.name
+
+
+def _assert_untouched(state, before):
+    assert state.step == 0 and state.history == []
+    assert state.adam_gen.t == 0 and state.adam_disc.t == 0
+    for p in state.nets.all_params():
+        assert np.array_equal(p.data, before[p.name]), p.name
+    for opt in (state.adam_gen, state.adam_disc):
+        assert all(not np.any(m) for m in opt.m.values())
+        assert all(not np.any(v) for v in opt.v.values())
+
+
+def test_nan_feature_stops_before_any_update_naming_the_loss_terms(train_setup):
+    model, ds = train_setup
+    from dataclasses import replace
+    seqs = []
+    for s in ds:
+        feats = s.features.copy()
+        feats[8] = np.nan       # inside every 13-frame window of a 16-frame sequence
+        seqs.append(replace(s, features=feats))
+    state, tcfg = fresh_state(tcfg=tiny_tcfg(steps=3))
+    before = {p.name: p.data.copy() for p in state.nets.all_params()}
+    with pytest.raises(ad.NumericalError, match=r"step 0: non-finite loss terms l2d"):
+        training.train(model, state, [(data.DatasetBundle(seqs, ds.feature_meta), 1)], tcfg)
+    _assert_untouched(state, before)
+
+
+@pytest.mark.parametrize("name", ["f_3d.fc2.w", "disc.all.fc1.w"])
+def test_non_finite_gradient_stops_before_any_update_naming_the_parameter(train_setup,
+                                                                         monkeypatch, name):
+    """A generator gradient, and a critic gradient found after the generator's
+    gradients passed, both stop the step before either optimizer moves."""
+    model, ds = train_setup
+    state, tcfg = fresh_state(tcfg=tiny_tcfg(steps=3))
+    before = {p.name: p.data.copy() for p in state.nets.all_params()}
+    poisoned = state.nets.named_params()[name]
+    backward = ad.Tensor.backward
+
+    def poisoning_backward(self):
+        backward(self)
+        if poisoned.grad is not None:
+            poisoned.grad[0, 0] = np.inf
+
+    monkeypatch.setattr(ad.Tensor, "backward", poisoning_backward)
+    with pytest.raises(ad.NumericalError, match=f"gradient of {name}"):
+        training.train(model, state, [(ds, 1)], tcfg)
+    _assert_untouched(state, before)
 
 
 def test_delta_weight_zero_leaves_delta_parameters_untouched(train_setup):
