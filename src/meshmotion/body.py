@@ -15,10 +15,10 @@ Conventions:
     ordinary linear blend skinning up to the (tiny) deviation of each weight
     row's sum from 1,
   * the keypoint path never builds the mesh: skinning and regression are
-    both linear, so ``keypoints_3d`` contracts the joint transforms with
-    per-model constants (``BodyModel.keypoint_fold``) folded from the
-    template, blendshapes, skin weights and regressors. ``skin`` is for
-    vertices only (evaluation and prediction); both share one fused
+    both linear, so ``keypoints_3d`` skins the model's ``keypoint_fold``,
+    per-model constants folded from the template, blendshapes, skin
+    weights and regressors, in place of its vertices. Only evaluation and
+    prediction skin the mesh itself; both geometries share one fused
     kinematic chain.
 """
 
@@ -91,17 +91,6 @@ KEYPOINT_JOINTS = [0, 1, 2, 4, 5, 7, 8, 12, 16, 17, 18, 19, 20, 21,
                    15, 3, 6, 9, 13, 14, 10, 11, 22, 23]
 
 
-def _index(idx):
-    """Joint indices (a list) as a slice, a view with no copy, when they are
-    consecutive or one index repeated (a length-1 slice, which broadcasts),
-    else as an index array."""
-    if all(i == idx[0] for i in idx):
-        return slice(idx[0], idx[0] + 1)
-    if idx == list(range(idx[0], idx[-1] + 1)):
-        return slice(idx[0], idx[-1] + 1)
-    return np.array(idx)
-
-
 @dataclass
 class BodyModel:
     """Toy articulated body with the same parameter dimensions as the full-size one."""
@@ -118,29 +107,6 @@ class BodyModel:
         """The folded keypoint constants, computed on first use (the model's
         arrays are treated as immutable from then on)."""
         return KeypointFold.of(self)
-
-    @cached_property
-    def tree_levels(self) -> list:
-        """Non-root joints by depth in the tree, root side first: one
-        (joints, parents, ranks) entry per depth, joints in increasing order.
-        ``ranks`` splits the level by child rank (a parent's first, second,
-        ... child) into (positions in the level, parents) pairs, so no
-        parent occurs twice in one pair. Every index is a slice where it
-        can be (see ``_index``)."""
-        parents = [int(p) for p in self.parents]
-        depth = [0] * N_JOINTS
-        for j in range(1, N_JOINTS):
-            depth[j] = depth[parents[j]] + 1
-        levels = []
-        for d in range(1, max(depth) + 1):
-            joints = [j for j in range(N_JOINTS) if depth[j] == d]
-            level_parents = [parents[j] for j in joints]
-            rank = [level_parents[:i].count(p) for i, p in enumerate(level_parents)]
-            ranks = [(_index([i for i, r in enumerate(rank) if r == n]),
-                      _index([p for p, r in zip(level_parents, rank) if r == n]))
-                     for n in range(max(rank) + 1)]
-            levels.append((_index(joints), _index(level_parents), ranks))
-        return levels
 
     @property
     def n_vertices(self) -> int:
@@ -188,9 +154,11 @@ class BodyModel:
 
 @dataclass(frozen=True)
 class KeypointFold:
-    """Per-model constants of the keypoint path.
+    """The model's keypoints as a geometry that ``skin`` poses directly.
 
-    With [v;1] = [T;1] + sum_c beta_c [S_c;0] the homogeneous shaped vertex,
+    Skinning a vertex in residual form is v + sum_j (G_j - I)[:3] w_j [v;1].
+    Regressing keypoints from the skinned mesh is linear too, so with
+    [v;1] = [T;1] + sum_c beta_c [S_c;0] the homogeneous shaped vertex,
     keypoints are X_k = A_k(beta) + sum_j (G_j - I)[:3] M_kj(beta), where
     A(beta) = W (T + S beta) and M_kj(beta) = sum_n W_kn w_nj [v_n;1] is
     affine in beta: M = M_0 + sum_c beta_c M_c. Rest joints fold the same
@@ -201,6 +169,7 @@ class KeypointFold:
     offset: np.ndarray     # (3, 11, k): A_0, then A's blendshape columns, per axis
     rest: np.ndarray       # (24, 3) rest joints J_0
     rest_dirs: np.ndarray  # (10, 24*3) rest-joint blendshape map J_dirs
+    parents: np.ndarray    # (24,) the model's kinematic tree
 
     @classmethod
     def of(cls, model: "BodyModel") -> "KeypointFold":
@@ -220,7 +189,8 @@ class KeypointFold:
         return cls(blend=np.ascontiguousarray(blend.transpose(1, 2, 0).reshape(N_JOINTS * 4, -1)),
                    offset=np.ascontiguousarray(offset.transpose(1, 2, 0)),
                    rest=np.ascontiguousarray(rest[:, :, 0]),
-                   rest_dirs=np.ascontiguousarray(rest_dirs))
+                   rest_dirs=np.ascontiguousarray(rest_dirs),
+                   parents=model.parents)
 
 
 # ---------------------------------------------------------------------------
@@ -341,18 +311,18 @@ def pose_rotations(theta) -> ad.Tensor:
     return ad.reshape(rodrigues(ad.reshape(t, (b * N_JOINTS, 3))), (b, N_JOINTS, 3, 3))
 
 
-def _joint_transforms(model: BodyModel, rots, joints_rest) -> ad.Tensor:
+def _joint_transforms(parents, rots, joints_rest) -> ad.Tensor:
     """Rest-relative joint transforms G (B,24,4,4) as one tape node.
 
-    rots: (B,24,3,3) local rotations; joints_rest: (B,24,3) shaped rest
-    joints. Joint j's local transform rotates about its rest joint, and
-    G_j = G_parent(j) @ local_j, so G is exact identity at zero pose. The
-    forward pass runs the chain's 4x4 numpy products one tree level at a
-    time; the backward pass is the reverse pass over the tree, which adds
-    each joint's own gradient and then its children's in increasing joint
-    order. That is the order in which a graph of one tape matmul per joint
-    accumulates them, so values and gradients are bit-identical to such a
-    graph's (the test oracle builds one).
+    parents: the kinematic tree; rots: (B,24,3,3) local rotations;
+    joints_rest: (B,24,3) shaped rest joints. Joint j's local transform
+    rotates about its rest joint, and G_j = G_parent(j) @ local_j, so G is
+    exact identity at zero pose. The forward pass runs the chain's 4x4
+    numpy products joint by joint; the backward pass runs over the joints
+    in reverse, adding each joint's own gradient and then its children's in
+    increasing joint order. That is the order in which a graph of one tape
+    matmul per joint accumulates them, so values and gradients are
+    bit-identical to such a graph's (the test oracle builds one).
     """
     rd, jd = rots.data, joints_rest.data
     b = rd.shape[0]
@@ -364,23 +334,30 @@ def _joint_transforms(model: BodyModel, rots, joints_rest) -> ad.Tensor:
     local[:, :, 0:3, 0:3] = rd
     local[:, :, 0:3, 3:4] = j_col - np.matmul(rd, j_col)
     local[:, :, 3, :] = (0.0, 0.0, 0.0, 1.0)
-    levels = model.tree_levels
-    g = np.empty_like(local)
-    g[:, 0] = local[:, 0]
-    for joints, parents, _ in levels:
-        g[:, joints] = np.matmul(g[:, parents], local[:, joints])
+    parents = [int(p) for p in parents]
+    children = [[] for _ in range(N_JOINTS)]
+    for c in range(1, N_JOINTS):
+        children[parents[c]].append(c)         # in increasing order
+    # joint-major copies, so each joint's (B,4,4) stack is contiguous
+    local_j = np.ascontiguousarray(local.transpose(1, 0, 2, 3))
+    g_j = np.empty_like(local_j)
+    g_j[0] = local_j[0]
+    for j in range(1, N_JOINTS):
+        np.matmul(g_j[parents[j]], local_j[j], out=g_j[j])
+    g = np.ascontiguousarray(g_j.transpose(1, 0, 2, 3))
 
     def backward_fn(grad):
-        # deepest level first: a level's gradient is final once its children
-        # have added theirs, and is then replaced by its local transforms'
-        d_g = np.array(grad, dtype=np.float64)
-        for joints, parents, ranks in reversed(levels):
-            d_joint = d_g[:, joints]
-            to_parent = np.matmul(d_joint, np.swapaxes(local[:, joints], -1, -2))
-            d_local = np.matmul(np.swapaxes(g[:, parents], -1, -2), d_joint)
-            for rows, rank_parents in ranks:
-                d_g[:, rank_parents] += to_parent[:, rows]
-            d_g[:, joints] = d_local
+        # a joint's gradient is final once its children (higher indices) have
+        # added theirs, and is then replaced by its local transform's
+        d_gj = np.ascontiguousarray(np.transpose(grad, (1, 0, 2, 3)), dtype=np.float64)
+        to_parent = np.empty_like(d_gj)
+        for j in range(N_JOINTS - 1, -1, -1):
+            for c in children[j]:
+                d_gj[j] += to_parent[c]
+            if j:
+                np.matmul(d_gj[j], np.swapaxes(local_j[j], -1, -2), out=to_parent[j])
+                d_gj[j] = np.matmul(np.swapaxes(g_j[parents[j]], -1, -2), d_gj[j])
+        d_g = d_gj.transpose(1, 0, 2, 3)
         d_t = d_g[:, :, 0:3, 3:4]       # the root's local transform is its G
         neg_d_t = -d_t
         if rots.requires_grad:
@@ -392,18 +369,17 @@ def _joint_transforms(model: BodyModel, rots, joints_rest) -> ad.Tensor:
     return ad.custom_op(g, (rots, joints_rest), backward_fn)
 
 
-def _fold_keypoints(model: BodyModel, g, beta) -> ad.Tensor:
+def _fold_keypoints(fold: KeypointFold, g, beta) -> ad.Tensor:
     """Keypoints (B,k,3) from joint transforms (B,24,4,4) and shape (B,10), one tape node.
 
     X_k = A_k(beta) + sum_j (G_j - I)[:3] M_kj(beta): the joint regressor
     applied to skinned vertices, with both linear maps folded into the
-    per-model constants of ``BodyModel.keypoint_fold``. One GEMM contracts
-    (G - I) with the 11 blocks of M(beta) = M_0 + sum_c beta_c M_c; a
-    per-row sum weights the blocks by [1, beta].
+    constants of ``fold``. One GEMM contracts (G - I) with the 11 blocks of
+    M(beta) = M_0 + sum_c beta_c M_c; a per-row sum weights the blocks by
+    [1, beta].
     """
-    fold = model.keypoint_fold
     b = g.shape[0]
-    k = model.n_keypoints
+    k = fold.offset.shape[2]
     weights = np.concatenate([np.ones((b, 1)), beta.data], axis=1)            # (B,11)
     h = np.empty((b, 3, N_JOINTS, 4))                                          # (G - I)[:3]
     np.subtract(g.data[:, :, 0:3, :].transpose(0, 2, 1, 3), _EYE_3X4[:, None, :], out=h)
@@ -445,7 +421,7 @@ def _rest_relative_transforms(model: BodyModel, shaped, theta):
     """
     b = shaped.shape[0]
     joints_rest = ad.matmul(model.rest_regressor, shaped)       # (B,24,3)
-    g = _joint_transforms(model, pose_rotations(theta), joints_rest)
+    g = _joint_transforms(model.parents, pose_rotations(theta), joints_rest)
     jh = ad.concat([ad.reshape(joints_rest, (b * N_JOINTS, 3, 1)),
                     ad.constant(np.ones((b * N_JOINTS, 1, 1)))], axis=1)
     posed = ad.matmul(ad.reshape(g, (b * N_JOINTS, 4, 4)), jh)
@@ -485,13 +461,25 @@ def forward_kinematics(model: BodyModel, beta, theta):
     return world, joints_posed
 
 
-def skin(model: BodyModel, beta, theta) -> ad.Tensor:
-    """Mesh vertices under shape and pose: (...,N,3). For vertices only;
-    keypoints come from ``keypoints_3d``, which never builds the mesh."""
+def skin(model, beta, theta) -> ad.Tensor:
+    """Linear blend skinning under shape and pose.
+
+    ``model`` is a BodyModel, whose mesh vertices (...,N,3) come out, or its
+    ``keypoint_fold``, whose keypoints (...,k,3) come out without the mesh
+    being built. ``theta`` is pose rows or their rotation block, as for
+    ``keypoints_3d``.
+    """
     beta_b, rots, single = _shape_and_pose(beta, theta)
+    b = beta_b.shape[0]
+    if isinstance(model, KeypointFold):
+        # rest joints J_0 + J_dirs beta, as shaped_template adds its offsets
+        offs = ad.reshape(ad.matmul(beta_b, model.rest_dirs), (b, N_JOINTS, 3))
+        g = _joint_transforms(model.parents, rots, ad.add(model.rest, offs))
+        out = _fold_keypoints(model, g, beta_b)
+        return out[0] if single else out
     shaped = shaped_template(model, beta_b)
     g, _, _ = _rest_relative_transforms(model, shaped, rots)
-    b, n = shaped.shape[0], model.n_vertices
+    n = model.n_vertices
     h_flat = ad.reshape(g, (b, N_JOINTS, 16)) - np.eye(4).reshape(16)
     per_vertex = ad.matmul(model.skin_weights, h_flat)                       # (B,N,16)
     vh = ad.concat([shaped, ad.constant(np.ones((b, n, 1)))], axis=2)
@@ -515,7 +503,7 @@ def regress_joints(model: BodyModel, vertices) -> ad.Tensor:
 
 def keypoints_3d(model: BodyModel, beta, theta) -> ad.Tensor:
     """Keypoints under shape and pose: (...,k,3), equal to
-    ``regress_joints(skin(...))`` up to roundoff but without the mesh.
+    ``regress_joints(skin(model, ...))`` up to roundoff but without the mesh.
 
     ``theta`` is pose rows, (72,) or (B,72), or their rotation block,
     (24,3,3) or (B,24,3,3), which a caller that also needs the rotations
@@ -523,13 +511,7 @@ def keypoints_3d(model: BodyModel, beta, theta) -> ad.Tensor:
     folded rest joints, one node for the kinematic chain and one for the
     folded skinning and regression (plus the conversion, for pose rows).
     """
-    beta_b, rots, single = _shape_and_pose(beta, theta)
-    fold = model.keypoint_fold
-    # rest joints J_0 + J_dirs beta, as shaped_template adds its offsets
-    offs = ad.reshape(ad.matmul(beta_b, fold.rest_dirs), (beta_b.shape[0], N_JOINTS, 3))
-    joints_rest = ad.add(fold.rest, offs)
-    x = _fold_keypoints(model, _joint_transforms(model, rots, joints_rest), beta_b)
-    return x[0] if single else x
+    return skin(model.keypoint_fold, beta, theta)
 
 
 # ---------------------------------------------------------------------------

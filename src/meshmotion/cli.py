@@ -183,7 +183,13 @@ def cmd_train(args) -> int:
             adam_v=state_now.adam_gen.v | state_now.adam_disc.v,
             adam_steps={"gen": state_now.adam_gen.t, "disc": state_now.adam_disc.t})
 
-    training.train(model, state, datasets, tcfg, checkpoint_fn=save)
+    try:
+        training.train(model, state, datasets, tcfg, checkpoint_fn=save)
+    except ad.NumericalError:
+        # keep the losses of the steps that finished; the failed step wrote nothing
+        if state.history:
+            training.write_history_csv(out_dir / "losses.csv", state.history)
+        raise
     save(state, tag="checkpoint.bin")
     training.write_history_csv(out_dir / "losses.csv", state.history)
     if state.history:

@@ -194,6 +194,30 @@ def test_train_nan_feature_exits_numerical_and_writes_nothing(workdir, tmp_path,
     assert list(out.iterdir()) == []
 
 
+def test_train_nan_after_two_steps_keeps_their_losses(workdir, tmp_path, monkeypatch, capsys):
+    from dataclasses import replace
+    base = ["train", "--model", str(workdir / "model.bin"), "--data", str(workdir / "data.bin"),
+            "--steps", "4", "--seed", "5"] + TINY_NET + ["--set", "checkpoint_every=1"]
+    clean = tmp_path / "clean"
+    assert cli.run(base + ["--out", str(clean)]) == 0
+    real_step = training.train_step
+
+    def step_nan_from_step_2(model, state, batch, cfg, **kwargs):
+        if state.step >= 2:
+            batch = [(replace(s, features=np.full_like(s.features, np.nan)), w0) for s, w0 in batch]
+        return real_step(model, state, batch, cfg, **kwargs)
+
+    monkeypatch.setattr(training, "train_step", step_nan_from_step_2)
+    out = tmp_path / "run"
+    assert cli.run(base + ["--out", str(out)]) == cli.NUMERICAL_EXIT
+    assert "step 2: non-finite loss terms" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["ckpt_000001.bin", "ckpt_000002.bin",
+                                                     "losses.csv"]
+    # the header and the two finished steps, as the clean run wrote them
+    assert (out / "losses.csv").read_text().splitlines() == \
+        (clean / "losses.csv").read_text().splitlines()[:3]
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
