@@ -162,12 +162,6 @@ class Tensor:
     def mean(self, axis=None, keepdims=False):
         return mean_(self, axis=axis, keepdims=keepdims)
 
-    def relu(self):
-        return relu(self)
-
-    def exp(self):
-        return exp(self)
-
 
 def as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
@@ -609,14 +603,17 @@ def mean_(a, axis=None, keepdims=False) -> Tensor:
 def conv1d(x, w, b=None) -> Tensor:
     """1-D convolution over time with zero 'same' padding.
 
-    x: (C_in, T), w: (C_out, C_in, K) with odd K, b: (C_out,) or None.
-    Output column t depends only on input columns [t-(K-1)/2, t+(K-1)/2],
-    which keeps receptive fields exact under zero padding.
+    x: (..., C_in, T), w: (C_out, C_in, K) with odd K, b: (C_out,) or None;
+    the output is (..., C_out, T). Leading dims are a batch of independent
+    sequences: the forward pass is one matmul broadcast over them, and the
+    weight and bias gradients sum back over them. Output column t depends
+    only on input columns [t-(K-1)/2, t+(K-1)/2] of its own sequence, which
+    keeps receptive fields exact under zero padding.
     """
     x, w = as_tensor(x), as_tensor(w)
-    if x.ndim != 2 or w.ndim != 3:
-        raise ShapeError(f"conv1d: expected x (C,T) and w (Co,Ci,K), got {tuple(x.shape)} and {tuple(w.shape)}")
-    c_in, t_len = x.shape
+    if x.ndim < 2 or w.ndim != 3:
+        raise ShapeError(f"conv1d: expected x (...,C,T) and w (Co,Ci,K), got {tuple(x.shape)} and {tuple(w.shape)}")
+    *lead, c_in, t_len = x.shape
     c_out, c_in_w, k = w.shape
     if c_in_w != c_in:
         raise ShapeError(f"conv1d: channel mismatch, x has {c_in}, w expects {c_in_w}")
@@ -627,39 +624,40 @@ def conv1d(x, w, b=None) -> Tensor:
         if b.shape != (c_out,):
             raise ShapeError(f"conv1d: bias shape {tuple(b.shape)} != ({c_out},)")
     pad = (k - 1) // 2
-    xp = np.pad(x.data, ((0, 0), (pad, pad)))
-    # cols[i*k + j, t] = xp[i, t + j]
-    cols = np.empty((c_in * k, t_len))
+    xp = np.pad(x.data, ((0, 0),) * len(lead) + ((0, 0), (pad, pad)))
+    # cols[..., i*k + j, t] = xp[..., i, t + j]
+    cols = np.empty((*lead, c_in * k, t_len))
     for j in range(k):
-        cols[j::k, :] = xp[:, j:j + t_len]
+        cols[..., j::k, :] = xp[..., :, j:j + t_len]
     wmat = w.data.reshape(c_out, c_in * k)
-    out_data = wmat @ cols
+    out_data = np.matmul(wmat, cols)
     if b is not None:
         out_data = out_data + b.data[:, None]
 
     def backward_fn(g):
         if w.requires_grad:
-            w._accum_fresh((g @ cols.T).reshape(c_out, c_in, k))
+            w._accum_fresh(_unbroadcast(np.matmul(g, np.swapaxes(cols, -1, -2)),
+                                        wmat.shape).reshape(c_out, c_in, k))
         if b is not None and b.requires_grad:
-            b._accum_fresh(g.sum(axis=1))
+            b._accum_fresh(_unbroadcast(g.sum(axis=-1), b.shape))
         if x.requires_grad:
-            dcols = wmat.T @ g  # (C_in*K, T)
+            dcols = np.matmul(wmat.T, g)  # (..., C_in*K, T)
             dxp = np.zeros_like(xp)
             for j in range(k):
-                dxp[:, j:j + t_len] += dcols[j::k, :]
-            a_grad = dxp[:, pad:pad + t_len] if pad else dxp
-            x._accum_fresh(a_grad)
+                dxp[..., j:j + t_len] += dcols[..., j::k, :]
+            x._accum_fresh(dxp[..., pad:pad + t_len] if pad else dxp)
 
     parents = (x, w) if b is None else (x, w, b)
     return _node(out_data, parents, backward_fn)
 
 
 def group_norm(x, gamma, beta, n_groups: int, eps: float = 1e-5) -> Tensor:
-    """Group normalization of a (C, T) map, statistics per group per time step.
+    """Group normalization of a (..., C, T) map, statistics per group per time step.
 
     Normalizing within each time step (rather than across the whole sequence)
     keeps every output column a function of its own input column, so the conv
-    stack's receptive field stays exact.
+    stack's receptive field stays exact. Leading dims are a batch of
+    independent sequences; the gamma and beta gradients sum back over them.
 
     One tape node. Forward and backward run, value for value and in the same
     order, the numpy operations of the composite graph (mean, centre,
@@ -668,22 +666,22 @@ def group_norm(x, gamma, beta, n_groups: int, eps: float = 1e-5) -> Tensor:
     """
     x = as_tensor(x)
     gamma, beta = as_tensor(gamma), as_tensor(beta)
-    c, t_len = x.shape
+    *lead, c, t_len = x.shape
     if c % n_groups != 0:
         raise ShapeError(f"group_norm: {c} channels not divisible into {n_groups} groups")
     gsize = c // n_groups
     inv = 1.0 / float(gsize)
-    xg = x.data.reshape(n_groups, gsize, t_len)
-    centered = xg - np.sum(xg, axis=1, keepdims=True) * inv                  # (G, gsize, T)
-    var = np.sum(centered * centered, axis=1, keepdims=True) * inv            # (G, 1, T)
+    xg = x.data.reshape(*lead, n_groups, gsize, t_len)
+    centered = xg - np.sum(xg, axis=-2, keepdims=True) * inv                 # (..., G, gsize, T)
+    var = np.sum(centered * centered, axis=-2, keepdims=True) * inv           # (..., G, 1, T)
     denom = np.sqrt(var + eps)
-    normed = (centered / denom).reshape(c, t_len)
+    normed = (centered / denom).reshape(x.shape)
     scale = gamma.data.reshape(c, 1)
     out_data = normed * scale + beta.data.reshape(c, 1)
 
     def backward_fn(g):
         if x.requires_grad:
-            g_n = (g * scale).reshape(n_groups, gsize, t_len)
+            g_n = (g * scale).reshape(centered.shape)
             g_c = g_n / denom
             g_denom = _unbroadcast(-g_n * centered / (denom * denom), denom.shape)
             g_var = g_denom * 0.5 / denom
@@ -693,11 +691,11 @@ def group_norm(x, gamma, beta, n_groups: int, eps: float = 1e-5) -> Tensor:
             g_m = -_unbroadcast(g_c, denom.shape)
             g_xg = g_c.copy()
             g_xg += g_m * inv
-            x._accum_fresh(g_xg.reshape(c, t_len))
+            x._accum_fresh(g_xg.reshape(x.shape))
         if gamma.requires_grad:
-            gamma._accum_fresh(_unbroadcast(g * normed, scale.shape).reshape(c))
+            gamma._accum_fresh(_unbroadcast(np.sum(g * normed, axis=-1), gamma.shape))
         if beta.requires_grad:
-            beta._accum_fresh(_unbroadcast(g, scale.shape).reshape(c))
+            beta._accum_fresh(_unbroadcast(np.sum(g, axis=-1), beta.shape))
 
     return _node(out_data, (x, gamma, beta), backward_fn)
 

@@ -411,22 +411,13 @@ def shaped_template(model: BodyModel, beta) -> ad.Tensor:
     return shaped[0] if single else shaped
 
 
-def _rest_relative_transforms(model: BodyModel, shaped, theta):
-    """Per-joint transforms relative to the shaped rest skeleton.
-
-    shaped: (B,N,3) tensor; theta: (B,72) pose rows or their (B,24,3,3)
-    rotation block. Returns (G, joints_rest, joints_posed) with G
-    (B,24,4,4) mapping rest-space points to posed space and identity at
-    zero pose.
-    """
-    b = shaped.shape[0]
-    joints_rest = ad.matmul(model.rest_regressor, shaped)       # (B,24,3)
-    g = _joint_transforms(model.parents, pose_rotations(theta), joints_rest)
+def _posed_joints(g, joints_rest) -> ad.Tensor:
+    """Posed joints (B,24,3): each rest joint moved by its own transform."""
+    b = g.shape[0]
     jh = ad.concat([ad.reshape(joints_rest, (b * N_JOINTS, 3, 1)),
                     ad.constant(np.ones((b * N_JOINTS, 1, 1)))], axis=1)
     posed = ad.matmul(ad.reshape(g, (b * N_JOINTS, 4, 4)), jh)
-    joints_posed = ad.reshape(posed[:, 0:3, :], (b, N_JOINTS, 3))
-    return g, joints_rest, joints_posed
+    return ad.reshape(posed[:, 0:3, :], (b, N_JOINTS, 3))
 
 
 def _shape_and_pose(beta, theta):
@@ -450,7 +441,9 @@ def forward_kinematics(model: BodyModel, beta, theta):
     """
     beta_b, rots, single = _shape_and_pose(beta, theta)
     shaped = shaped_template(model, beta_b)
-    g, _, joints_posed = _rest_relative_transforms(model, shaped, rots)
+    joints_rest = ad.matmul(model.rest_regressor, shaped)       # (B,24,3)
+    g = _joint_transforms(model.parents, rots, joints_rest)
+    joints_posed = _posed_joints(g, joints_rest)
     b = shaped.shape[0]
     rot_world = g[:, :, 0:3, 0:3]
     trans = ad.reshape(joints_posed, (b, N_JOINTS, 3, 1))
@@ -478,7 +471,7 @@ def skin(model, beta, theta) -> ad.Tensor:
         out = _fold_keypoints(model, g, beta_b)
         return out[0] if single else out
     shaped = shaped_template(model, beta_b)
-    g, _, _ = _rest_relative_transforms(model, shaped, rots)
+    g = _joint_transforms(model.parents, rots, ad.matmul(model.rest_regressor, shaped))
     n = model.n_vertices
     h_flat = ad.reshape(g, (b, N_JOINTS, 16)) - np.eye(4).reshape(16)
     per_vertex = ad.matmul(model.skin_weights, h_flat)                       # (B,N,16)

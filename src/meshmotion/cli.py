@@ -358,26 +358,29 @@ def _gradcheck_cases(seed):
         return (lambda: ad.sum_(camera.optimal_camera_rows(x, y, vis)["residual"])), [x]
 
     def case_temporal_frame_losses():
-        feats = ad.constant(rng.standard_normal((enc.receptive_field, enc.feature_dim)))
-        gt_pts = rng.normal(0, 40, (1, k, 2))
-        vis = np.ones((1, k), dtype=bool)
-        gt_full = rng.normal(0, 0.3, (1, 85))
+        # two sequences, one encoder call; frame losses on each centre frame
+        n_seq, t_len = 2, enc.receptive_field
+        feats = ad.constant(rng.standard_normal((n_seq, t_len, enc.feature_dim)))
+        gt_pts = rng.normal(0, 40, (n_seq, k, 2))
+        vis = np.ones((n_seq, k), dtype=bool)
+        gt_full = rng.normal(0, 0.3, (n_seq, 85))
+        centres = np.arange(n_seq) * t_len + enc.half_field
         wts = losses.LossWeights()
         wrt = [nm.temporal.blocks[0][1][0], nm.temporal.blocks[0][2][2],
                nm.regressor.fc1.w, nm.regressor.out.b, nm.regressor.theta_mean]
 
         def f():
-            out = training.forward(model, nm, [nm.temporal(feats)])
-            centre = slice(enc.half_field, enc.half_field + 1)
-            row = out["full"][0][centre]
-            beta, rots = row[:, 0:10], out["rots"][centre]
-            l2d, _ = losses.loss_2d_rows(out["pred2d"][centre], gt_pts, vis)
+            phi = ad.reshape(nm.temporal(feats), (n_seq * t_len, enc.feature_dim))
+            out = training.forward(model, nm, [phi])
+            rows = ad.gather_rows(out["full"][0], centres)
+            beta, rots = rows[:, 0:10], ad.gather_rows(out["rots"], centres)
+            l2d, _ = losses.loss_2d_rows(ad.gather_rows(out["pred2d"], centres), gt_pts, vis)
             total = (wts.w_2d * ad.sum_(l2d)
-                     + wts.w_3d * ad.sum_(losses.loss_3d_rows(row, gt_full))
+                     + wts.w_3d * ad.sum_(losses.loss_3d_rows(rows, gt_full))
                      + wts.w_adv * losses.adv_prior_generator_loss(nm.discriminators, rots, beta)
                      + wts.w_beta * ad.sum_(losses.beta_prior(beta)))
-            cs, _ = losses.const_shape_loss(out["full"][0][:, 0:10])
-            return total + cs
+            betas = ad.reshape(out["full"][0][:, 0:10], (n_seq, t_len, 10))
+            return total + losses.const_shape_loss(betas)
 
         return f, wrt
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .nets import CAM_SLICE, THETA_DIM
+from .nets import CAM_SLICE, SHAPE_DIM, THETA_DIM
 
 
 @dataclass
@@ -121,14 +121,15 @@ def adv_prior_discriminator_loss(disc_set, real_pose, real_beta, fake_pose, fake
 def const_shape_loss(betas):
     """Sum over consecutive frames of the unsquared shape-difference norm.
 
-    Returns (scalar tensor, has_signal). Fewer than two frames means there is
-    nothing to constrain; the derivative of the norm at zero difference is 0.
+    ``betas`` is (T,10) or a batch (...,T,10) of sequences; one scalar tensor
+    sums the pairs of every sequence, and no pair crosses from one sequence
+    into the next. Fewer than two frames sum to 0; the derivative of the norm
+    at zero difference is 0.
     """
     b = ad.as_tensor(betas)
-    if b.ndim != 2:
-        raise ad.ShapeError(f"const_shape_loss expects (T,10), got {tuple(b.shape)}")
-    t = b.shape[0]
-    if t < 2:
-        return ad.constant(0.0), False
-    diffs = b[1:, :] - b[0:t - 1, :]
-    return ad.sum_(ad.l2_norm_rows(diffs)), True
+    if b.ndim < 2 or b.shape[-1] != SHAPE_DIM:
+        raise ad.ShapeError(f"const_shape_loss expects (...,T,{SHAPE_DIM}), got {tuple(b.shape)}")
+    t = b.shape[-2]
+    seqs = ad.reshape(b, (-1, t, SHAPE_DIM))
+    diffs = seqs[:, 1:, :] - seqs[:, 0:t - 1, :]
+    return ad.sum_(ad.l2_norm_rows(ad.reshape(diffs, (-1, SHAPE_DIM))))

@@ -360,10 +360,13 @@ def evaluate(model: body.BodyModel, nets_model, dataset, mode: str = "temporal",
     ``gt_as_prediction`` short-circuits the networks and scores the ground
     truth against itself (pipeline self-check). ``dynamics`` adds the
     past/current/future protocol with the constant baseline and, when a
-    training set is supplied, the nearest-neighbor baseline.
+    training set is supplied, the nearest-neighbor baseline; in single-frame
+    mode it reuses this sweep's predictions, made with the delta predictors.
     """
     per_seq = []
     gt_by_seq = []
+    preds = []
+    hand_over = dynamics and mode == "single-frame" and not gt_as_prediction
     pools = {k: _Pool() for k in ("pck", "mpjpe_mm", "pa_mpjpe_mm", "accel_err_mm_s2",
                                   "mesh_posed_mm", "mesh_unposed_mm")}
     n_frames_total = 0
@@ -378,7 +381,8 @@ def evaluate(model: body.BodyModel, nets_model, dataset, mode: str = "temporal",
             full, joints = sample.theta_gt.copy(), gt_joints
             pred2d = camera.project(joints, full[:, 82:83], full[:, 83:85]).data
         else:
-            pred = predict_sequence(model, nets_model, sample.features, mode=mode)
+            pred = predict_sequence(model, nets_model, sample.features, mode=mode, deltas=hand_over)
+            preds.append(pred)
             full, joints, pred2d = pred["full"], pred["joints_current"], pred["pred2d"]
 
         pck_frac, _, pck_total = pck(pred2d, sample.kp2d, sample.vis, alpha, frame_mask=mask)
@@ -411,7 +415,7 @@ def evaluate(model: body.BodyModel, nets_model, dataset, mode: str = "temporal",
     dyn = None
     if dynamics:
         dyn = evaluate_dynamics(model, nets_model, dataset, train_dataset=train_dataset,
-                                gt_joints=gt_by_seq)
+                                gt_joints=gt_by_seq, predictions=preds if hand_over else None)
     return MetricReport(per_sequence=per_seq, aggregate=aggregate, dynamics=dyn)
 
 
@@ -433,18 +437,19 @@ def _gt_triplets(g_joints, centers, back, fwd):
 
 
 def evaluate_dynamics(model: body.BodyModel, nets_model, dataset, train_dataset=None,
-                      gt_joints=None):
+                      gt_joints=None, predictions=None):
     """Past/current/future PA-MPJPE from single-frame input.
 
-    'ours': ``predict_sequence`` in single-frame mode on the centre frames,
-    with the delta predictors for the shifted frames (shape reused from the
-    current frame).
+    'ours': ``predict_sequence`` in single-frame mode with the delta
+    predictors for the shifted frames (shape reused from the current frame),
+    taken at the centre frames.
     'constant': the current prediction reused for past and future. 'nearest':
     the training pose whose joints best align with the current ground truth,
     carried over with its own past/future (needs ``train_dataset``).
 
-    ``gt_joints``, when given, holds ``gt_joints_of`` for each sequence of
-    ``dataset`` in order, as ``evaluate`` has already computed them.
+    ``gt_joints`` and ``predictions``, when given, hold each sequence's
+    ``gt_joints_of`` and single-frame ``predict_sequence(..., deltas=True)``
+    output, as ``evaluate`` has already computed them.
     """
     steps = sorted(nets_model.deltas)
     if not steps or nets_model.hallucinator is None:
@@ -478,10 +483,11 @@ def evaluate_dynamics(model: body.BodyModel, nets_model, dataset, train_dataset=
             continue
         g_joints = gt_joints_of(model, sample) if gt_joints is None else gt_joints[i]
         gt = _gt_triplets(g_joints, centers, back, fwd)
-        out = predict_sequence(model, nets_model, sample.features[centers], "single-frame",
-                               deltas=True)
-        j_cur = out["joints_current"]
-        preds = {"ours": np.stack([out["joints_past"], j_cur, out["joints_future"]], axis=1),
+        out = (predict_sequence(model, nets_model, sample.features, "single-frame", deltas=True)
+               if predictions is None else predictions[i])
+        j_cur = out["joints_current"][centers]
+        preds = {"ours": np.stack([out["joints_past"][centers], j_cur,
+                                   out["joints_future"][centers]], axis=1),
                  "constant": np.stack([j_cur, j_cur, j_cur], axis=1)}
         if pool is not None:
             # the whole pool against each centre in one batched alignment;

@@ -97,9 +97,11 @@ class Linear:
 class TemporalEncoder:
     """Residual 1-D conv stack mapping per-frame features to context features.
 
-    Input and output are (T, D). Each block is two kernel-K convolutions,
-    each followed by group norm and a relu, added back onto the block input.
-    With zero blocks the encoder is the identity (context-free ablation).
+    Input and output are (..., T, D): leading dims are a batch of
+    independent sequences, encoded in one graph. Each block is two kernel-K
+    convolutions, each followed by group norm and a relu, added back onto
+    the block input. With zero blocks the encoder is the identity
+    (context-free ablation).
     """
 
     def __init__(self, cfg: EncoderConfig, rng):
@@ -119,7 +121,8 @@ class TemporalEncoder:
             self.blocks.append(blk)
 
     def __call__(self, features):
-        x = ad.transpose(ad.as_tensor(features))  # (D, T)
+        time_last = tuple(range(features.ndim - 2)) + (features.ndim - 1, features.ndim - 2)
+        x = ad.transpose(features, time_last)  # (..., D, T)
         for blk in self.blocks:
             h = x
             for half in (1, 2):
@@ -128,7 +131,7 @@ class TemporalEncoder:
                 h = ad.group_norm(h, gamma, beta, self.cfg.gn_groups)
                 h = ad.relu(h)
             x = x + h
-        return ad.transpose(x)  # (T, D)
+        return ad.transpose(x, time_last)  # (..., T, D)
 
     def params(self):
         out = []

@@ -7,10 +7,12 @@ frame windows, jitter, dropout masks, discriminator sampling) derives from
 (config seed, step index) alone, so training resumed from a checkpoint is
 bit-identical to an uninterrupted run.
 
-Per step, ``forward`` concatenates all frame evaluations from every path
-(current frames, shifted frames, hallucinated variants) into one batched
-mesh/projection graph, which keeps graph size independent of batch and
-sequence length. Without a dropout generator the same function is the
+One graph per step: the temporal encoder runs once over the whole (B, T)
+batch, the shape-constancy term is one sum over the consecutive frames of
+every sequence, and ``forward`` concatenates all frame evaluations from
+every path (current frames, shifted frames, hallucinated variants) into one
+batched mesh/projection graph. Graph size is therefore independent of batch
+and sequence length. Without a dropout generator the same ``forward`` is the
 inference pass behind evaluation and prediction.
 """
 
@@ -225,12 +227,6 @@ def _require_real_pool(cfg: TrainConfig, real_pool):
                               "are available for the discriminator")
 
 
-def _delta_centers(cfg_enc, seq_len: int, count: int, rng) -> list:
-    margin = max(cfg_enc.half_field, max(abs(s) for s in cfg_enc.delta_steps))
-    lo, hi = margin, seq_len - 1 - margin
-    return [int(t) for t in rng.integers(lo, hi + 1, size=count)]
-
-
 def forward(model: body.BodyModel, nets_model: ModelNets, phis, delta_rows=(), drop_rng=None):
     """The regressor -> delta -> body-model chain that training and inference share.
 
@@ -340,17 +336,19 @@ def train_step(model: body.BodyModel, state: TrainState, batch, cfg: TrainConfig
     n_frames_used = frame_w.sum()
 
     # -- encoder paths and the shared forward chain ----------------------------
-    phi_temporal = ad.concat([nets_model.temporal(ad.constant(feats_all[b]))
-                              for b in range(n_batch)], axis=0)        # (BT, D)
+    # one encoder graph over the whole batch, its rows sequence-major
+    phi_temporal = ad.reshape(nets_model.temporal(ad.constant(feats_all)), (bt, enc.feature_dim))
     phis = [phi_temporal]
     if use_hal:
         phis.append(nets_model.hallucinator(ad.constant(feats_all.reshape(bt, enc.feature_dim))))
-    centers = []
-    if use_deltas:
-        per_seq = [_delta_centers(enc, t_len, cfg.delta_centers_per_seq, center_rng)
-                   for _ in range(n_batch)]
-        centers = [(b, t) for b in range(n_batch) for t in per_seq[b]]
-    out = forward(model, nets_model, phis, [b * t_len + t for b, t in centers], drop_rng)
+    # delta centres as (sequence, frame) index arrays; one draw per sequence, as
+    # the generator's stream depends on the draw sizes
+    n_per_seq = cfg.delta_centers_per_seq if use_deltas else 0
+    margin = max([enc.half_field] + [abs(s) for s in enc.delta_steps])
+    center_b = np.repeat(np.arange(n_batch), n_per_seq)
+    center_t = np.concatenate([center_rng.integers(margin, t_len - margin, n_per_seq)
+                               for _ in range(n_batch)])
+    out = forward(model, nets_model, phis, center_b * t_len + center_t, drop_rng)
 
     kp_flat = kp_all.reshape(bt, k, 2)
     vis_flat = vis_all.reshape(bt, k)
@@ -364,33 +362,34 @@ def train_step(model: body.BodyModel, state: TrainState, batch, cfg: TrainConfig
         total = total + w.w_2d * l2d
         breakdown["l2d" if i == 0 else "lhal_frame"] += l2d.item()
 
-        if has_3d.any():
-            w3d = (frame_ok & has_3d[:, None]).reshape(bt).astype(np.float64)
-            if w3d.any():
-                gt_rows = np.nan_to_num(gt_full.reshape(bt, 85))
-                l3d = ad.sum_(loss_3d_rows(full_p, gt_rows) * ad.constant(w3d)) * (1.0 / n_batch)
-                total = total + w.w_3d * l3d
-                breakdown["l3d"] += l3d.item()
+        w3d = (frame_ok & has_3d[:, None]).reshape(bt).astype(np.float64)
+        if w3d.any():
+            gt_rows = np.nan_to_num(gt_full.reshape(bt, 85))
+            l3d = ad.sum_(loss_3d_rows(full_p, gt_rows) * ad.constant(w3d)) * (1.0 / n_batch)
+            total = total + w.w_3d * l3d
+            breakdown["l3d"] += l3d.item()
 
         lbeta = ad.sum_(beta_prior(full_p[:, 0:10]) * ad.constant(frame_w)) * (1.0 / n_batch)
         total = total + w.w_beta * lbeta
         breakdown["lbeta"] += lbeta.item()
 
-    # delta paths: closed-form camera then reprojection at the shifted frame
-    if centers:
+    # delta paths: closed-form camera then reprojection at the shifted frame;
+    # the target rows follow forward's order: path, then step, then centre
+    if len(center_t):
         n_frame_rows = len(phis) * bt
-        tgt = [(b, t + step_size) for _ in phis for step_size in sorted(nets_model.deltas)
-               for b, t in centers]
-        kp_tgt = np.stack([kp_all[b, t] for b, t in tgt])
-        vis_tgt = np.stack([vis_all[b, t] for b, t in tgt])
-        row_ok = np.array([not excluded[b, t] for b, t in tgt])
+        steps = sorted(nets_model.deltas)
+        tgt_b = np.tile(center_b, len(phis) * len(steps))
+        tgt_t = np.tile(np.concatenate([center_t + s for s in steps]), len(phis))
+        kp_tgt = kp_all[tgt_b, tgt_t]
+        vis_tgt = vis_all[tgt_b, tgt_t]
+        row_ok = ~excluded[tgt_b, tgt_t]
         fits = camera.optimal_camera_rows(out["joints"][n_frame_rows:, :, 0:2], kp_tgt, vis_tgt)
         dweight = (row_ok & fits["valid"]).astype(np.float64)
         per_vis = dweight / np.maximum(fits["n_visible"], 1)
         ldelta = ad.sum_(fits["residual"] * ad.constant(per_vis)) * w.w_2d
         if has_3d.any():
-            gt_pose = np.stack([np.nan_to_num(gt_full[b, t, 10:82]) for b, t in tgt])
-            w3d_rows = dweight * np.array([has_3d[b] for b, _ in tgt], dtype=np.float64)
+            gt_pose = np.nan_to_num(gt_full[tgt_b, tgt_t, 10:82])
+            w3d_rows = dweight * has_3d[tgt_b]
             diff = out["pose"][n_frame_rows:, :] - ad.constant(gt_pose)
             l3d_vec = ad.sum_(diff * diff, axis=1) * (1.0 / body.POSE_DIM)
             ldelta = ldelta + w.w_3d * ad.sum_(l3d_vec * ad.constant(w3d_rows))
@@ -404,16 +403,10 @@ def train_step(model: body.BodyModel, state: TrainState, batch, cfg: TrainConfig
         total = total + w.w_adv * ladv
         breakdown["ladv"] = ladv.item()
 
-    # shape constancy per sequence along the temporal path
+    # shape constancy within each sequence along the temporal path
     if w.w_const > 0:
-        lconst = ad.constant(0.0)
-        betas_t = out["full"][0][:, 0:10]
-        for b in range(n_batch):
-            seq_betas = betas_t[b * t_len:(b + 1) * t_len, :]
-            term, has_signal = const_shape_loss(seq_betas)
-            if has_signal:
-                lconst = lconst + term
-        lconst = lconst * (1.0 / n_batch)
+        betas_t = ad.reshape(out["full"][0][:, 0:10], (n_batch, t_len, 10))
+        lconst = const_shape_loss(betas_t) * (1.0 / n_batch)
         total = total + w.w_const * lconst
         breakdown["lconst"] = lconst.item()
 

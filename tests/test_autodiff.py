@@ -183,6 +183,15 @@ OP_CASES = {
                lambda rng: [ad.parameter(rand(rng, 3, 7), name="x"),
                             ad.parameter(rand(rng, 2, 3, 3), name="w"),
                             ad.parameter(rand(rng, 2), name="b")]),
+    "conv1d_batched": (lambda x, w, b: ad.sum_(ad.mul(ad.conv1d(x, w, b), ad.conv1d(x, w, b))),
+                       lambda rng: [ad.parameter(rand(rng, 2, 3, 9), name="x"),
+                                    ad.parameter(rand(rng, 2, 3, 3), name="w"),
+                                    ad.parameter(rand(rng, 2), name="b")]),
+    "group_norm_batched": (lambda x, g, b: ad.sum_(ad.mul(ad.group_norm(x, g, b, 2),
+                                                          ad.group_norm(x, g, b, 2))),
+                           lambda rng: [ad.parameter(rand(rng, 2, 4, 6), name="x"),
+                                        ad.parameter(rand(rng, 4) + 1.0, name="g"),
+                                        ad.parameter(rand(rng, 4), name="b")]),
     "group_norm": (lambda x, g, b: ad.sum_(ad.mul(ad.group_norm(x, g, b, 2), ad.group_norm(x, g, b, 2))),
                    lambda rng: [ad.parameter(rand(rng, 4, 5), name="x"),
                                 ad.parameter(rand(rng, 4) + 1.0, name="g"),

@@ -362,13 +362,36 @@ def test_batched_joint_transforms_match_per_joint_chain_bit_for_bit(toy_model):
     w_g = ad.constant(rng.standard_normal((6, body.N_JOINTS, 4, 4)))
     w_j = ad.constant(rng.standard_normal((6, body.N_JOINTS, 3)))
     results = []
-    for transforms in (body._rest_relative_transforms, composite_rest_relative_transforms):
+
+    def library_transforms(model, shaped, theta):
+        joints_rest = ad.matmul(model.rest_regressor, shaped)
+        g = body._joint_transforms(model.parents, body.pose_rotations(theta), joints_rest)
+        return g, joints_rest, body._posed_joints(g, joints_rest)
+
+    for transforms in (library_transforms, composite_rest_relative_transforms):
         beta.grad, theta.grad = None, None
         g, _, posed = transforms(toy_model, body.shaped_template(toy_model, beta), theta)
         ad.add(ad.sum_(ad.mul(g, w_g)), ad.sum_(ad.mul(posed, w_j))).backward()
         results.append((g.data.copy(), posed.data.copy(), beta.grad.copy(), theta.grad.copy()))
     for got, want in zip(*results):
         assert np.array_equal(got, want)
+
+
+def test_skin_builds_no_posed_joints(toy_model, monkeypatch):
+    """Mesh skinning makes four products: blendshapes, rest joints, per-vertex
+    transforms and their action on the vertices; posed joints are
+    forward_kinematics' work."""
+    products = []
+    matmul = ad.matmul
+
+    def counting(a, b):
+        products.append((tuple(ad.as_tensor(a).shape), tuple(ad.as_tensor(b).shape)))
+        return matmul(a, b)
+
+    monkeypatch.setattr(ad, "matmul", counting)
+    rng = np.random.default_rng(23)
+    body.skin(toy_model, rng.normal(0, 0.5, (3, 10)), rng.normal(0, 0.4, (3, 72)))
+    assert len(products) == 4, products
 
 
 def test_skin_gradients_near_zero_pose(toy_model):

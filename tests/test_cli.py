@@ -293,9 +293,9 @@ def test_eval_dynamics_skins_each_ground_truth_once(workdir, trained, tmp_path, 
     n_seqs = len(data.load_dataset(workdir / "data.bin"))
     # one per test sequence; the training pool is one stacked body-model call
     assert len(calls) == n_seqs
-    # per test sequence: its ground truth, and one pass each in evaluate and
-    # in the dynamics protocol; plus the training pool
-    assert len(kp3d_rows) == 3 * n_seqs + 1
+    # per test sequence: its ground truth and evaluate's one prediction pass,
+    # whose rows the dynamics protocol reuses; plus the training pool
+    assert len(kp3d_rows) == 2 * n_seqs + 1
     assert sum(len(s.theta_gt) for s in data.load_dataset(workdir / "data.bin")) in kp3d_rows
 
     # the joints evaluate hands over give what evaluate_dynamics computes itself

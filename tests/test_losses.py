@@ -193,8 +193,7 @@ def test_beta_prior_values_and_gradient():
 
 def test_const_shape_zero_for_constant_sequence():
     betas = np.tile(np.random.default_rng(9).standard_normal(10), (20, 1))
-    val, has_signal = losses.const_shape_loss(ad.constant(betas))
-    assert has_signal
+    val = losses.const_shape_loss(ad.constant(betas))
     assert val.item() == 0.0
 
 
@@ -203,27 +202,28 @@ def test_const_shape_alternating_unit_steps():
     e1 = np.zeros(10)
     e1[0] = 1.0
     seq = np.stack([b, b + e1, b])
-    val, _ = losses.const_shape_loss(ad.constant(seq))
+    val = losses.const_shape_loss(ad.constant(seq))
     assert val.item() == pytest.approx(2.0, abs=1e-12)
 
 
 def test_const_shape_short_sequence_flagged():
-    val, has_signal = losses.const_shape_loss(ad.constant(np.zeros((1, 10))))
-    assert val.item() == 0.0 and not has_signal
+    val = losses.const_shape_loss(ad.constant(np.zeros((1, 10))))
+    assert val.item() == 0.0
+    assert losses.const_shape_loss(ad.constant(np.zeros((3, 1, 10)))).item() == 0.0
 
 
 def test_const_shape_translation_invariant():
     rng = np.random.default_rng(11)
     seq = rng.standard_normal((6, 10))
     shift = rng.standard_normal(10)
-    a, _ = losses.const_shape_loss(ad.constant(seq))
-    b, _ = losses.const_shape_loss(ad.constant(seq + shift))
+    a = losses.const_shape_loss(ad.constant(seq))
+    b = losses.const_shape_loss(ad.constant(seq + shift))
     assert a.item() == pytest.approx(b.item(), abs=1e-12)
 
 
 def test_const_shape_gradient_zero_at_equal_betas():
     betas = ad.parameter(np.tile(np.arange(10.0), (4, 1)), name="betas")
-    val, _ = losses.const_shape_loss(betas)
+    val = losses.const_shape_loss(betas)
     val.backward()
     assert np.all(betas.grad == 0.0)
 
@@ -231,9 +231,18 @@ def test_const_shape_gradient_zero_at_equal_betas():
 def test_const_shape_gradient_at_generic_point():
     rng = np.random.default_rng(12)
     betas = ad.parameter(rng.standard_normal((5, 10)), name="betas")
-    err = ad.finite_diff_check(lambda: losses.const_shape_loss(betas)[0], betas,
+    err = ad.finite_diff_check(lambda: losses.const_shape_loss(betas), betas,
                                max_coords=20, rng=np.random.default_rng(0))
     assert err < 1e-4
+
+
+def test_const_shape_batch_sums_sequences_without_crossing_them():
+    rng = np.random.default_rng(13)
+    seqs = rng.normal(0, 0.1, (3, 7, 10))
+    seqs[1] += 50.0      # a jump of about 158 between sequence 0's last frame and 1's first
+    per_seq = sum(losses.const_shape_loss(ad.constant(s)).item() for s in seqs)
+    batched = losses.const_shape_loss(ad.constant(seqs)).item()
+    assert batched == pytest.approx(per_seq, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

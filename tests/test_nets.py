@@ -60,6 +60,23 @@ def test_temporal_receptive_field_is_13_frames(seed):
     assert not np.array_equal(enc(ad.constant(edge)).data[t_mid], base)
 
 
+def test_temporal_batch_equals_single_sequence_calls_and_keeps_sequences_apart():
+    cfg = small_cfg()
+    enc = nets.TemporalEncoder(cfg, np.random.default_rng(4))
+    feats = np.random.default_rng(5).standard_normal((3, 24, 16))
+    batch = enc(ad.constant(feats)).data
+    assert batch.shape == (3, 24, 16)
+    for b in range(3):
+        assert np.array_equal(batch[b], enc(ad.constant(feats[b])).data)
+
+    # the receptive field stops at the sequence boundary
+    bumped = feats.copy()
+    bumped[1] += np.random.default_rng(6).standard_normal((24, 16))
+    out = enc(ad.constant(bumped)).data
+    assert np.array_equal(out[0], batch[0]) and np.array_equal(out[2], batch[2])
+    assert not np.array_equal(out[1], batch[1])
+
+
 def test_temporal_zero_blocks_is_identity():
     cfg = small_cfg(n_blocks=0)
     enc = nets.TemporalEncoder(cfg, np.random.default_rng(2))

@@ -109,6 +109,28 @@ def test_training_step_converts_each_pose_to_rotations_once(toy_model, monkeypat
     assert rotated_rows == [keypoint_rows[0] * body.N_JOINTS]
 
 
+def test_training_step_encodes_the_whole_batch_in_one_call(toy_model, monkeypatch):
+    """Criterion-8 config, one step: the four sequences share one encoder graph."""
+    full = data.gen_synthetic_dataset(toy_model, 16, 16, 25.0, seed=300, motion_kind="ballistic",
+                                      feature_dim=32, vis_dropout=0.0, feature_noise=0.01)
+    train_ds = data.DatasetBundle(full.sequences[:10], full.feature_meta)
+    enc = nets.EncoderConfig(feature_dim=32, gn_groups=8, gn_group_size=4, ief_hidden=64,
+                             disc_hidden=16)
+    tcfg = training.TrainConfig(seq_len=16, batch_size=4, steps=1, lr=5e-4, seed=0,
+                                use_jitter=False, delta_centers_per_seq=3)
+    shapes = []
+    encode = nets.TemporalEncoder.__call__
+
+    def counting(self, features):
+        shapes.append(ad.as_tensor(features).shape)
+        return encode(self, features)
+
+    monkeypatch.setattr(nets.TemporalEncoder, "__call__", counting)
+    state = training.init_state(nets.ModelNets.create(enc, seed=tcfg.seed), tcfg)
+    training.train(toy_model, state, [(train_ds, 1)], tcfg)
+    assert state.step == 1 and shapes == [(4, 16, 32)]
+
+
 def test_zero_learning_rate_leaves_parameters_unchanged(train_setup):
     model, ds = train_setup
     state, tcfg = fresh_state(tcfg=tiny_tcfg(lr=0.0, lr_disc=0.0, steps=2))
