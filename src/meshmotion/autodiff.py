@@ -15,6 +15,9 @@ Design constraints honored throughout:
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+
 import numpy as np
 
 NORM_GRAD_EPS = 1e-8  # smooths d|x|/dx at the origin; value stays exact
@@ -29,6 +32,7 @@ class NumericalError(ArithmeticError):
 
 
 _POST = object()  # marks a finished tensor on Tensor.backward's traversal stack
+_RECORDING = contextvars.ContextVar("recording", default=True)  # off inside no_grad()
 
 
 class Tensor:
@@ -177,9 +181,27 @@ def parameter(x, name=None) -> Tensor:
     return Tensor(np.array(x, dtype=np.float64, copy=True), requires_grad=True, name=name)
 
 
+@contextlib.contextmanager
+def no_grad():
+    """A scope in which ops record no graph: every result is a constant.
+
+    Inference runs under it so that no node keeps its parents and backward
+    closure alive. Recording is restored on exit, also when the scope
+    raises; the setting is per thread (and per asyncio task). Usable as a
+    decorator.
+    """
+    token = _RECORDING.set(False)
+    try:
+        yield
+    finally:
+        _RECORDING.reset(token)
+
+
 def _node(data, parents, backward_fn):
     for p in parents:
         if p.requires_grad:
+            if not _RECORDING.get():
+                break
             return Tensor(data, True, None, tuple(parents), backward_fn)
     return Tensor(data)
 

@@ -454,13 +454,15 @@ def forward_kinematics(model: BodyModel, beta, theta):
     return world, joints_posed
 
 
-def skin(model, beta, theta) -> ad.Tensor:
+def skin(model, beta, theta, parts: bool = False):
     """Linear blend skinning under shape and pose.
 
     ``model`` is a BodyModel, whose mesh vertices (...,N,3) come out, or its
     ``keypoint_fold``, whose keypoints (...,k,3) come out without the mesh
     being built. ``theta`` is pose rows or their rotation block, as for
-    ``keypoints_3d``.
+    ``keypoints_3d``. With ``parts`` (mesh only) the same pass returns
+    (vertices, shaped templates (...,N,3), posed joints (...,24,3)): the
+    zero-pose meshes and ``forward_kinematics``'s joints, bit for bit.
     """
     beta_b, rots, single = _shape_and_pose(beta, theta)
     b = beta_b.shape[0]
@@ -471,14 +473,18 @@ def skin(model, beta, theta) -> ad.Tensor:
         out = _fold_keypoints(model, g, beta_b)
         return out[0] if single else out
     shaped = shaped_template(model, beta_b)
-    g = _joint_transforms(model.parents, rots, ad.matmul(model.rest_regressor, shaped))
+    joints_rest = ad.matmul(model.rest_regressor, shaped)
+    g = _joint_transforms(model.parents, rots, joints_rest)
     n = model.n_vertices
     h_flat = ad.reshape(g, (b, N_JOINTS, 16)) - np.eye(4).reshape(16)
     per_vertex = ad.matmul(model.skin_weights, h_flat)                       # (B,N,16)
     vh = ad.concat([shaped, ad.constant(np.ones((b, n, 1)))], axis=2)
     moved = ad.matmul(ad.reshape(per_vertex, (b * n, 4, 4)), ad.reshape(vh, (b * n, 4, 1)))
     verts = shaped + ad.reshape(moved[:, 0:3, :], (b, n, 3))
-    return verts[0] if single else verts
+    if not parts:
+        return verts[0] if single else verts
+    out = (verts, shaped, _posed_joints(g, joints_rest))
+    return tuple(t[0] for t in out) if single else out
 
 
 def regress_joints(model: BodyModel, vertices) -> ad.Tensor:

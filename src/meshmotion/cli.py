@@ -234,7 +234,7 @@ def cmd_predict(args) -> int:
     if not 0 <= args.frame < sample.n_frames:
         raise ValidationError(f"frame {args.frame} out of range for {sample.n_frames} frames")
 
-    pred = metrics.predict_sequence(model, nets_model, sample.features[args.frame][None, :],
+    pred = metrics.predict_sequence(model, nets_model, [sample.features[args.frame][None, :]],
                                     "single-frame", deltas=True)
     full = pred["full"]                                      # (1, 85)
     back, fwd = min(nets_model.deltas), max(nets_model.deltas)

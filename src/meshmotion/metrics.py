@@ -9,12 +9,23 @@ which needs unbroken triples and uses the full predicted trajectory.
 Sequence aggregation pools frames across sequences using compensated
 summation, so results do not depend on evaluation order.
 
+Evaluation is batched across sequences: ``evaluate`` stacks every
+sequence's frames into one block of rows and makes one prediction pass,
+one ground-truth body-model call, one mesh skinning pass and one PCK pass
+over it. In temporal mode the context encoder runs once per distinct
+sequence length, on a (B, T, D) block of the sequences of that length, as
+the convolutions must not reach across sequences; single-frame mode needs
+no grouping. Each sequence's row of ``metrics.csv`` is then cut from the
+batched arrays with that sequence's frame mask, so cost grows with the
+number of frames, not of sequences.
+
 Alignments are array-shaped: ``pa_mpjpe`` aligns every frame of a sequence
-with one stacked similarity solve. The dynamics protocol's nearest-neighbour
+with one stacked similarity solve. The dynamics protocol scores every test
+centre of every method in one stacked alignment. Its nearest-neighbour
 baseline holds the training pool as one (P,3,k,3) array of past/current/
-future ground-truth joints and, per test centre, scores all P entries in one
-batched alignment and takes the first minimum: centres x P frame alignments
-in as many calls as there are centres, with memory O(P*k).
+future ground-truth joints and, per test centre, scores all P entries in
+one batched alignment and takes the first minimum: centres x P frame
+alignments in as many calls as there are centres, with memory O(P*k).
 """
 
 from __future__ import annotations
@@ -129,33 +140,41 @@ def pa_mpjpe(pred_joints, gt_joints, root_index: int = 0, per_frame: bool = Fals
     return float(np.mean(errs) * MM)
 
 
-def pck(pred_2d, gt_2d, vis, alpha: float = 0.05, frame_mask=None):
+def _segments(lengths):
+    """(start, stop) row bounds of consecutive sequences of ``lengths``."""
+    bounds = np.cumsum([0, *lengths])
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def pck(pred_2d, gt_2d, vis, alpha: float = 0.05, frame_mask=None, lengths=None):
     """Fraction of visible keypoints within alpha * max(bbox side) of truth.
 
     The bounding box is taken from the visible ground-truth keypoints of each
     frame. Returns (fraction, n_correct, n_total); frames with a degenerate
-    box or fewer than two visible points contribute nothing.
+    box or fewer than two visible points contribute nothing. Every frame's
+    box and hits come from array ops over the whole (T,k,2) input. With
+    ``lengths`` the rows are consecutive sequences of those lengths and one
+    such triple per sequence is returned.
     """
     p = np.asarray(pred_2d, dtype=np.float64)
     g = np.asarray(gt_2d, dtype=np.float64)
     v = np.asarray(vis, dtype=bool)
-    n_correct = 0
-    n_total = 0
-    for t in range(p.shape[0]):
-        if frame_mask is not None and not frame_mask[t]:
-            continue
-        vt = v[t]
-        if vt.sum() < 2:
-            continue
-        box = g[t][vt]
-        size = max(np.ptp(box[:, 0]), np.ptp(box[:, 1]))
-        if size <= 0:
-            continue
-        dist = np.linalg.norm(p[t][vt] - g[t][vt], axis=1)
-        n_correct += int((dist <= alpha * size).sum())
-        n_total += int(vt.sum())
-    frac = float(n_correct / n_total) if n_total else 0.0
-    return frac, n_correct, n_total
+    n_vis = v.sum(axis=1)
+    lo = np.where(v[..., None], g, np.inf).min(axis=1)             # (T,2) box corners
+    hi = np.where(v[..., None], g, -np.inf).max(axis=1)
+    size = (hi - lo).max(axis=1)
+    used = (n_vis >= 2) & (size > 0)
+    if frame_mask is not None:
+        used &= np.asarray(frame_mask, dtype=bool)
+    dist = np.linalg.norm(p - g, axis=2)
+    hits = (v & (dist <= alpha * size[:, None]) & used[:, None]).sum(axis=1)
+    totals = np.where(used, n_vis, 0)
+    out = []
+    for lo_row, hi_row in _segments(lengths if lengths is not None else [len(p)]):
+        n_correct = int(hits[lo_row:hi_row].sum())
+        n_total = int(totals[lo_row:hi_row].sum())
+        out.append((float(n_correct / n_total) if n_total else 0.0, n_correct, n_total))
+    return out if lengths is not None else out[0]
 
 
 def accel_error(pred_joints, gt_joints, fps: float) -> float:
@@ -176,32 +195,33 @@ def accel_error(pred_joints, gt_joints, fps: float) -> float:
     return float(np.linalg.norm(acc_p - acc_g, axis=2).mean() * MM)
 
 
-def mesh_errors(pred_full, gt_full, model: body.BodyModel, frame_mask=None):
+def mesh_errors(pred_full, gt_full, model: body.BodyModel, frame_mask=None, lengths=None):
     """(posed_mm, unposed_mm) mean vertex errors over a sequence.
 
     Posed meshes are compared after per-frame root (pelvis joint) centering.
     Unposed meshes are the zero-pose (shaped template) meshes, compared
-    directly, so the number reflects pure shape error.
+    directly, so the number reflects pure shape error. With ``lengths`` the
+    rows are consecutive sequences of those lengths and one pair per
+    sequence is returned; a sequence whose mask keeps no frame scores nan.
     """
     p = np.asarray(pred_full, dtype=np.float64)
     g = np.asarray(gt_full, dtype=np.float64)
-    t_len = p.shape[0]
-    mask = np.ones(t_len, dtype=bool) if frame_mask is None else np.asarray(frame_mask, dtype=bool)
-    if not mask.any():
-        return float("nan"), float("nan")
-
-    # one skinning pass and one kinematic pass over [pred; gt], sharing one
-    # rotation block; the unposed meshes are the shaped templates, which
-    # skinning at zero pose reproduces
-    betas = ad.constant(np.concatenate([p[:, :10], g[:, :10]]))
-    rots = body.pose_rotations(ad.constant(np.concatenate([p[:, 10:82], g[:, 10:82]])))
-    vp, vg = np.split(body.skin(model, betas, rots).data, 2)
-    up, ug = np.split(body.shaped_template(model, betas).data, 2)
-    _, joints = body.forward_kinematics(model, betas, rots)
-    rp, rg = np.split(joints.data[:, 0:1, :], 2)
-    posed = np.linalg.norm((vp - rp) - (vg - rg), axis=2)[mask].mean() * MM
-    unposed = np.linalg.norm(up - ug, axis=2)[mask].mean() * MM
-    return float(posed), float(unposed)
+    mask = np.ones(p.shape[0], dtype=bool) if frame_mask is None else np.asarray(frame_mask, dtype=bool)
+    segments = _segments(lengths if lengths is not None else [len(p)])
+    out = [(float("nan"), float("nan"))] * len(segments)
+    if mask.any():
+        # one skinning pass over [pred; gt] gives the posed meshes, the
+        # unposed (shaped template) meshes and the root joints
+        parts = body.skin(model, np.concatenate([p[:, :10], g[:, :10]]),
+                          np.concatenate([p[:, 10:82], g[:, 10:82]]), parts=True)
+        (vp, vg), (up, ug), (jp, jg) = (np.split(t.data, 2) for t in parts)
+        posed = np.linalg.norm((vp - jp[:, 0:1]) - (vg - jg[:, 0:1]), axis=2)
+        unposed = np.linalg.norm(up - ug, axis=2)
+        for i, (lo, hi) in enumerate(segments):
+            m = mask[lo:hi]
+            if m.any():
+                out[i] = (float(posed[lo:hi][m].mean() * MM), float(unposed[lo:hi][m].mean() * MM))
+    return out if lengths is not None else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -209,50 +229,65 @@ def mesh_errors(pred_full, gt_full, model: body.BodyModel, frame_mask=None):
 # ---------------------------------------------------------------------------
 
 
+@ad.no_grad()
 def predict_sequence(model: body.BodyModel, nets_model, features, mode: str = "temporal",
                      deltas: bool = False):
-    """The dropout-free forward pass of the network stack, over (T,D) features.
+    """The dropout-free forward pass of the network stack over every
+    sequence's (T_i, D) features, without a tape.
 
-    mode 'temporal' runs the context encoder over the rows as one sequence.
-    'single-frame' runs the hallucinator on each row; a checkpoint without a
-    hallucinator feeds the raw features to the regressor instead, which was
-    never trained on them. The rest is ``training.forward``. Returns dict
-    with full (T,85), joints_current (T,k,3) and pred2d (T,k,2). With
-    ``deltas`` the delta predictors run on the same rows, adding the past
-    (smallest step) and future (largest step) pose_past/pose_future (T,72)
-    and joints_past/joints_future (T,k,3), posed with the current frame's
-    shape.
+    mode 'temporal' runs the context encoder over each sequence, once per
+    distinct length on the (B, T, D) block of the sequences of that length.
+    'single-frame' runs the hallucinator on every row; a checkpoint without
+    a hallucinator feeds the raw features to the regressor instead, which
+    was never trained on them. All rows then go through one
+    ``training.forward`` call. Returns a dict whose arrays hold every
+    sequence's rows, in order: full (R,85), joints_current (R,k,3) and
+    pred2d (R,k,2). With ``deltas`` the delta predictors run on the same
+    rows, adding the past (smallest step) and future (largest step)
+    pose_past/pose_future (R,72) and joints_past/joints_future (R,k,3),
+    posed with the current frame's shape.
     """
-    feats = ad.constant(features)
+    feats = [np.asarray(f, dtype=np.float64) for f in features]
     if mode == "temporal":
-        phi = nets_model.temporal(feats)
+        lengths = [f.shape[0] for f in feats]
+        blocks = [None] * len(feats)
+        for t_len in sorted(set(lengths)):
+            group = [i for i, n in enumerate(lengths) if n == t_len]
+            encoded = nets_model.temporal(ad.constant(np.stack([feats[i] for i in group]))).data
+            for i, block in zip(group, encoded):
+                blocks[i] = block
+        phi = ad.constant(np.concatenate(blocks))
     elif mode == "single-frame":
-        phi = nets_model.hallucinator(feats) if nets_model.hallucinator is not None else feats
+        phi = ad.constant(np.concatenate(feats))
+        if nets_model.hallucinator is not None:
+            phi = nets_model.hallucinator(phi)
     else:
         raise ValueError(f"unknown prediction mode {mode!r}")
-    t_len = phi.shape[0]
-    fwd = forward(model, nets_model, [phi], np.arange(t_len) if deltas else ())
+    n_rows = phi.shape[0]
+    fwd = forward(model, nets_model, [phi], np.arange(n_rows) if deltas else ())
     joints, poses = fwd["joints"].data, fwd["pose"].data
-    out = {"full": fwd["full"][0].data, "joints_current": joints[:t_len],
+    out = {"full": fwd["full"][0].data, "joints_current": joints[:n_rows],
            "pred2d": fwd["pred2d"].data}
     if deltas:
         # delta rows follow the current rows in sorted step order
         for tag, i in (("past", 1), ("future", len(nets_model.deltas))):
-            rows = slice(i * t_len, (i + 1) * t_len)
+            rows = slice(i * n_rows, (i + 1) * n_rows)
             out[f"pose_{tag}"] = poses[rows]
             out[f"joints_{tag}"] = joints[rows]
     return out
 
 
-def _keypoints_of(model, theta_gt):
-    return body.keypoints_3d(model, ad.constant(theta_gt[:, :10]),
-                             ad.constant(theta_gt[:, 10:82])).data
-
-
-def gt_joints_of(model, sample):
-    if sample.theta_gt is None:
-        return None
-    return _keypoints_of(model, sample.theta_gt)
+def gt_joints_of(model, samples):
+    """Each sample's ground-truth keypoints (T,k,3), or None without
+    ``theta_gt``, from one body-model call over every annotated frame."""
+    samples = list(samples)
+    thetas = [s.theta_gt for s in samples if s.theta_gt is not None]
+    if not thetas:
+        return [None] * len(samples)
+    theta = np.concatenate(thetas)
+    joints = body.keypoints_3d(model, ad.constant(theta[:, :10]), ad.constant(theta[:, 10:82])).data
+    split = iter(np.split(joints, np.cumsum([len(t) for t in thetas])[:-1]))
+    return [next(split) if s.theta_gt is not None else None for s in samples]
 
 
 @dataclass
@@ -352,10 +387,11 @@ class _Pool:
         return math.fsum(self.values) / math.fsum(self.counts)
 
 
+@ad.no_grad()
 def evaluate(model: body.BodyModel, nets_model, dataset, mode: str = "temporal",
              alpha: float = 0.05, train_dataset=None, gt_as_prediction: bool = False,
              dynamics: bool = False) -> MetricReport:
-    """Full metric sweep over a dataset.
+    """Full metric sweep over a dataset, batched across its sequences.
 
     ``gt_as_prediction`` short-circuits the networks and scores the ground
     truth against itself (pipeline self-check). ``dynamics`` adds the
@@ -363,44 +399,60 @@ def evaluate(model: body.BodyModel, nets_model, dataset, mode: str = "temporal",
     training set is supplied, the nearest-neighbor baseline; in single-frame
     mode it reuses this sweep's predictions, made with the delta predictors.
     """
-    per_seq = []
-    gt_by_seq = []
-    preds = []
+    samples = list(dataset)
+    lengths = [s.n_frames for s in samples]
+    segments = _segments(lengths)
+    mask = ~np.concatenate([s.excluded if s.excluded is not None else np.zeros(s.n_frames, bool)
+                            for s in samples])
+    gt_by_seq = gt_joints_of(model, samples)
     hand_over = dynamics and mode == "single-frame" and not gt_as_prediction
+    pred = None
+    if gt_as_prediction:
+        for sample in samples:
+            if sample.theta_gt is None:
+                raise ValueError(f"{sample.id}: gt_as_prediction needs theta_gt")
+        full, joints = np.concatenate([s.theta_gt for s in samples]), np.concatenate(gt_by_seq)
+        pred2d = camera.project(joints, full[:, 82:83], full[:, 83:85]).data
+    else:
+        pred = predict_sequence(model, nets_model, [s.features for s in samples], mode=mode,
+                                deltas=hand_over)
+        full, joints, pred2d = pred["full"], pred["joints_current"], pred["pred2d"]
+
+    pck_by_seq = pck(pred2d, np.concatenate([s.kp2d for s in samples]),
+                     np.concatenate([s.vis for s in samples]), alpha, frame_mask=mask,
+                     lengths=lengths)
+    # the sequences with 3-D metrics, and their mesh errors from one pass
+    scored = [i for i, (lo, hi) in enumerate(segments)
+              if gt_by_seq[i] is not None and mask[lo:hi].any()]
+    mesh_by_seq = {}
+    if scored:
+        rows = np.concatenate([np.arange(*segments[i]) for i in scored])
+        mesh_by_seq = dict(zip(scored, mesh_errors(
+            full[rows], np.concatenate([samples[i].theta_gt for i in scored]), model,
+            frame_mask=mask[rows], lengths=[lengths[i] for i in scored])))
+
+    per_seq = []
     pools = {k: _Pool() for k in ("pck", "mpjpe_mm", "pa_mpjpe_mm", "accel_err_mm_s2",
                                   "mesh_posed_mm", "mesh_unposed_mm")}
     n_frames_total = 0
-    for sample in dataset:
-        excluded = sample.excluded if sample.excluded is not None else np.zeros(sample.n_frames, bool)
-        mask = ~excluded
-        gt_joints = gt_joints_of(model, sample)
-        gt_by_seq.append(gt_joints)
-        if gt_as_prediction:
-            if sample.theta_gt is None:
-                raise ValueError(f"{sample.id}: gt_as_prediction needs theta_gt")
-            full, joints = sample.theta_gt.copy(), gt_joints
-            pred2d = camera.project(joints, full[:, 82:83], full[:, 83:85]).data
-        else:
-            pred = predict_sequence(model, nets_model, sample.features, mode=mode, deltas=hand_over)
-            preds.append(pred)
-            full, joints, pred2d = pred["full"], pred["joints_current"], pred["pred2d"]
-
-        pck_frac, _, pck_total = pck(pred2d, sample.kp2d, sample.vis, alpha, frame_mask=mask)
-        row = SequenceMetrics(seq_id=sample.id, n_frames_used=int(mask.sum()), pck=pck_frac,
+    for i, (sample, (lo, hi)) in enumerate(zip(samples, segments)):
+        m = mask[lo:hi]
+        n_frames = int(m.sum())
+        pck_frac, _, pck_total = pck_by_seq[i]
+        row = SequenceMetrics(seq_id=sample.id, n_frames_used=n_frames, pck=pck_frac,
                               mpjpe_mm=None, pa_mpjpe_mm=None, accel_err_mm_s2=None,
                               mesh_posed_mm=None, mesh_unposed_mm=None)
-        if gt_joints is not None and mask.any():
-            row.mpjpe_mm = mpjpe(joints[mask], gt_joints[mask])
-            row.pa_mpjpe_mm = pa_mpjpe(joints[mask], gt_joints[mask])
+        if i in mesh_by_seq:
+            j, g = joints[lo:hi], gt_by_seq[i]
+            row.mpjpe_mm = mpjpe(j[m], g[m])
+            row.pa_mpjpe_mm = pa_mpjpe(j[m], g[m])
             if row.pa_mpjpe_mm > row.mpjpe_mm + 1e-9:
                 raise NumericalError(
                     f"{sample.id}: PA-MPJPE {row.pa_mpjpe_mm} exceeds MPJPE {row.mpjpe_mm}")
             if sample.n_frames >= 3:
-                row.accel_err_mm_s2 = accel_error(joints, gt_joints, sample.fps)
-            row.mesh_posed_mm, row.mesh_unposed_mm = mesh_errors(
-                full, sample.theta_gt, model, frame_mask=mask)
+                row.accel_err_mm_s2 = accel_error(j, g, sample.fps)
+            row.mesh_posed_mm, row.mesh_unposed_mm = mesh_by_seq[i]
         per_seq.append(row)
-        n_frames = int(mask.sum())
         n_frames_total += n_frames
         pools["pck"].add(pck_frac, pck_total)
         pools["mpjpe_mm"].add(row.mpjpe_mm, n_frames)
@@ -414,8 +466,8 @@ def evaluate(model: body.BodyModel, nets_model, dataset, mode: str = "temporal",
         aggregate[key] = pool.mean()
     dyn = None
     if dynamics:
-        dyn = evaluate_dynamics(model, nets_model, dataset, train_dataset=train_dataset,
-                                gt_joints=gt_by_seq, predictions=preds if hand_over else None)
+        dyn = evaluate_dynamics(model, nets_model, samples, train_dataset=train_dataset,
+                                gt_joints=gt_by_seq, predictions=pred if hand_over else None)
     return MetricReport(per_sequence=per_seq, aggregate=aggregate, dynamics=dyn)
 
 
@@ -447,9 +499,10 @@ def evaluate_dynamics(model: body.BodyModel, nets_model, dataset, train_dataset=
     the training pose whose joints best align with the current ground truth,
     carried over with its own past/future (needs ``train_dataset``).
 
-    ``gt_joints`` and ``predictions``, when given, hold each sequence's
-    ``gt_joints_of`` and single-frame ``predict_sequence(..., deltas=True)``
-    output, as ``evaluate`` has already computed them.
+    ``gt_joints`` and ``predictions``, when given, hold ``gt_joints_of`` and
+    single-frame ``predict_sequence(..., deltas=True)`` over the dataset's
+    sequences, as ``evaluate`` has already computed them. Every method's
+    centres are scored in one stacked alignment.
     """
     steps = sorted(nets_model.deltas)
     if not steps or nets_model.hallucinator is None:
@@ -460,53 +513,52 @@ def evaluate_dynamics(model: body.BodyModel, nets_model, dataset, train_dataset=
     hf = nets_model.cfg.half_field
 
     pool = None     # (P, 3, k, 3) past/current/future ground truth of every training centre
-    train_gt = [s for s in train_dataset or () if s.theta_gt is not None]
-    if train_gt:
-        # every training frame's ground-truth joints in one body-model call
-        joints = _keypoints_of(model, np.concatenate([s.theta_gt for s in train_gt]))
-        splits = np.cumsum([s.n_frames for s in train_gt])[:-1]
+    if train_dataset is not None:
+        train = list(train_dataset)
         trips = []
-        for s, g_joints in zip(train_gt, np.split(joints, splits)):
-            centers = _dynamics_centers(s, step_mag, hf)
+        for s, g_joints in zip(train, gt_joints_of(model, train)):
+            centers = _dynamics_centers(s, step_mag, hf) if g_joints is not None else []
             if centers:
                 trips.append(_gt_triplets(g_joints, centers, back, fwd))
         if trips:
             pool = np.concatenate(trips)
 
-    sums = {"ours": np.zeros(3), "constant": np.zeros(3), "nearest": np.zeros(3)}
-    n_centers = 0
-    for i, sample in enumerate(dataset):
-        if sample.theta_gt is None:
-            continue
-        centers = _dynamics_centers(sample, step_mag, hf)
-        if not centers:
-            continue
-        g_joints = gt_joints_of(model, sample) if gt_joints is None else gt_joints[i]
-        gt = _gt_triplets(g_joints, centers, back, fwd)
-        out = (predict_sequence(model, nets_model, sample.features, "single-frame", deltas=True)
-               if predictions is None else predictions[i])
-        j_cur = out["joints_current"][centers]
-        preds = {"ours": np.stack([out["joints_past"][centers], j_cur,
-                                   out["joints_future"][centers]], axis=1),
-                 "constant": np.stack([j_cur, j_cur, j_cur], axis=1)}
-        if pool is not None:
-            # the whole pool against each centre in one batched alignment;
-            # argmin keeps the first of equal scores
-            pool_cur = pool[:, 1]
-            best = [int(np.argmin(pa_mpjpe(pool_cur, np.broadcast_to(g_cur, pool_cur.shape),
-                                           per_frame=True)))
-                    for g_cur in gt[:, 1]]
-            preds["nearest"] = pool[best]
-        k = gt.shape[2]
-        for name, pred in preds.items():
-            errs = pa_mpjpe(pred.reshape(-1, k, 3), gt.reshape(-1, k, 3), per_frame=True)
-            # added centre by centre, in the same order whatever the batching
-            for row in errs.reshape(-1, 3):
-                sums[name] += row
-        n_centers += len(centers)
-    if n_centers == 0:
+    samples = list(dataset)
+    if gt_joints is None:
+        gt_joints = gt_joints_of(model, samples)
+    if predictions is None:
+        predictions = predict_sequence(model, nets_model, [s.features for s in samples],
+                                       "single-frame", deltas=True)
+    # every test centre's row in the batched predictions, in dataset order
+    rows, gts = [], []
+    for s, (lo, _), g_joints in zip(samples, _segments([s.n_frames for s in samples]), gt_joints):
+        centers = _dynamics_centers(s, step_mag, hf) if g_joints is not None else []
+        if centers:
+            rows.append(lo + np.asarray(centers))
+            gts.append(_gt_triplets(g_joints, centers, back, fwd))
+    if not rows:
         raise ValueError("no valid dynamics centers in the dataset")
-    ours = tuple(sums["ours"] / n_centers)
-    const = tuple(sums["constant"] / n_centers)
-    nearest = tuple(sums["nearest"] / n_centers) if pool is not None else None
-    return DynamicsMetrics(n_centers=n_centers, ours=ours, constant=const, nearest=nearest)
+    rows, gt = np.concatenate(rows), np.concatenate(gts)
+    n_centers, k = gt.shape[0], gt.shape[2]
+    j_cur = predictions["joints_current"][rows]
+    preds = {"ours": np.stack([predictions["joints_past"][rows], j_cur,
+                               predictions["joints_future"][rows]], axis=1),
+             "constant": np.stack([j_cur, j_cur, j_cur], axis=1)}
+    if pool is not None:
+        # the whole pool against each centre in one batched alignment;
+        # argmin keeps the first of equal scores
+        pool_cur = pool[:, 1]
+        best = [int(np.argmin(pa_mpjpe(pool_cur, np.broadcast_to(g_cur, pool_cur.shape),
+                                       per_frame=True)))
+                for g_cur in gt[:, 1]]
+        preds["nearest"] = pool[best]
+    errs = pa_mpjpe(np.concatenate(list(preds.values())).reshape(-1, k, 3),
+                    np.concatenate([gt] * len(preds)).reshape(-1, k, 3), per_frame=True)
+    means = {}
+    for name, method_errs in zip(preds, errs.reshape(len(preds), n_centers, 3)):
+        total = np.zeros(3)
+        for row in method_errs:     # added centre by centre, in dataset order
+            total += row
+        means[name] = tuple(total / n_centers)
+    return DynamicsMetrics(n_centers=n_centers, ours=means["ours"], constant=means["constant"],
+                           nearest=means.get("nearest"))

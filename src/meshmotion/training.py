@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from . import body, camera
+from . import body, camera, data
 from .container import ValidationError, replacing_open
 from .losses import (LossWeights, adv_prior_discriminator_loss, adv_prior_generator_loss,
                      beta_prior, const_shape_loss, loss_2d_rows, loss_3d_rows, raw_to_full)
@@ -320,7 +320,7 @@ def train_step(model: body.BodyModel, state: TrainState, batch, cfg: TrainConfig
         if theta_w is not None:
             gt_full[b] = theta_w
         has_3d[b] = sample.tier == "full3d" and theta_w is not None
-    excluded = vis_all.sum(axis=2) < 6
+    excluded = vis_all.sum(axis=2) < data.MIN_VISIBLE
     frame_ok = ~excluded
     if not frame_ok.any():
         log.warning("step %d: every frame in the batch is below the visibility floor; skipped", step)

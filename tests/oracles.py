@@ -8,11 +8,12 @@ from autodiff primitives.
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from meshmotion import autodiff as ad
-from meshmotion import body
+from meshmotion import body, metrics, training
 
 
 def camera_grid_search(x, y, vis, s_range=(0.1, 3.0), t_range=(-3.0, 3.0), n=81):
@@ -107,6 +108,152 @@ def nearest_neighbor_dynamics(test_triplets, train_triplets):
                 best, best_err = cand, err
         sums += [pa_error_one_frame(best[d], gt[d]) for d in range(3)]
     return sums / len(test_triplets)
+
+
+def pck_loop(pred_2d, gt_2d, vis, alpha=0.05, frame_mask=None):
+    """PCK frame by frame: (fraction, n_correct, n_total), skipping masked
+    frames, frames with fewer than two visible points and degenerate boxes."""
+    n_correct = n_total = 0
+    for t in range(len(pred_2d)):
+        vt = np.asarray(vis[t], dtype=bool)
+        if (frame_mask is not None and not frame_mask[t]) or vt.sum() < 2:
+            continue
+        box = gt_2d[t][vt]
+        size = max(np.ptp(box[:, 0]), np.ptp(box[:, 1]))
+        if size <= 0:
+            continue
+        dist = np.linalg.norm(pred_2d[t][vt] - gt_2d[t][vt], axis=1)
+        n_correct += int((dist <= alpha * size).sum())
+        n_total += int(vt.sum())
+    return (n_correct / n_total if n_total else 0.0), n_correct, n_total
+
+
+# ---------------------------------------------------------------------------
+# Evaluation one sequence at a time
+# ---------------------------------------------------------------------------
+
+
+def predict_one_sequence(model, nets_model, features, mode, deltas=False):
+    """The inference pass over one (T,D) sequence: its context features
+    (encoder, hallucinator or raw), then ``training.forward``. Returns full,
+    joints_current and pred2d, plus joints_past/joints_future with ``deltas``."""
+    t_len = len(features)
+    with ad.no_grad():
+        x = ad.constant(features)
+        if mode == "temporal":
+            phi = nets_model.temporal(x)
+        else:
+            phi = nets_model.hallucinator(x) if nets_model.hallucinator is not None else x
+        fwd = training.forward(model, nets_model, [phi], np.arange(t_len) if deltas else ())
+    joints = fwd["joints"].data
+    out = {"full": fwd["full"][0].data, "joints_current": joints[:t_len],
+           "pred2d": fwd["pred2d"].data}
+    if deltas:     # delta blocks follow in sorted step order
+        out["joints_past"], out["joints_future"] = joints[t_len:2 * t_len], joints[-t_len:]
+    return out
+
+
+def mesh_errors_three_passes(model, pred_full, gt_full, mask):
+    """(posed_mm, unposed_mm) from separate skin, forward_kinematics (root
+    joint) and shaped_template calls on each side."""
+    def centred_and_unposed(full):
+        beta, pose = full[:, :10], full[:, 10:82]
+        root = body.forward_kinematics(model, beta, pose)[1].data[:, 0:1]
+        return (body.skin(model, beta, pose).data - root,
+                body.shaped_template(model, ad.constant(beta)).data)
+    (pp, up), (pg, ug) = centred_and_unposed(pred_full), centred_and_unposed(gt_full)
+    return (float(np.linalg.norm(pp - pg, axis=2)[mask].mean() * 1000.0),
+            float(np.linalg.norm(up - ug, axis=2)[mask].mean() * 1000.0))
+
+
+def _frame_pa(pred, gt):
+    return float(metrics.pa_mpjpe(pred[None], gt[None]))
+
+
+def _dynamics_triplets(model, nets_model, bundle, with_predictions):
+    """Ground-truth (and predicted) past/current/future joints at every valid
+    centre, sequence by sequence."""
+    back, fwd = min(nets_model.deltas), max(nets_model.deltas)
+    margin = max(nets_model.cfg.half_field, abs(back), abs(fwd))
+    step = max(abs(back), abs(fwd))
+    gts, preds = [], []
+    for s in bundle:
+        if s.theta_gt is None:
+            continue
+        g = body.keypoints_3d(model, s.theta_gt[:, :10], s.theta_gt[:, 10:82]).data
+        p = (predict_one_sequence(model, nets_model, s.features, "single-frame", deltas=True)
+             if with_predictions else None)
+        excluded = s.excluded if s.excluded is not None else np.zeros(s.n_frames, bool)
+        for t in range(margin, s.n_frames - margin):
+            if excluded[t] or excluded[t - step] or excluded[t + step]:
+                continue
+            gts.append((g[t + back], g[t], g[t + fwd]))
+            if p is not None:
+                preds.append((p["joints_past"][t], p["joints_current"][t], p["joints_future"][t]))
+    return gts, preds
+
+
+def evaluate_per_sequence(model, nets_model, dataset, mode="temporal", alpha=0.05,
+                          train_dataset=None, dynamics=False):
+    """Reference for ``metrics.evaluate``: each sequence predicted, skinned
+    and scored on its own, with PCK by ``pck_loop``, and dynamics errors
+    summed centre by centre from one ``pa_mpjpe`` call per frame. Returns
+    (rows as dicts of the SequenceMetrics fields, aggregate dict, dynamics as
+    (n_centers, ours, constant, nearest) or None)."""
+    names = ("pck", "mpjpe_mm", "pa_mpjpe_mm", "accel_err_mm_s2", "mesh_posed_mm",
+             "mesh_unposed_mm")
+    pooled = {name: ([], []) for name in names}
+
+    def pool(name, value, count):
+        if value is not None and count > 0 and not math.isnan(value):
+            pooled[name][0].append(value * count)
+            pooled[name][1].append(count)
+
+    rows = []
+    for s in dataset:
+        mask = ~s.excluded if s.excluded is not None else np.ones(s.n_frames, bool)
+        pred = predict_one_sequence(model, nets_model, s.features, mode)
+        frac, _, n_kp = pck_loop(pred["pred2d"], s.kp2d, s.vis, alpha, mask)
+        row = dict(seq_id=s.id, n_frames_used=int(mask.sum()), pck=frac, mpjpe_mm=None,
+                   pa_mpjpe_mm=None, accel_err_mm_s2=None, mesh_posed_mm=None,
+                   mesh_unposed_mm=None)
+        if s.theta_gt is not None and mask.any():
+            g = body.keypoints_3d(model, s.theta_gt[:, :10], s.theta_gt[:, 10:82]).data
+            j = pred["joints_current"]
+            row["mpjpe_mm"] = metrics.mpjpe(j[mask], g[mask])
+            row["pa_mpjpe_mm"] = metrics.pa_mpjpe(j[mask], g[mask])
+            if s.n_frames >= 3:
+                row["accel_err_mm_s2"] = metrics.accel_error(j, g, s.fps)
+            row["mesh_posed_mm"], row["mesh_unposed_mm"] = mesh_errors_three_passes(
+                model, pred["full"], s.theta_gt, mask)
+        rows.append(row)
+        pool("pck", frac, n_kp)
+        for name in names[1:]:
+            count = max(s.n_frames - 2, 0) if name == "accel_err_mm_s2" else row["n_frames_used"]
+            pool(name, row[name], count)
+    aggregate = {"n_frames_used": sum(r["n_frames_used"] for r in rows)}
+    for name, (values, counts) in pooled.items():
+        aggregate[name] = math.fsum(values) / math.fsum(counts) if counts else None
+
+    dyn = None
+    if dynamics:
+        gts, ours = _dynamics_triplets(model, nets_model, dataset, with_predictions=True)
+        methods = {"ours": ours, "constant": [(o[1], o[1], o[1]) for o in ours]}
+        if train_dataset is not None:
+            pool_trips, _ = _dynamics_triplets(model, nets_model, train_dataset, False)
+            nearest = []
+            for gt in gts:
+                errs = [_frame_pa(cand[1], gt[1]) for cand in pool_trips]
+                nearest.append(pool_trips[errs.index(min(errs))])
+            methods["nearest"] = nearest
+        means = {}
+        for name, trips in methods.items():
+            total = np.zeros(3)
+            for pred, gt in zip(trips, gts):
+                total += [_frame_pa(pred[d], gt[d]) for d in range(3)]
+            means[name] = tuple(total / len(gts))
+        dyn = (len(gts), means["ours"], means["constant"], means.get("nearest"))
+    return rows, aggregate, dyn
 
 
 def hungarian_brute_force(cost):

@@ -101,6 +101,23 @@ def test_groupnorm_constant_input_is_zero_before_affine():
     assert np.max(np.abs(out.data)) < 1e-6
 
 
+def test_no_grad_records_no_graph_and_restores_recording():
+    p = ad.parameter(np.ones((2, 3)), name="p")
+    with ad.no_grad():
+        out = ad.relu(ad.matmul(p, ad.constant(np.ones((3, 2)))) * 2.0)
+        fused = ad.matmul_add(p, ad.constant(np.ones((3, 2))), p[:, 0:2])
+    for t in (out, fused):
+        assert not t.requires_grad and t._parents == () and t._backward_fn is None
+    assert np.array_equal(out.data, np.full((2, 2), 6.0))
+    with pytest.raises(RuntimeError, match="inside"):
+        with ad.no_grad():
+            raise RuntimeError("inside")
+    out = p * 2.0
+    assert out.requires_grad and out._parents[0] is p and out._backward_fn is not None
+    out.sum().backward()
+    assert np.array_equal(p.grad, np.full((2, 3), 2.0))
+
+
 def test_shape_mismatch_reports_both_shapes():
     a = ad.constant(np.ones((2, 3)))
     b = ad.constant(np.ones((3, 3)))

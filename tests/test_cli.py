@@ -273,9 +273,10 @@ def test_eval_dynamics_skins_each_ground_truth_once(workdir, trained, tmp_path, 
     calls = []
     gt_joints_of = metrics.gt_joints_of
 
-    def counting(model, sample):
-        calls.append(sample.id)
-        return gt_joints_of(model, sample)
+    def counting(model, samples):
+        samples = list(samples)
+        calls.append([s.id for s in samples])
+        return gt_joints_of(model, samples)
 
     kp3d_rows = []
     keypoints_3d = body.keypoints_3d
@@ -290,13 +291,14 @@ def test_eval_dynamics_skins_each_ground_truth_once(workdir, trained, tmp_path, 
                     "--data", str(workdir / "data.bin"), "--out", str(tmp_path / "dyn"),
                     "--mode", "hallucinated-dynamics",
                     "--train-data", str(workdir / "data.bin")]) == 0
-    n_seqs = len(data.load_dataset(workdir / "data.bin"))
-    # one per test sequence; the training pool is one stacked body-model call
-    assert len(calls) == n_seqs
-    # per test sequence: its ground truth and evaluate's one prediction pass,
-    # whose rows the dynamics protocol reuses; plus the training pool
-    assert len(kp3d_rows) == 2 * n_seqs + 1
-    assert sum(len(s.theta_gt) for s in data.load_dataset(workdir / "data.bin")) in kp3d_rows
+    ids = [s.id for s in data.load_dataset(workdir / "data.bin")]
+    n_frames = sum(len(s.theta_gt) for s in data.load_dataset(workdir / "data.bin"))
+    n_steps = len(nets.load_checkpoint(trained)[0].deltas)
+    # one ground-truth call for the whole test set and one for the training pool
+    assert calls == [ids, ids]
+    # the test set's ground truth, evaluate's one prediction pass (current and
+    # delta rows), whose rows the dynamics protocol reuses, and the training pool
+    assert kp3d_rows == [n_frames, n_frames * (1 + n_steps), n_frames]
 
     # the joints evaluate hands over give what evaluate_dynamics computes itself
     model = body.load_model(workdir / "model.bin")
@@ -305,6 +307,27 @@ def test_eval_dynamics_skins_each_ground_truth_once(workdir, trained, tmp_path, 
     handed = metrics.evaluate(model, model_nets, ds, mode="single-frame", dynamics=True,
                               train_dataset=ds).dynamics
     assert handed == metrics.evaluate_dynamics(model, model_nets, ds, train_dataset=ds)
+
+
+def test_eval_scores_mixed_lengths_as_each_sequence_alone(workdir, trained, tmp_path):
+    model = body.load_model(workdir / "model.bin")
+    short = data.gen_synthetic_dataset(model, 2, 16, 25.0, seed=41, feature_dim=24,
+                                       vis_dropout=0.3, feature_noise=0.01)
+    long_ = data.gen_synthetic_dataset(model, 1, 20, 25.0, seed=42, feature_dim=24,
+                                       vis_dropout=0.3, feature_noise=0.01)
+    seqs = [short.sequences[0], long_.sequences[0], short.sequences[1]]
+
+    def metrics_rows(sequences, name):
+        path = tmp_path / f"{name}.bin"
+        data.save_dataset(data.DatasetBundle(sequences, short.feature_meta), path)
+        assert cli.run(["eval", "--model", str(workdir / "model.bin"), "--ckpt", str(trained),
+                        "--data", str(path), "--out", str(tmp_path / name)]) == 0
+        return (tmp_path / name / "metrics.csv").read_text().splitlines()
+
+    rows = metrics_rows(seqs, "mixed")
+    assert len(rows) == 1 + len(seqs) + 1
+    for i, s in enumerate(seqs):
+        assert metrics_rows([s], f"alone{i}")[1] == rows[1 + i]
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +367,7 @@ def test_predict_dump_matches_inference_rows(workdir, trained, tmp_path):
     model = body.load_model(workdir / "model.bin")
     nets_model, _, _, _, _ = nets.load_checkpoint(trained)
     features = data.load_dataset(workdir / "data.bin").sequences[0].features
-    pred = metrics.predict_sequence(model, nets_model, features, "single-frame", deltas=True)
+    pred = metrics.predict_sequence(model, nets_model, [features], "single-frame", deltas=True)
     full = pred["full"][7]
     half_digit = 5e-7 + 1e-12        # the dump rounds to 6 decimals
     for tag, pose in (("past", pred["pose_past"][7]), ("current", full[10:82]),

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from meshmotion import body, data, metrics, nets
-from oracles import (nearest_neighbor_dynamics, pa_error_one_frame, procrustes_grid_search,
-                     sinusoid_mean_abs_accel)
+from oracles import (evaluate_per_sequence, nearest_neighbor_dynamics, pa_error_one_frame,
+                     pck_loop, procrustes_grid_search, sinusoid_mean_abs_accel)
 
 
 def random_rotation(rng):
@@ -197,6 +197,27 @@ def test_pck_ignores_invisible_and_masked_frames():
     assert frac_all == 0.5 and frac_masked == 1.0
 
 
+def test_pck_array_form_equals_per_frame_loop():
+    rng = np.random.default_rng(10)
+    gt = rng.uniform(0, 200, (12, 6, 2))
+    pred = gt + rng.normal(0, 8, gt.shape)
+    vis = rng.random((12, 6)) > 0.3
+    vis[0] = False                          # no visible point
+    vis[1] = [True] + [False] * 5           # one visible point
+    gt[2] = gt[2, 0]                        # every point identical: zero-size box
+    gt[3, :, 0] = 50.0                      # a vertical line: the box is its height
+    vis[2:4] = True
+    mask = rng.random(12) > 0.2
+    for frame_mask in (None, mask):
+        assert metrics.pck(pred, gt, vis, frame_mask=frame_mask) == pck_loop(
+            pred, gt, vis, frame_mask=frame_mask)
+    lengths = [5, 4, 3]
+    bounds = np.cumsum([0] + lengths)
+    want = [pck_loop(pred[lo:hi], gt[lo:hi], vis[lo:hi], frame_mask=mask[lo:hi])
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
+    assert metrics.pck(pred, gt, vis, frame_mask=mask, lengths=lengths) == want
+
+
 # ---------------------------------------------------------------------------
 # acceleration error
 # ---------------------------------------------------------------------------
@@ -359,8 +380,7 @@ def test_dynamics_nearest_matches_brute_force_oracle(eval_setup, toy_model):
 
     def triplets(bundle):
         out = []
-        for s in bundle:
-            g = metrics.gt_joints_of(model, s)
+        for s, g in zip(bundle, metrics.gt_joints_of(model, bundle)):
             for t in metrics._dynamics_centers(s, step_mag, model_nets.cfg.half_field):
                 out.append((g[t + back], g[t], g[t + fwd]))
         return out
@@ -370,3 +390,89 @@ def test_dynamics_nearest_matches_brute_force_oracle(eval_setup, toy_model):
     want = nearest_neighbor_dynamics(test_trips, train_trips) * 1000.0
     assert np.allclose(d.nearest, want, rtol=0, atol=1e-9)
     assert d.nearest[1] > 0.0   # a foreign pool: the search is not trivially exact
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation against the per-sequence oracle
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def mixed_dataset(toy_model):
+    """Lengths 16, 20, 16 with 3-D truth and a 20-frame gt2d sequence
+    without it; visibility dropout excludes frames."""
+    from dataclasses import replace
+    short = data.gen_synthetic_dataset(toy_model, n_seqs=2, n_frames=16, fps=25.0, seed=31,
+                                       feature_dim=24, vis_dropout=0.45, feature_noise=0.01)
+    long_ = data.gen_synthetic_dataset(toy_model, n_seqs=2, n_frames=20, fps=25.0, seed=32,
+                                       feature_dim=24, vis_dropout=0.3, feature_noise=0.01)
+    seqs = [short.sequences[0], long_.sequences[0], short.sequences[1],
+            replace(long_.sequences[1], theta_gt=None, tier="gt2d")]
+    assert sum(int(s.excluded.sum()) for s in seqs[:3]) > 0
+    return data.DatasetBundle(seqs, short.feature_meta)
+
+
+def _close(got, want):
+    # the keypoint fold's GEMM over more rows may move the last bit
+    if want is None or isinstance(want, (str, int)):
+        return got == want
+    return got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("mode", ["temporal", "single-frame", "dynamics"])
+def test_batched_evaluate_equals_per_sequence_oracle(eval_setup, mixed_dataset, mode):
+    model, model_nets, train = eval_setup
+    dynamics = mode == "dynamics"
+    mode = "single-frame" if dynamics else mode
+    report = metrics.evaluate(model, model_nets, mixed_dataset, mode=mode, dynamics=dynamics,
+                              train_dataset=train)
+    rows, aggregate, dyn = evaluate_per_sequence(model, model_nets, mixed_dataset, mode=mode,
+                                                 train_dataset=train, dynamics=dynamics)
+    assert len(report.per_sequence) == len(rows) == 4
+    for got, want in zip(report.per_sequence, rows):
+        for name, value in want.items():
+            assert _close(getattr(got, name), value), (got.seq_id, name)
+    assert rows[3]["mpjpe_mm"] is None and rows[3]["pck"] > 0.0
+    assert report.aggregate.keys() == aggregate.keys()
+    for name, value in aggregate.items():
+        assert _close(report.aggregate[name], value), name
+    if dynamics:
+        d = report.dynamics
+        assert d.n_centers == dyn[0] > 0
+        for got, want in zip((d.ours, d.constant, d.nearest), dyn[1:]):
+            assert all(_close(g, w) for g, w in zip(got, want))
+    else:
+        assert report.dynamics is None
+
+
+def test_temporal_evaluate_encodes_each_length_once(eval_setup, mixed_dataset, monkeypatch):
+    model, model_nets, _ = eval_setup
+    shapes = []
+    temporal = model_nets.temporal
+
+    def counting(features):
+        shapes.append(features.shape)
+        return temporal(features)
+
+    monkeypatch.setattr(model_nets, "temporal", counting)
+    metrics.evaluate(model, model_nets, mixed_dataset, mode="temporal")
+    assert shapes == [(2, 16, 24), (2, 20, 24)]
+
+
+def test_inference_records_no_graph(eval_setup, mixed_dataset, monkeypatch):
+    model, model_nets, _ = eval_setup
+    outputs = []
+    forward = metrics.forward
+
+    def keeping(*args, **kwargs):
+        outputs.append(forward(*args, **kwargs))
+        return outputs[-1]
+
+    monkeypatch.setattr(metrics, "forward", keeping)
+    metrics.evaluate(model, model_nets, mixed_dataset, mode="single-frame", dynamics=True,
+                     train_dataset=mixed_dataset)
+    metrics.predict_sequence(model, model_nets, [s.features for s in mixed_dataset])
+    assert len(outputs) == 2
+    for out in outputs:
+        for t in (out["joints"], out["pred2d"], out["full"][0]):
+            assert not t.requires_grad and t._parents == () and t._backward_fn is None

@@ -333,6 +333,18 @@ def test_all_filtered_batch_is_skipped_with_warning(train_setup, caplog):
     assert any("visibility floor" in rec.message for rec in caplog.records)
 
 
+def test_visibility_floor_is_the_data_filters(train_setup, monkeypatch):
+    """train_step flags frames by data.MIN_VISIBLE: with the floor above the
+    keypoint count no frame carries signal and the step is skipped."""
+    model, ds = train_setup
+    monkeypatch.setattr(data, "MIN_VISIBLE", model.n_keypoints + 1)
+    state, tcfg = fresh_state(tcfg=tiny_tcfg(steps=1))
+    batch = training.BatchMixer([(ds, 1)], tcfg.seq_len, tcfg.batch_size, tcfg.seed).batch(0)
+    row = training.train_step(model, state, batch, tcfg,
+                              real_pool=training.build_real_pose_pool([(ds, 1)]))
+    assert row["skipped"] == 1.0 and state.step == 1
+
+
 def test_excluded_frames_contribute_no_gradient(train_setup):
     model, ds = train_setup
     from dataclasses import replace
