@@ -595,22 +595,14 @@ def save_model(model: BodyModel, path):
 
 def load_model(path) -> BodyModel:
     sec = read_container(path, MODEL_MAGIC)
-    n = int(require(sec, "n_vertices", path)[0])
-    k = int(require(sec, "k_keypoints", path)[0])
-
-    def field(name, shape, dtype=float):
-        arr = require(sec, name, path)
-        want = int(np.prod(shape))
-        if arr.size != want:
-            raise ValidationError(f"{path}: section '{name}' has {arr.size} elements, expected {want}")
-        return arr.reshape(shape)
-
+    n = int(require(sec, "n_vertices", path, ()))
+    k = int(require(sec, "k_keypoints", path, ()))
     model = BodyModel(
-        template=field("template", (n, 3)),
-        shape_dirs=field("shape_dirs", (n, 3, SHAPE_DIM)),
-        joint_regressor=field("joint_regressor", (k, n)),
-        parents=field("parents", (N_JOINTS,)).astype(np.int64),
-        skin_weights=field("skin_weights", (n, N_JOINTS)),
-        rest_regressor=field("rest_regressor", (N_JOINTS, n)),
+        template=require(sec, "template", path, (n, 3)),
+        shape_dirs=require(sec, "shape_dirs", path, (n, 3, SHAPE_DIM)),
+        joint_regressor=require(sec, "joint_regressor", path, (k, n)),
+        parents=require(sec, "parents", path, (N_JOINTS,)).astype(np.int64),
+        skin_weights=require(sec, "skin_weights", path, (n, N_JOINTS)),
+        rest_regressor=require(sec, "rest_regressor", path, (N_JOINTS, n)),
     )
     return model.validate(str(path))

@@ -9,11 +9,17 @@ with dtype 0 = little-endian f64, 1 = little-endian i64, 2 = UTF-8 bytes.
 Payload length is count*8 bytes for numeric dtypes and count bytes for text.
 Sections are written in insertion order and read back in file order, so a
 write/read round trip is bit-exact.
+
+Loaders read sections with ``require(sections, name, path, shape)``. With a
+``shape``, the section must hold prod(shape) numbers and is returned reshaped
+(``()`` gives a scalar); otherwise, or if the section is missing,
+``ValidationError`` names the file, section, count and shape.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import secrets
 import struct
@@ -121,7 +127,15 @@ def read_container(path, magic: str):
     return sections
 
 
-def require(sections, name, path="<container>"):
+def require(sections, name, path="<container>", shape=None):
+    """Section ``name``, checked against ``shape`` if given (see the module docstring)."""
     if name not in sections:
         raise ValidationError(f"{path}: missing required section '{name}'")
-    return sections[name]
+    value = sections[name]
+    if shape is None:
+        return value
+    if isinstance(value, str) or value.size != math.prod(shape):
+        found = "text" if isinstance(value, str) else f"{value.size} values"
+        raise ValidationError(f"{path}: section '{name}' holds {found}, "
+                              f"shape {tuple(shape)} needs {math.prod(shape)}")
+    return value.reshape(shape) if shape else value[0]

@@ -399,31 +399,31 @@ def save_dataset(bundle: DatasetBundle, path):
 
 def load_dataset(path) -> DatasetBundle:
     sec = read_container(path, DATA_MAGIC)
-    n = int(require(sec, "n_sequences", path)[0])
-    k = int(require(sec, "k_keypoints", path)[0])
-    d = int(require(sec, "feature_dim", path)[0])
+    n = int(require(sec, "n_sequences", path, ()))
+    k = int(require(sec, "k_keypoints", path, ()))
+    d = int(require(sec, "feature_dim", path, ()))
     meta = None
     if "feature_meta/qcam" in sec:
-        scalars = require(sec, "feature_meta/scalars", path)
-        meta = FeatureMeta(qcam=sec["feature_meta/qcam"].reshape(d, 3),
-                           log_s_base=float(scalars[0]), t_norm=float(scalars[1]))
+        log_s_base, t_norm = require(sec, "feature_meta/scalars", path, (2,))
+        meta = FeatureMeta(qcam=require(sec, "feature_meta/qcam", path, (d, 3)),
+                           log_s_base=float(log_s_base), t_norm=float(t_norm))
     seqs = []
     for i in range(n):
         pre = f"seq{i}"
-        t = int(require(sec, f"{pre}/n_frames", path)[0])
-        tier_idx = int(require(sec, f"{pre}/tier", path)[0])
+        t = int(require(sec, f"{pre}/n_frames", path, ()))
+        tier_idx = int(require(sec, f"{pre}/tier", path, ()))
         if not 0 <= tier_idx < len(TIERS):
             raise ValidationError(f"{path}: {pre} has unknown tier code {tier_idx}")
         theta = None
-        if int(require(sec, f"{pre}/has_theta", path)[0]):
-            theta = require(sec, f"{pre}/theta_gt", path).reshape(t, body.THETA_DIM)
+        if int(require(sec, f"{pre}/has_theta", path, ())):
+            theta = require(sec, f"{pre}/theta_gt", path, (t, body.THETA_DIM))
         sample = SequenceSample(
             id=str(require(sec, f"{pre}/id", path)),
-            fps=float(require(sec, f"{pre}/fps", path)[0]),
+            fps=float(require(sec, f"{pre}/fps", path, ())),
             tier=TIERS[tier_idx],
-            kp2d=require(sec, f"{pre}/kp2d", path).reshape(t, k, 2),
-            vis=require(sec, f"{pre}/vis", path).reshape(t, k).astype(bool),
-            features=require(sec, f"{pre}/features", path).reshape(t, d),
+            kp2d=require(sec, f"{pre}/kp2d", path, (t, k, 2)),
+            vis=require(sec, f"{pre}/vis", path, (t, k)).astype(bool),
+            features=require(sec, f"{pre}/features", path, (t, d)),
             theta_gt=theta,
         )
         seqs.append(filter_frames(sample.validate(f"{path}:{pre}")))

@@ -18,7 +18,7 @@ h = discriminator hidden, J = number of body joints minus the root):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -347,20 +347,14 @@ class ModelNets:
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-_CONFIG_INT_FIELDS = ("feature_dim", "n_blocks", "kernel", "gn_groups", "gn_group_size",
-                      "ief_iters", "ief_hidden", "disc_hidden")
-
-
 def save_checkpoint(path, nets: ModelNets, step: int, adam_m=None, adam_v=None,
                     adam_steps=None):
-    """Write parameters, optimizer moments and the step counter."""
+    """Write the step counter, one ``config/<field>`` section per ``EncoderConfig``
+    field (in its default's dtype), parameters and optimizer moments."""
     sections = [("step", np.array([int(step)]))]
-    cfg = nets.cfg
-    for name in _CONFIG_INT_FIELDS:
-        sections.append((f"config/{name}", np.array([int(getattr(cfg, name))])))
-    sections.append(("config/dropout_rate", np.array([cfg.dropout_rate])))
-    sections.append(("config/delta_steps", np.array(sorted(cfg.delta_steps), dtype=np.int64)))
-    sections.append(("config/use_hal", np.array([int(cfg.use_hal)])))
+    for f in fields(EncoderConfig):
+        value = np.array(getattr(nets.cfg, f.name), dtype=np.asarray(f.default).dtype)
+        sections.append((f"config/{f.name}", value.reshape(-1)))
     named = nets.named_params()
     for name in sorted(named):
         p = named[name]
@@ -377,28 +371,22 @@ def save_checkpoint(path, nets: ModelNets, step: int, adam_m=None, adam_v=None,
 _PARAM_SECTIONS = ("param", "shape", "adam_m", "adam_v")   # per-parameter section prefixes
 
 
-def _moment(sec, key, shape, path):
-    arr = require(sec, key, path)
-    if arr.size != int(np.prod(shape)):
-        raise ValidationError(f"{path}: section '{key}' has {arr.size} values for shape {shape}")
-    return arr.reshape(shape)
-
-
 def load_checkpoint(path):
     """Rebuild nets (and optimizer moments, if present) from a checkpoint.
 
-    Returns (nets, step, adam_m, adam_v, adam_steps); the moment dicts are
-    empty when the checkpoint carries none.
+    Sections are looked up by name, so their order in the file does not
+    matter. Returns (nets, step, adam_m, adam_v, adam_steps); the moment
+    dicts are empty when the checkpoint carries none.
     """
     sec = read_container(path, CKPT_MAGIC)
-    kwargs = {name: int(require(sec, f"config/{name}", path)[0]) for name in _CONFIG_INT_FIELDS}
-    cfg = EncoderConfig(
-        dropout_rate=float(require(sec, "config/dropout_rate", path)[0]),
-        delta_steps=tuple(int(x) for x in require(sec, "config/delta_steps", path)),
-        use_hal=bool(int(require(sec, "config/use_hal", path)[0])),
-        **kwargs,
-    )
-    nets = ModelNets.create(cfg, seed=0)
+    cfg = {}
+    for f in fields(EncoderConfig):   # each value typed by its field's default
+        key = f"config/{f.name}"
+        if isinstance(f.default, tuple):
+            cfg[f.name] = tuple(type(f.default[0])(x) for x in require(sec, key, path))
+        else:
+            cfg[f.name] = type(f.default)(require(sec, key, path, ()))
+    nets = ModelNets.create(EncoderConfig(**cfg), seed=0)
     named = nets.named_params()
     for key in sec:
         prefix, _, name = key.partition("/")
@@ -406,20 +394,19 @@ def load_checkpoint(path):
             raise ValidationError(f"{path}: section '{key}' names no parameter of the configured "
                                   "architecture")
     for name, p in named.items():
-        data = require(sec, f"param/{name}", path)
-        shape = tuple(int(x) for x in require(sec, f"shape/{name}", path))
-        if shape != p.data.shape or data.size != p.data.size:
-            raise ValidationError(f"{path}: parameter {name} has shape {shape} with {data.size} "
-                                  f"values, the configured architecture needs {p.data.shape}")
-        p.data = data.reshape(shape)
-    step = int(require(sec, "step", path)[0])
+        shape = tuple(int(x) for x in require(sec, f"shape/{name}", path, (p.data.ndim,)))
+        if shape != p.data.shape:
+            raise ValidationError(f"{path}: parameter {name} has shape {shape}, the configured "
+                                  f"architecture needs {p.data.shape}")
+        p.data = require(sec, f"param/{name}", path, shape)
+    step = int(require(sec, "step", path, ()))
     adam_m, adam_v = {}, {}
     for name, p in named.items():
         if f"adam_m/{name}" in sec:
-            adam_m[name] = _moment(sec, f"adam_m/{name}", p.data.shape, path)
-            adam_v[name] = _moment(sec, f"adam_v/{name}", p.data.shape, path)
+            adam_m[name] = require(sec, f"adam_m/{name}", path, p.data.shape)
+            adam_v[name] = require(sec, f"adam_v/{name}", path, p.data.shape)
     adam_steps = None
     if "adam_steps" in sec:
-        raw = sec["adam_steps"]
-        adam_steps = {"gen": int(raw[0]), "disc": int(raw[1])}
+        gen, disc = require(sec, "adam_steps", path, (2,))
+        adam_steps = {"gen": int(gen), "disc": int(disc)}
     return nets, step, adam_m, adam_v, adam_steps

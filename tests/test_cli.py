@@ -10,12 +10,13 @@ import pytest
 import meshmotion
 from meshmotion import autodiff as ad
 from meshmotion import body, cli, data, losses, metrics, nets, training
-from meshmotion.container import ValidationError
+from meshmotion.container import ValidationError, read_container, write_container
 
-TINY_NET = ["--set", "feature_dim=24", "--set", "gn_groups=4", "--set", "gn_group_size=6",
-            "--set", "ief_hidden=16", "--set", "disc_hidden=8",
-            "--set", "seq_len=13", "--set", "batch_size=2",
-            "--set", "delta_centers_per_seq=1", "--set", "checkpoint_every=100000"]
+TINY_ARCH = ["--set", "feature_dim=24", "--set", "gn_groups=4", "--set", "gn_group_size=6",
+             "--set", "ief_hidden=16", "--set", "disc_hidden=8"]
+TINY_TRAIN = ["--set", "seq_len=13", "--set", "batch_size=2",
+              "--set", "delta_centers_per_seq=1", "--set", "checkpoint_every=100000"]
+TINY_NET = TINY_ARCH + TINY_TRAIN
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +168,31 @@ def test_train_resume_bit_identical(workdir, tmp_path):
     assert s_rows[4:] == r_rows[1:]
 
 
+@pytest.mark.parametrize("flag,key,value", [("--set", "ief_hidden", "64"),
+                                            ("--set", "use_hal", "false"),
+                                            ("--delta-steps", "delta_steps", "-3,3"),
+                                            ("--config", "kernel", "5")])
+def test_train_resume_rejects_conflicting_architecture(workdir, tmp_path, capsys, flag, key, value):
+    base = ["train", "--model", str(workdir / "model.bin"),
+            "--data", str(workdir / "data.bin"), "--steps", "1", "--seed", "5"]
+    first = tmp_path / "first"
+    assert cli.run(base + ["--out", str(first)] + TINY_NET) == 0
+    ckpt = first / "checkpoint.bin"
+    given = {"--set": ["--set", f"{key}={value}"], "--delta-steps": [f"--delta-steps={value}"],
+             "--config": ["--config", str(tmp_path / "arch.cfg")]}[flag]
+    (tmp_path / "arch.cfg").write_text(f"{key}={value}\n")
+    resumed = tmp_path / "resumed"
+    capsys.readouterr()
+    assert cli.run(base + ["--out", str(resumed), "--resume", str(ckpt)] + TINY_NET + given) == 2
+    err = capsys.readouterr().err
+    saved = nets.load_checkpoint(ckpt)[0].cfg
+    assert str(ckpt) in err and f"{key}={getattr(saved, key)!r}" in err, err
+    assert not resumed.exists()
+    # keys that are not given take the checkpoint's values
+    assert cli.run(base + ["--out", str(resumed), "--resume", str(ckpt)] + TINY_TRAIN) == 0
+    assert nets.load_checkpoint(resumed / "checkpoint.bin")[0].cfg == saved
+
+
 def test_train_losses_csv_byte_stable(workdir, tmp_path):
     base = ["train", "--model", str(workdir / "model.bin"),
             "--data", str(workdir / "data.bin"), "--steps", "3", "--seed", "5"] + TINY_NET
@@ -231,6 +257,30 @@ def trained(workdir, tmp_path_factory):
                     "--steps", "5", "--seed", "1"] + TINY_NET)
     assert code == 0
     return out / "checkpoint.bin"
+
+
+@pytest.mark.parametrize("kind,section,cut", [
+    ("ckpt", "step", 1), ("ckpt", "adam_steps", 1), ("data", "seq0/fps", 1),
+    ("data", "seq1/kp2d", 2), ("data", "feature_meta/qcam", 1), ("model", "template", 1)])
+def test_malformed_section_exits_validation(workdir, trained, tmp_path, capsys, kind, section, cut):
+    files = {"model": (workdir / "model.bin", body.MODEL_MAGIC),
+             "data": (workdir / "data.bin", data.DATA_MAGIC),
+             "ckpt": (trained, nets.CKPT_MAGIC)}
+    src, magic = files[kind]
+    bad = tmp_path / src.name
+    sections = read_container(src, magic)
+    sections[section] = sections[section][:-cut]
+    write_container(bad, magic, list(sections.items()))
+    paths = {name: str(bad if name == kind else path) for name, (path, _) in files.items()}
+    if section == "adam_steps":
+        argv = ["train", "--model", paths["model"], "--data", paths["data"],
+                "--out", str(tmp_path / "run"), "--steps", "1", "--resume", paths["ckpt"]] + TINY_NET
+    else:
+        argv = ["eval", "--model", paths["model"], "--ckpt", paths["ckpt"],
+                "--data", paths["data"], "--out", str(tmp_path / "eval")]
+    assert cli.run(argv) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and f"'{section}'" in err, err
 
 
 def test_eval_oracle_gt_reports_zero(workdir, trained, tmp_path):

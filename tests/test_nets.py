@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -298,6 +300,37 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert step == 42
     assert adam_steps == {"gen": 42, "disc": 41}
     assert loaded.cfg == cfg
+    orig = model.named_params()
+    for name, p in loaded.named_params().items():
+        assert np.array_equal(p.data, orig[name].data), name
+        assert np.array_equal(m2[name], adam_m[name]), name
+        assert np.array_equal(v2[name], adam_v[name]), name
+
+
+def test_checkpoint_config_round_trips_every_field(tmp_path):
+    cfg = nets.EncoderConfig(feature_dim=12, n_blocks=2, kernel=5, gn_groups=3, gn_group_size=4,
+                             ief_iters=2, ief_hidden=10, dropout_rate=0.25,
+                             delta_steps=(4, -2, -6), use_hal=False, disc_hidden=6)
+    default = nets.EncoderConfig()
+    assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in fields(cfg))
+    path = tmp_path / "ckpt.bin"
+    nets.save_checkpoint(path, nets.ModelNets.create(cfg, seed=2), step=7)
+    assert nets.load_checkpoint(path)[0].cfg == cfg
+
+
+def test_checkpoint_loads_sections_by_name(tmp_path):
+    model = nets.ModelNets.create(small_cfg(), seed=3)
+    rng = np.random.default_rng(4)
+    adam_m = {p.name: rng.standard_normal(p.data.shape) for p in model.all_params()}
+    adam_v = {name: np.abs(m) for name, m in adam_m.items()}
+    path = tmp_path / "ckpt.bin"
+    nets.save_checkpoint(path, model, step=9, adam_m=adam_m, adam_v=adam_v,
+                         adam_steps={"gen": 9, "disc": 8})
+    sections = list(read_container(path, nets.CKPT_MAGIC).items())
+    write_container(path, nets.CKPT_MAGIC, sections[::-1])
+    assert list(read_container(path, nets.CKPT_MAGIC))[0] == sections[-1][0]
+    loaded, step, m2, v2, adam_steps = nets.load_checkpoint(path)
+    assert (step, adam_steps, loaded.cfg) == (9, {"gen": 9, "disc": 8}, model.cfg)
     orig = model.named_params()
     for name, p in loaded.named_params().items():
         assert np.array_equal(p.data, orig[name].data), name
