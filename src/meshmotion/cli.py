@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import body, camera, data, losses, metrics, nets, training
-from .container import ValidationError
+from .container import ValidationError, replacing_open
 
 USAGE_EXIT, VALIDATION_EXIT, NUMERICAL_EXIT = 1, 2, 3
 
@@ -251,7 +251,7 @@ def cmd_predict(args) -> int:
         sections.extend([(f"theta_{tag}", theta_full), (f"joints_{tag}", pred[f"joints_{tag}"][0]),
                          (f"vertices_{tag}", verts[i])])
 
-    with open(args.out, "w") as fh:
+    with replacing_open(args.out, "x", newline="") as fh:
         fh.write(f"# dynamics dump: sequence {args.seq} frame {args.frame} "
                  f"steps {back:+d}/{fwd:+d}\n")
         for name, arr in sections:
@@ -261,30 +261,6 @@ def cmd_predict(args) -> int:
                 fh.write(" ".join(f"{v:.6f}" for v in row) + "\n")
     print(f"wrote past/current/future dump -> {args.out}")
     return 0
-
-
-def parse_prediction_dump(path):
-    """Read a cmd_predict dump back into {section: array} (flat arrays)."""
-    out = {}
-    name, want, buf = None, 0, []
-    for line in Path(path).read_text().splitlines():
-        if line.startswith("#") or not line.strip():
-            continue
-        if line.startswith("section "):
-            if name is not None and sum(len(b) for b in buf) != want:
-                raise ValidationError(f"{path}: section {name} is incomplete")
-            if name is not None:
-                out[name] = np.concatenate(buf) if buf else np.empty(0)
-            _, name, count = line.split()
-            want, buf = int(count), []
-        else:
-            buf.append(np.array([float(x) for x in line.split()]))
-    if name is not None:
-        arr = np.concatenate(buf) if buf else np.empty(0)
-        if arr.size != want:
-            raise ValidationError(f"{path}: section {name} is incomplete")
-        out[name] = arr
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +432,7 @@ def run_gradcheck(seed: int = 0, tol: float = 1e-4, out_path=None):
         ok_all &= passed
         rows.append((name, err, passed))
     if out_path is not None:
-        with open(out_path, "w") as fh:
+        with replacing_open(out_path, "x", newline="") as fh:
             fh.write("check,max_rel_err,pass\n")
             for name, err, passed in rows:
                 fh.write(f"{name},{err:.3e},{int(passed)}\n")

@@ -1,5 +1,5 @@
-"""Sequence datasets: synthetic motion generation, detection-track linking,
-frame filtering, and the on-disk container format.
+"""Sequence datasets: synthetic motion generation, frame filtering, and the
+on-disk container format.
 
 Synthetic sequences are produced by the body model itself: smooth pose
 trajectories drive the mesh, keypoints are rendered through the weak
@@ -11,10 +11,9 @@ so recovering temporal context from one frame is possible but not trivial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import autodiff as ad
 from . import body, camera
@@ -230,130 +229,6 @@ def gen_synthetic_dataset(model: body.BodyModel, n_seqs: int, n_frames: int, fps
             kp2d=kp2d, vis=vis, features=features, theta_gt=theta_gt)
         sequences.append(filter_frames(sample.validate("gen_synthetic_dataset")))
     return DatasetBundle(sequences=sequences, feature_meta=meta)
-
-
-# ---------------------------------------------------------------------------
-# Pseudo-ground-truth track building
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Keypoints2D:
-    """Image-space annotations: (k,2) coordinates plus per-point visibility."""
-
-    points: np.ndarray
-    vis: np.ndarray
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=np.float64)
-        self.vis = np.asarray(self.vis, dtype=bool)
-        if self.points.shape != (self.vis.shape[0], 2):
-            raise ValueError(f"keypoints {self.points.shape} vs visibility {self.vis.shape}")
-        if not np.all(np.isfinite(self.points[self.vis])):
-            raise ValueError("non-finite coordinates on visible keypoints")
-
-
-@dataclass
-class Detection:
-    kp2d: Keypoints2D
-    score: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.score <= 1.0:
-            raise ValidationError(f"detection score {self.score} outside [0, 1]")
-
-
-@dataclass
-class DetectionFrame:
-    detections: list = field(default_factory=list)
-
-
-@dataclass
-class Track:
-    person_id: int
-    frames: dict = field(default_factory=dict)       # frame index -> Keypoints2D
-    detection_ids: dict = field(default_factory=dict)  # frame index -> detection index
-    last_frame: int = -1
-
-    def add(self, t: int, det_idx: int, kp: Keypoints2D):
-        if t in self.frames:
-            raise ValidationError(f"track {self.person_id} already has frame {t}")
-        self.frames[t] = kp
-        self.detection_ids[t] = det_idx
-        self.last_frame = t
-
-
-def _pair_cost(kp_a: Keypoints2D, kp_b: Keypoints2D) -> float:
-    both = kp_a.vis & kp_b.vis
-    if not both.any():
-        return np.inf
-    d = np.linalg.norm(kp_a.points[both] - kp_b.points[both], axis=1)
-    return float(d.mean())
-
-
-def link_tracks(frames, max_dist: float, gap: int = 5):
-    """Greedy-over-time identity linking with optimal per-frame assignment.
-
-    Each frame's detections are matched to open tracks by minimizing the
-    total mean visible-keypoint distance (Hungarian assignment). Matches
-    costing more than ``max_dist`` open new tracks instead; tracks unmatched
-    for more than ``gap`` frames are closed.
-    """
-    tracks: list[Track] = []
-    active: list[Track] = []
-    for t, frame in enumerate(frames):
-        active = [tr for tr in active if t - tr.last_frame <= gap]
-        dets = list(frame.detections)
-        matched = set()
-        if active and dets:
-            cost = np.full((len(active), len(dets)), 1e12)
-            for i, tr in enumerate(active):
-                prev = tr.frames[tr.last_frame]
-                for j, det in enumerate(dets):
-                    c = _pair_cost(prev, det.kp2d)
-                    if np.isfinite(c):
-                        cost[i, j] = c
-            rows, cols = linear_sum_assignment(cost)
-            for i, j in zip(rows, cols):
-                if cost[i, j] <= max_dist:
-                    active[i].add(t, j, dets[j].kp2d)
-                    matched.add(j)
-        for j, det in enumerate(dets):
-            if j not in matched:
-                tr = Track(person_id=len(tracks))
-                tr.add(t, j, det.kp2d)
-                tracks.append(tr)
-                active.append(tr)
-    return tracks
-
-
-def import_detections(path, k: int):
-    """Read per-frame detection records from text.
-
-    Each line: ``frame person x1 y1 c1 ... xk yk ck``. Confidence <= 0 marks
-    an invisible point; a detection's score is its mean confidence clipped to
-    [0, 1]. Blank lines and '#' comments are skipped.
-    """
-    frames: dict[int, DetectionFrame] = {}
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2 + 3 * k:
-                raise ValidationError(
-                    f"{path}:{line_no}: expected {2 + 3 * k} fields for k={k}, got {len(parts)}")
-            t = int(parts[0])
-            vals = np.array([float(x) for x in parts[2:]]).reshape(k, 3)
-            vis = vals[:, 2] > 0
-            score = float(np.clip(vals[:, 2].mean(), 0.0, 1.0))
-            det = Detection(kp2d=Keypoints2D(points=vals[:, :2], vis=vis), score=score)
-            frames.setdefault(t, DetectionFrame()).detections.append(det)
-    if not frames:
-        return []
-    t_max = max(frames)
-    return [frames.get(t, DetectionFrame()) for t in range(t_max + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ import numpy as np
 from . import autodiff as ad
 from . import body, camera
 from .autodiff import NumericalError
+from .container import replacing_open
 from .training import forward
 
 MM = 1000.0
@@ -320,7 +321,7 @@ class MetricReport:
 
     def write_csv(self, path):
         cols = [f.name for f in fields(SequenceMetrics)]
-        with open(path, "w", newline="") as fh:
+        with replacing_open(path, "x", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(cols)
             for row in self.per_sequence:
@@ -334,7 +335,7 @@ class MetricReport:
     def write_dynamics_csv(self, path):
         if self.dynamics is None:
             raise ValueError("report carries no dynamics evaluation")
-        with open(path, "w", newline="") as fh:
+        with replacing_open(path, "x", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["method", "past_pa_mpjpe_mm", "current_pa_mpjpe_mm", "future_pa_mpjpe_mm"])
             d = self.dynamics

@@ -271,10 +271,6 @@ class DiscriminatorSet:
         shape_score = self.shape_out(ad.relu(self.shape_fc(ad.as_tensor(beta))))
         return ad.concat([joint_scores, all_score, shape_score], axis=1)
 
-    @property
-    def n_scores(self):
-        return N_BODY_JOINTS + 2
-
     def params(self):
         out = [self.joint_fc_w, self.joint_fc_b, self.joint_out_w, self.joint_out_b]
         out.extend(self.all_fc1.params() + self.all_fc2.params() + self.all_out.params())
@@ -338,9 +334,6 @@ class ModelNets:
 
     def named_params(self):
         return dict(self._registry)
-
-    def param_count(self):
-        return sum(p.size for p in self.all_params())
 
 
 # ---------------------------------------------------------------------------

@@ -2,18 +2,21 @@
 
 These deliberately avoid the library's own closed-form code paths: the grid
 searches evaluate raw objectives on dense grids, and the analytic values are
-hand-derived. The composite_* functions at the end are the references for
-the library's fused tape nodes: the same computation built node by node
-from autodiff primitives.
+hand-derived. The composite_* functions are the references for the
+library's fused tape nodes: the same computation built node by node from
+autodiff primitives. ``parse_prediction_dump`` reads the ``predict``
+command's text dump back for the tests that check it.
 """
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 
 from meshmotion import autodiff as ad
 from meshmotion import body, metrics, training
+from meshmotion.container import ValidationError
 
 
 def camera_grid_search(x, y, vis, s_range=(0.1, 3.0), t_range=(-3.0, 3.0), n=81):
@@ -332,3 +335,27 @@ def composite_rest_relative_transforms(model, shaped, theta):
                     ad.constant(np.ones((b * n, 1, 1)))], axis=1)
     posed = ad.matmul(ad.reshape(g, (b * n, 4, 4)), jh)
     return g, joints_rest, ad.reshape(posed[:, 0:3, :], (b, n, 3))
+
+
+def parse_prediction_dump(path):
+    """Read a cmd_predict dump back into {section: array} (flat arrays)."""
+    out = {}
+    name, want, buf = None, 0, []
+    for line in Path(path).read_text().splitlines():
+        if line.startswith("#") or not line.strip():
+            continue
+        if line.startswith("section "):
+            if name is not None and sum(len(b) for b in buf) != want:
+                raise ValidationError(f"{path}: section {name} is incomplete")
+            if name is not None:
+                out[name] = np.concatenate(buf) if buf else np.empty(0)
+            _, name, count = line.split()
+            want, buf = int(count), []
+        else:
+            buf.append(np.array([float(x) for x in line.split()]))
+    if name is not None:
+        arr = np.concatenate(buf) if buf else np.empty(0)
+        if arr.size != want:
+            raise ValidationError(f"{path}: section {name} is incomplete")
+        out[name] = arr
+    return out

@@ -11,6 +11,7 @@ import meshmotion
 from meshmotion import autodiff as ad
 from meshmotion import body, cli, data, losses, metrics, nets, training
 from meshmotion.container import ValidationError, read_container, write_container
+from oracles import parse_prediction_dump
 
 TINY_ARCH = ["--set", "feature_dim=24", "--set", "gn_groups=4", "--set", "gn_group_size=6",
              "--set", "ief_hidden=16", "--set", "disc_hidden=8"]
@@ -66,6 +67,14 @@ def test_missing_file_validation_error(tmp_path):
     assert code == 2
 
 
+def subprocess_env(drop=()):
+    """This environment without ``drop``, with the package's source on PYTHONPATH."""
+    env = {k: v for k, v in os.environ.items() if k not in drop}
+    src = str(Path(meshmotion.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_module_entrypoint_runs():
     out = subprocess.run([sys.executable, "-m", "meshmotion.cli", "--help"],
                          capture_output=True, text=True)
@@ -78,10 +87,7 @@ def test_module_entrypoint_runs():
 def test_blas_pin_warns_only_when_it_cannot_work(first, pinned):
     """Importing numpy first without OPENBLAS_NUM_THREADS leaves the host's
     thread count in place; that one order, and only it, must warn."""
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-    src = str(Path(meshmotion.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = subprocess_env(drop=("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
     if pinned:
         env["OPENBLAS_NUM_THREADS"] = "1"
     out = subprocess.run([sys.executable, "-W", "always", "-c",
@@ -89,6 +95,16 @@ def test_blas_pin_warns_only_when_it_cannot_work(first, pinned):
                          capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
     assert ("RuntimeWarning" in out.stderr) == (first == "numpy" and not pinned), out.stderr
+
+
+def test_package_does_not_import_scipy():
+    """scipy is a test-suite dependency only; the suite itself imports it, so
+    the check runs in a fresh interpreter."""
+    out = subprocess.run([sys.executable, "-c",
+                          "import sys, meshmotion.cli; print('scipy' in sys.modules)"],
+                         capture_output=True, text=True, env=subprocess_env())
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +408,7 @@ def test_predict_dump_parses_and_matches_recomputation(workdir, trained, tmp_pat
                     "--data", str(workdir / "data.bin"), "--seq", "0", "--frame", "7",
                     "--out", str(dump)])
     assert code == 0
-    sections = cli.parse_prediction_dump(dump)
+    sections = parse_prediction_dump(dump)
     for tag in ("past", "current", "future"):
         theta = sections[f"theta_{tag}"]
         assert theta.shape == (85,)
@@ -412,7 +428,7 @@ def test_predict_dump_matches_inference_rows(workdir, trained, tmp_path):
     assert cli.run(["predict", "--model", str(workdir / "model.bin"), "--ckpt", str(trained),
                     "--data", str(workdir / "data.bin"), "--seq", "0", "--frame", "7",
                     "--out", str(dump)]) == 0
-    sections = cli.parse_prediction_dump(dump)
+    sections = parse_prediction_dump(dump)
     # the whole sequence through the inference function; row 7 is the frame
     model = body.load_model(workdir / "model.bin")
     nets_model, _, _, _, _ = nets.load_checkpoint(trained)
@@ -438,7 +454,7 @@ def test_predict_untrained_net_outputs_mean_pose(workdir, tmp_path):
                     "--ckpt", str(out / "checkpoint.bin"),
                     "--data", str(workdir / "data.bin"), "--seq", "0", "--frame", "7",
                     "--out", str(dump)]) == 0
-    sections = cli.parse_prediction_dump(dump)
+    sections = parse_prediction_dump(dump)
     nets_model, _, _, _, _ = nets.load_checkpoint(out / "checkpoint.bin")
     mean_pose = nets_model.regressor.theta_mean.data[10:82]
     # small-initialized output layers keep an untrained net near the mean

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -100,127 +98,6 @@ def test_filter_frames_thresholds_at_six(toy_model):
     assert not s2.excluded[4]
     assert not s2.excluded[0]
     assert s2.n_frames == s.n_frames  # indices preserved
-
-
-# ---------------------------------------------------------------------------
-# track linking
-# ---------------------------------------------------------------------------
-
-
-def kp_at(center, k=8, spread=10.0):
-    pts = np.tile(np.asarray(center, dtype=float), (k, 1))
-    pts += np.linspace(0, spread, k)[:, None]
-    return data.Keypoints2D(points=pts, vis=np.ones(k, dtype=bool))
-
-
-def test_single_smooth_track():
-    frames = [data.DetectionFrame([data.Detection(kp_at((5.0 * t, 0.0)))]) for t in range(10)]
-    tracks = data.link_tracks(frames, max_dist=30.0)
-    assert len(tracks) == 1
-    assert sorted(tracks[0].frames) == list(range(10))
-
-
-def test_two_people_with_permuted_order_are_separated():
-    rng = np.random.default_rng(0)
-    frames = []
-    truth = []
-    for t in range(20):
-        a = data.Detection(kp_at((3.0 * t, 0.0)))
-        b = data.Detection(kp_at((3.0 * t, 500.0)))
-        if rng.random() < 0.5:
-            frames.append(data.DetectionFrame([a, b]))
-            truth.append({0: "A", 1: "B"})
-        else:
-            frames.append(data.DetectionFrame([b, a]))
-            truth.append({0: "B", 1: "A"})
-    tracks = data.link_tracks(frames, max_dist=50.0)
-    assert len(tracks) == 2
-    for tr in tracks:
-        labels = {truth[t][d] for t, d in tr.detection_ids.items()}
-        assert len(labels) == 1, "a track mixed identities"
-        assert sorted(tr.frames) == list(range(20))
-
-
-def test_hungarian_beats_greedy_on_cross_case():
-    # cost [[1, 10], [10, 1]]: optimal total is 2
-    f0 = data.DetectionFrame([data.Detection(kp_at((0.0, 0.0))), data.Detection(kp_at((100.0, 0.0)))])
-    f1 = data.DetectionFrame([data.Detection(kp_at((1.0, 0.0))), data.Detection(kp_at((101.0, 0.0)))])
-    tracks = data.link_tracks([f0, f1], max_dist=50.0)
-    assert len(tracks) == 2
-    for tr in tracks:
-        pts = [tr.frames[t].points[0, 0] for t in sorted(tr.frames)]
-        assert abs(pts[1] - pts[0]) == pytest.approx(1.0)
-
-
-def test_tracks_partition_detections():
-    rng = np.random.default_rng(1)
-    frames = []
-    for t in range(12):
-        dets = [data.Detection(kp_at((rng.uniform(0, 400), rng.uniform(0, 400))))
-                for _ in range(rng.integers(0, 4))]
-        frames.append(data.DetectionFrame(dets))
-    tracks = data.link_tracks(frames, max_dist=40.0)
-    seen = set()
-    for tr in tracks:
-        for t, d in tr.detection_ids.items():
-            assert (t, d) not in seen
-            seen.add((t, d))
-    total = sum(len(f.detections) for f in frames)
-    assert len(seen) == total
-
-
-def test_gap_tolerance_reconnects_and_expires():
-    def det(x):
-        return data.Detection(kp_at((x, 0.0)))
-
-    frames = [data.DetectionFrame([det(0.0)]), data.DetectionFrame([]),
-              data.DetectionFrame([]), data.DetectionFrame([det(3.0)])]
-    tracks = data.link_tracks(frames, max_dist=20.0, gap=5)
-    assert len(tracks) == 1
-    tracks = data.link_tracks(frames, max_dist=20.0, gap=1)
-    assert len(tracks) == 2
-
-
-def test_hungarian_assignment_is_optimal_up_to_6x6():
-    from scipy.optimize import linear_sum_assignment
-
-    rng = np.random.default_rng(2)
-    for n in range(2, 7):
-        for _ in range(20):
-            cost = rng.random((n, n))
-            rows, cols = linear_sum_assignment(cost)
-            got = cost[rows, cols].sum()
-            best = min(sum(cost[i, p[i]] for i in range(n))
-                       for p in itertools.permutations(range(n)))
-            assert got == pytest.approx(best, abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# detection import
-# ---------------------------------------------------------------------------
-
-
-def test_import_detections_roundtrip(tmp_path):
-    path = tmp_path / "dets.txt"
-    path.write_text(
-        "# frame person x y c ...\n"
-        "0 0 10 20 0.9 30 40 0.8\n"
-        "0 1 100 200 0.7 300 400 0.0\n"
-        "2 0 11 21 0.9 31 41 0.8\n")
-    frames = data.import_detections(path, k=2)
-    assert len(frames) == 3
-    assert len(frames[0].detections) == 2
-    assert len(frames[1].detections) == 0
-    det = frames[0].detections[1]
-    assert not det.kp2d.vis[1]  # zero confidence marks invisible
-    assert det.score == pytest.approx(0.35)
-
-
-def test_import_detections_rejects_bad_arity(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("0 0 1 2 3\n")
-    with pytest.raises(ValidationError):
-        data.import_detections(path, k=2)
 
 
 # ---------------------------------------------------------------------------

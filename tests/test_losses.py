@@ -127,8 +127,6 @@ def test_adv_generator_gradient_wrt_pose():
 
 def test_adv_discriminator_perfect_split_is_zero():
     class SplitDisc:
-        n_scores = 25
-
         def __call__(self, theta_pose, beta):
             m = ad.as_tensor(theta_pose).shape[0]
             val = 1.0 if float(ad.as_tensor(theta_pose).data[0, 0]) > 0 else 0.0

@@ -355,6 +355,23 @@ def test_evaluate_csv_is_byte_stable(eval_setup, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_failed_metrics_write_keeps_previous_csv(tmp_path):
+    path = tmp_path / "metrics.csv"
+    row = metrics.SequenceMetrics("s0", 3, 1.0, 2.0, 1.5, 10.0, 3.0, 2.5)
+    aggregate = {"n_frames_used": 3, "pck": 1.0, "mpjpe_mm": 2.0, "pa_mpjpe_mm": 1.5,
+                 "accel_err_mm_s2": 10.0, "mesh_posed_mm": 3.0, "mesh_unposed_mm": 2.5}
+    metrics.MetricReport([row], aggregate).write_csv(path)
+    before = path.read_bytes()
+    # the aggregate row is written last, after the header and a different
+    # per-sequence row, and lacks a key
+    partial = {k: v for k, v in aggregate.items() if k != "mesh_unposed_mm"}
+    with pytest.raises(KeyError):
+        metrics.MetricReport([metrics.SequenceMetrics("s1", 2, 0.5, 4.0, 3.0, 20.0, 5.0, 4.0)],
+                             partial).write_csv(path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.csv"]
+
+
 def test_dynamics_protocol_structure(eval_setup):
     model, model_nets, ds = eval_setup
     report = metrics.evaluate(model, model_nets, ds, dynamics=True, train_dataset=ds)
