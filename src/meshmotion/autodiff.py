@@ -622,17 +622,17 @@ def mean_(a, axis=None, keepdims=False) -> Tensor:
 # -- network building blocks -----------------------------------------------------
 
 
-def conv1d(x, w, b=None) -> Tensor:
+def conv1d(x, w, b) -> Tensor:
     """1-D convolution over time with zero 'same' padding.
 
-    x: (..., C_in, T), w: (C_out, C_in, K) with odd K, b: (C_out,) or None;
+    x: (..., C_in, T), w: (C_out, C_in, K) with odd K, b: (C_out,);
     the output is (..., C_out, T). Leading dims are a batch of independent
     sequences: the forward pass is one matmul broadcast over them, and the
     weight and bias gradients sum back over them. Output column t depends
     only on input columns [t-(K-1)/2, t+(K-1)/2] of its own sequence, which
     keeps receptive fields exact under zero padding.
     """
-    x, w = as_tensor(x), as_tensor(w)
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.ndim < 2 or w.ndim != 3:
         raise ShapeError(f"conv1d: expected x (...,C,T) and w (Co,Ci,K), got {tuple(x.shape)} and {tuple(w.shape)}")
     *lead, c_in, t_len = x.shape
@@ -641,10 +641,8 @@ def conv1d(x, w, b=None) -> Tensor:
         raise ShapeError(f"conv1d: channel mismatch, x has {c_in}, w expects {c_in_w}")
     if k % 2 != 1:
         raise ShapeError(f"conv1d: kernel size must be odd, got {k}")
-    if b is not None:
-        b = as_tensor(b)
-        if b.shape != (c_out,):
-            raise ShapeError(f"conv1d: bias shape {tuple(b.shape)} != ({c_out},)")
+    if b.shape != (c_out,):
+        raise ShapeError(f"conv1d: bias shape {tuple(b.shape)} != ({c_out},)")
     pad = (k - 1) // 2
     xp = np.pad(x.data, ((0, 0),) * len(lead) + ((0, 0), (pad, pad)))
     # cols[..., i*k + j, t] = xp[..., i, t + j]
@@ -652,15 +650,13 @@ def conv1d(x, w, b=None) -> Tensor:
     for j in range(k):
         cols[..., j::k, :] = xp[..., :, j:j + t_len]
     wmat = w.data.reshape(c_out, c_in * k)
-    out_data = np.matmul(wmat, cols)
-    if b is not None:
-        out_data = out_data + b.data[:, None]
+    out_data = np.matmul(wmat, cols) + b.data[:, None]
 
     def backward_fn(g):
         if w.requires_grad:
             w._accum_fresh(_unbroadcast(np.matmul(g, np.swapaxes(cols, -1, -2)),
                                         wmat.shape).reshape(c_out, c_in, k))
-        if b is not None and b.requires_grad:
+        if b.requires_grad:
             b._accum_fresh(_unbroadcast(g.sum(axis=-1), b.shape))
         if x.requires_grad:
             dcols = np.matmul(wmat.T, g)  # (..., C_in*K, T)
@@ -669,8 +665,7 @@ def conv1d(x, w, b=None) -> Tensor:
                 dxp[..., j:j + t_len] += dcols[..., j::k, :]
             x._accum_fresh(dxp[..., pad:pad + t_len] if pad else dxp)
 
-    parents = (x, w) if b is None else (x, w, b)
-    return _node(out_data, parents, backward_fn)
+    return _node(out_data, (x, w, b), backward_fn)
 
 
 def group_norm(x, gamma, beta, n_groups: int, eps: float = 1e-5) -> Tensor:

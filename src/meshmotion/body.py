@@ -1,7 +1,8 @@
 """Differentiable articulated body: shape blendshapes, kinematics, skinning.
 
-The mesh function takes 10 shape coefficients and 72 pose values (24 joints
-in axis-angle) and produces vertex positions in meters. Keypoints are a
+The mesh function takes rows of 10 shape coefficients and 72 pose values (24
+joints in axis-angle) and produces vertex positions in meters; every entry
+point takes row stacks, one row per frame, and nothing else. Keypoints are a
 linear regression of the mesh. All operations build autodiff graphs, so
 gradients flow from any downstream loss back into shape and pose.
 
@@ -199,25 +200,13 @@ class KeypointFold:
 
 
 def rodrigues(axis_angle) -> ad.Tensor:
-    """Axis-angle vector(s) to rotation matrix(es): (3,) -> (3,3), (M,3) -> (M,3,3).
+    """Axis-angle rows to rotation matrices: (M,3) -> (M,3,3), as one tape node.
 
-    Differentiable everywhere including the zero vector: below an angle of
-    1e-8 the sinc coefficients switch to their series, and the large-angle
-    branch uses the half-angle identity so (1-cos a)/a^2 never cancels.
-    """
-    v = ad.as_tensor(axis_angle)
-    single = v.ndim == 1
-    if single:
-        v = ad.reshape(v, (1, 3))
-    if v.ndim != 2 or v.shape[1] != 3:
-        raise ad.ShapeError(f"rodrigues expects (3,) or (M,3), got {tuple(axis_angle.shape)}")
-    m = v.shape[0]
-    rot = _rodrigues_rows(v, m)
-    return ad.reshape(rot, (3, 3)) if single else rot
-
-
-def _rodrigues_rows(v: ad.Tensor, m: int) -> ad.Tensor:
-    """(M,3) -> (M,3,3) as one tape node.
+    Rows only: a single (3,) vector is a ShapeError; pass it as a (1,3)
+    stack. Differentiable everywhere including the zero vector: below an
+    angle of 1e-8 the sinc coefficients switch to their series, and the
+    large-angle branch uses the half-angle identity so (1-cos a)/a^2 never
+    cancels.
 
     The forward pass is the formula R = I + c1 K + c2 K^2 with K the cross
     product matrix of v, c1 = sin(a)/a and c2 = (1 - cos(a))/a^2, written as
@@ -226,6 +215,10 @@ def _rodrigues_rows(v: ad.Tensor, m: int) -> ad.Tensor:
     accumulations the tape would perform, so gradients are bit-identical
     to the composite graph's.
     """
+    v = ad.as_tensor(axis_angle)
+    if v.ndim != 2 or v.shape[1] != 3:
+        raise ad.ShapeError(f"rodrigues expects (M,3) rows, got {tuple(v.shape)}")
+    m = v.shape[0]
     vd = v.data
     s = np.sum(vd * vd, axis=1, keepdims=True)                 # (M,1) angle^2
     small = (s < SMALL_ANGLE ** 2).astype(float)
@@ -285,13 +278,9 @@ def _rodrigues_rows(v: ad.Tensor, m: int) -> ad.Tensor:
 
 def _as_batch(t, width):
     t = ad.as_tensor(t)
-    if t.ndim == 1:
-        if t.shape[0] != width:
-            raise ad.ShapeError(f"expected ({width},) or (B,{width}), got {tuple(t.shape)}")
-        return ad.reshape(t, (1, width)), True
     if t.ndim != 2 or t.shape[1] != width:
-        raise ad.ShapeError(f"expected ({width},) or (B,{width}), got {tuple(t.shape)}")
-    return t, False
+        raise ad.ShapeError(f"expected (B,{width}) rows, got {tuple(t.shape)}")
+    return t
 
 
 def pose_rotations(theta) -> ad.Tensor:
@@ -402,13 +391,12 @@ def _fold_keypoints(fold: KeypointFold, g, beta) -> ad.Tensor:
 
 def shaped_template(model: BodyModel, beta) -> ad.Tensor:
     """Template plus blendshape offsets: (B,10) -> (B,N,3)."""
-    beta, single = _as_batch(beta, SHAPE_DIM)
+    beta = _as_batch(beta, SHAPE_DIM)
     b = beta.shape[0]
     n = model.n_vertices
     dirs_flat = ad.constant(np.transpose(model.shape_dirs, (2, 0, 1)).reshape(SHAPE_DIM, n * 3))
     offs = ad.reshape(ad.matmul(beta, dirs_flat), (b, n, 3))
-    shaped = ad.add(model.template, offs)
-    return shaped[0] if single else shaped
+    return ad.add(model.template, offs)
 
 
 def _posed_joints(g, joints_rest) -> ad.Tensor:
@@ -421,26 +409,24 @@ def _posed_joints(g, joints_rest) -> ad.Tensor:
 
 
 def _shape_and_pose(beta, theta):
-    """(beta (B,10), rotation block (B,24,3,3), single) for shape (10,) or
-    (B,10) and pose (72,), (B,72), (24,3,3) or (B,24,3,3)."""
-    beta_b, single_b = _as_batch(beta, SHAPE_DIM)
-    pose = ad.as_tensor(theta)
-    single_t = pose.ndim in (1, 3)
-    rots = pose_rotations(ad.reshape(pose, (1,) + tuple(pose.shape)) if single_t else pose)
-    if beta_b.shape[0] != rots.shape[0]:
-        raise ad.ShapeError(f"{beta_b.shape[0]} shape rows for {rots.shape[0]} pose rows")
-    return beta_b, rots, single_b and single_t
+    """(beta (B,10), rotation block (B,24,3,3)) for shape rows (B,10) and
+    pose rows (B,72) or their rotation block (B,24,3,3)."""
+    beta = _as_batch(beta, SHAPE_DIM)
+    rots = pose_rotations(theta)
+    if beta.shape[0] != rots.shape[0]:
+        raise ad.ShapeError(f"{beta.shape[0]} shape rows for {rots.shape[0]} pose rows")
+    return beta, rots
 
 
 def forward_kinematics(model: BodyModel, beta, theta):
-    """World transforms (...,24,4,4) and posed joints (...,24,3).
+    """World transforms (B,24,4,4) and posed joints (B,24,3).
 
     Joint j's transform composes its parent's with the local rotation about
     the shaped rest joint; joint 0 carries the global rotation. ``theta`` is
     pose rows or their rotation block, as for ``keypoints_3d``.
     """
-    beta_b, rots, single = _shape_and_pose(beta, theta)
-    shaped = shaped_template(model, beta_b)
+    beta, rots = _shape_and_pose(beta, theta)
+    shaped = shaped_template(model, beta)
     joints_rest = ad.matmul(model.rest_regressor, shaped)       # (B,24,3)
     g = _joint_transforms(model.parents, rots, joints_rest)
     joints_posed = _posed_joints(g, joints_rest)
@@ -449,30 +435,28 @@ def forward_kinematics(model: BodyModel, beta, theta):
     trans = ad.reshape(joints_posed, (b, N_JOINTS, 3, 1))
     bottom = ad.constant(np.broadcast_to(np.array([0.0, 0.0, 0.0, 1.0]), (b, N_JOINTS, 1, 4)))
     world = ad.concat([ad.concat([rot_world, trans], axis=3), bottom], axis=2)
-    if single:
-        return world[0], joints_posed[0]
     return world, joints_posed
 
 
 def skin(model, beta, theta, parts: bool = False):
     """Linear blend skinning under shape and pose.
 
-    ``model`` is a BodyModel, whose mesh vertices (...,N,3) come out, or its
-    ``keypoint_fold``, whose keypoints (...,k,3) come out without the mesh
-    being built. ``theta`` is pose rows or their rotation block, as for
-    ``keypoints_3d``. With ``parts`` (mesh only) the same pass returns
-    (vertices, shaped templates (...,N,3), posed joints (...,24,3)): the
-    zero-pose meshes and ``forward_kinematics``'s joints, bit for bit.
+    ``model`` is a BodyModel, whose mesh vertices (B,N,3) come out, or its
+    ``keypoint_fold``, whose keypoints (B,k,3) come out without the mesh
+    being built. ``beta`` is shape rows (B,10) and ``theta`` pose rows or
+    their rotation block, as for ``keypoints_3d``. With ``parts`` (mesh
+    only) the same pass returns (vertices, shaped templates (B,N,3), posed
+    joints (B,24,3)): the zero-pose meshes and ``forward_kinematics``'s
+    joints, bit for bit.
     """
-    beta_b, rots, single = _shape_and_pose(beta, theta)
-    b = beta_b.shape[0]
+    beta, rots = _shape_and_pose(beta, theta)
+    b = beta.shape[0]
     if isinstance(model, KeypointFold):
         # rest joints J_0 + J_dirs beta, as shaped_template adds its offsets
-        offs = ad.reshape(ad.matmul(beta_b, model.rest_dirs), (b, N_JOINTS, 3))
+        offs = ad.reshape(ad.matmul(beta, model.rest_dirs), (b, N_JOINTS, 3))
         g = _joint_transforms(model.parents, rots, ad.add(model.rest, offs))
-        out = _fold_keypoints(model, g, beta_b)
-        return out[0] if single else out
-    shaped = shaped_template(model, beta_b)
+        return _fold_keypoints(model, g, beta)
+    shaped = shaped_template(model, beta)
     joints_rest = ad.matmul(model.rest_regressor, shaped)
     g = _joint_transforms(model.parents, rots, joints_rest)
     n = model.n_vertices
@@ -482,34 +466,38 @@ def skin(model, beta, theta, parts: bool = False):
     moved = ad.matmul(ad.reshape(per_vertex, (b * n, 4, 4)), ad.reshape(vh, (b * n, 4, 1)))
     verts = shaped + ad.reshape(moved[:, 0:3, :], (b, n, 3))
     if not parts:
-        return verts[0] if single else verts
-    out = (verts, shaped, _posed_joints(g, joints_rest))
-    return tuple(t[0] for t in out) if single else out
+        return verts
+    return verts, shaped, _posed_joints(g, joints_rest)
 
 
 def regress_joints(model: BodyModel, vertices) -> ad.Tensor:
-    """Keypoint locations X = W @ vertices: (...,N,3) -> (...,k,3)."""
+    """Keypoint locations X = W @ vertices: (B,N,3) -> (B,k,3)."""
     v = ad.as_tensor(vertices)
-    single = v.ndim == 2
-    if single:
-        v = ad.reshape(v, (1,) + tuple(v.shape))
-    if v.shape[-2] != model.n_vertices:
-        raise ad.ShapeError(f"regress_joints: {v.shape[-2]} vertices != regressor columns "
-                            f"{model.n_vertices}")
-    x = ad.matmul(model.joint_regressor, v)
-    return x[0] if single else x
+    if v.ndim != 3 or v.shape[1:] != (model.n_vertices, 3):
+        raise ad.ShapeError(f"regress_joints expects (B,{model.n_vertices},3) vertex rows, "
+                            f"got {tuple(v.shape)}")
+    return ad.matmul(model.joint_regressor, v)
 
 
 def keypoints_3d(model: BodyModel, beta, theta) -> ad.Tensor:
-    """Keypoints under shape and pose: (...,k,3), equal to
+    """Keypoints under shape and pose: (B,k,3), equal to
     ``regress_joints(skin(model, ...))`` up to roundoff but without the mesh.
 
-    ``theta`` is pose rows, (72,) or (B,72), or their rotation block,
-    (24,3,3) or (B,24,3,3), which a caller that also needs the rotations
-    elsewhere converts once with ``pose_rotations``. The graph is the
-    folded rest joints, one node for the kinematic chain and one for the
-    folded skinning and regression (plus the conversion, for pose rows).
+    ``beta`` is shape rows (B,10) and ``theta`` pose rows (B,72) or their
+    rotation block (B,24,3,3), which a caller that also needs the rotations
+    elsewhere converts once with ``pose_rotations``. The graph is the folded
+    rest joints, one node for the kinematic chain and one for the folded
+    skinning and regression (plus the conversion, for pose rows).
+
+    One single-frame form is left: a (10,) shape vector with a (72,) pose
+    vector gives that frame's (k,3) keypoints, because the benchmark's
+    self-test (perfbench/test_perfbench.py) still calls it. Any other input
+    that is not a row stack is a ShapeError.
     """
+    beta, theta = ad.as_tensor(beta), ad.as_tensor(theta)
+    if beta.ndim == 1 and theta.ndim == 1:
+        one_row = (ad.reshape(beta, (1,) + beta.shape), ad.reshape(theta, (1,) + theta.shape))
+        return skin(model.keypoint_fold, *one_row)[0]
     return skin(model.keypoint_fold, beta, theta)
 
 

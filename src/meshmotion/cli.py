@@ -320,9 +320,9 @@ def _gradcheck_cases(seed):
         return (lambda: ad.sum_(body.rodrigues(v) * probe)), [v]
 
     def case_skin():
-        beta = ad.parameter(rng.normal(0, 0.4, 10), name="beta")
-        theta = ad.parameter(rng.normal(0, 0.3, 72), name="theta")
-        probe = ad.constant(rng.standard_normal((model.n_vertices, 3)))
+        beta = ad.parameter(rng.normal(0, 0.4, (1, 10)), name="beta")
+        theta = ad.parameter(rng.normal(0, 0.3, (1, 72)), name="theta")
+        probe = ad.constant(rng.standard_normal((1, model.n_vertices, 3)))
         return (lambda: ad.sum_(body.skin(model, beta, theta) * probe)), [beta, theta]
 
     def case_keypoints():

@@ -154,14 +154,13 @@ def _motion_fn(kind, rng, m_dofs, n_frames, fps):
 def gen_synthetic_dataset(model: body.BodyModel, n_seqs: int, n_frames: int, fps: float,
                           seed: int, motion_kind: str = "mixed", feature_dim: int = 64,
                           tier: str = "full3d", vis_dropout: float = 0.05,
-                          feature_noise: float = 0.02, kp_noise: float = 0.0,
-                          beta_scale: float = 0.3) -> DatasetBundle:
+                          feature_noise: float = 0.02, kp_noise: float = 0.0) -> DatasetBundle:
     """Sample a deterministic synthetic dataset from the body model.
 
-    Shape stays constant per sequence, pose follows smooth trajectories,
-    and a smooth camera path projects the regressed keypoints. Features are
-    Q @ [beta | q(t-2..t+2) | camera] (Q orthogonal, fixed per dataset) plus
-    seeded Gaussian noise.
+    Shape, drawn from N(0, 0.3^2) per coefficient, stays constant per
+    sequence, pose follows smooth trajectories, and a smooth camera path
+    projects the regressed keypoints. Features are Q @ [beta | q(t-2..t+2) |
+    camera] (Q orthogonal, fixed per dataset) plus seeded Gaussian noise.
     """
     if n_frames < 3:
         raise ValidationError(f"n_frames={n_frames} too short, need at least 3")
@@ -188,8 +187,7 @@ def gen_synthetic_dataset(model: body.BodyModel, n_seqs: int, n_frames: int, fps
     sequences = []
     for s_idx in range(n_seqs):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(200, s_idx)))
-        beta = rng.normal(0.0, beta_scale, body.SHAPE_DIM) if beta_scale > 0 \
-            else np.zeros(body.SHAPE_DIM)
+        beta = rng.normal(0.0, 0.3, body.SHAPE_DIM)
         q_fn = _motion_fn(motion_kind, rng, m_dofs, n_frames, fps)
 
         ts = np.arange(n_frames, dtype=np.float64)

@@ -41,15 +41,15 @@ class LossWeights:
 
 
 def raw_to_full(raw):
-    """Map raw regressor rows to prediction vectors: camera slot exp'd so scale > 0."""
+    """Map raw regressor rows (R,85) to prediction rows (R,85): the camera
+    scale slot is exp'd so scale > 0. Rows only: an (85,) vector is a
+    ShapeError."""
     r = ad.as_tensor(raw)
-    single = r.ndim == 1
-    if single:
-        r = ad.reshape(r, (1, THETA_DIM))
-    full = ad.concat([r[:, 0:CAM_SLICE.start],
+    if r.ndim != 2 or r.shape[1] != THETA_DIM:
+        raise ad.ShapeError(f"raw_to_full expects (R,{THETA_DIM}) rows, got {tuple(r.shape)}")
+    return ad.concat([r[:, 0:CAM_SLICE.start],
                       ad.exp(r[:, CAM_SLICE.start:CAM_SLICE.start + 1]),
                       r[:, CAM_SLICE.start + 1:]], axis=1)
-    return ad.reshape(full, (THETA_DIM,)) if single else full
 
 
 # ---------------------------------------------------------------------------
@@ -92,10 +92,11 @@ def loss_3d_rows(pred_full, gt_full):
 
 
 def beta_prior(beta):
-    """Squared norm of the shape coefficients (unit-Gaussian prior)."""
+    """Per-row squared norm of the shape coefficients (unit-Gaussian prior):
+    (R,10) -> (R,)."""
     b = ad.as_tensor(beta)
-    if b.ndim == 1:
-        return ad.sum_(b * b)
+    if b.ndim != 2 or b.shape[1] != SHAPE_DIM:
+        raise ad.ShapeError(f"beta_prior expects (R,{SHAPE_DIM}) rows, got {tuple(b.shape)}")
     return ad.sum_(b * b, axis=1)
 
 

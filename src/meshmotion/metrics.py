@@ -50,43 +50,45 @@ MM = 1000.0
 # ---------------------------------------------------------------------------
 
 
-def mpjpe(pred_joints, gt_joints, root_index: int = 0) -> float:
-    """Mean per-joint position error in mm after per-frame root centering."""
+def mpjpe(pred_joints, gt_joints) -> float:
+    """Mean per-joint position error in mm after per-frame root (joint 0) centering."""
     p = np.asarray(pred_joints, dtype=np.float64)
     g = np.asarray(gt_joints, dtype=np.float64)
     if p.shape != g.shape or p.ndim != 3:
         raise ValueError(f"mpjpe expects matching (T,k,3), got {p.shape} vs {g.shape}")
-    pc = p - p[:, root_index:root_index + 1]
-    gc = g - g[:, root_index:root_index + 1]
+    pc = p - p[:, 0:1]
+    gc = g - g[:, 0:1]
     return float(np.linalg.norm(pc - gc, axis=2).mean() * MM)
 
 
 @dataclass
 class ProcrustesResult:
-    """One alignment per item of the input stack; a single (k,3) input gives
-    plain float/bool scalars."""
+    """One alignment per item of the (...,k,3) input stack; every field is
+    an array over the stack's leading dims, also for a one-item stack."""
 
-    aligned: np.ndarray     # (...,k,3) transformed prediction
-    rotation: np.ndarray    # (...,3,3), det +1
-    scale: float | np.ndarray         # (...)
-    translation: np.ndarray           # (...,3)
-    residual: float | np.ndarray      # (...) sum of squared distances after alignment
-    degenerate: bool | np.ndarray     # (...) rank-deficient covariance: rotation not unique
+    aligned: np.ndarray      # (...,k,3) transformed prediction
+    rotation: np.ndarray     # (...,3,3), det +1
+    scale: np.ndarray        # (...)
+    translation: np.ndarray  # (...,3)
+    residual: np.ndarray     # (...) sum of squared distances after alignment
+    degenerate: np.ndarray   # (...) rank-deficient covariance: rotation not unique
 
 
 def procrustes_align(pred, gt) -> ProcrustesResult:
     """Best similarity transform (scale, rotation, translation) of pred onto gt.
 
-    Accepts matching (k,3) point sets or (...,k,3) stacks of them, aligned
-    item by item. Closed form via the covariance SVD (one stacked SVD for
-    the whole stack) with a per-item reflection guard keeping det(R) = +1.
+    Takes matching (...,k,3) stacks of point sets, aligned item by item; a
+    single (k,3) set is a ShapeError, pass it as a (1,k,3) stack. Closed
+    form via the covariance SVD (one stacked SVD for the whole stack) with
+    a per-item reflection guard keeping det(R) = +1.
     Degenerate (rank < 2) point sets are flagged: the returned rotation is
     then one of several equally good choices.
     """
     p = np.asarray(pred, dtype=np.float64)
     g = np.asarray(gt, dtype=np.float64)
-    if p.shape != g.shape or p.ndim < 2 or p.shape[-1] != 3 or p.shape[-2] < 3:
-        raise ValueError(f"procrustes_align expects matching (...,k>=3,3), got {p.shape} vs {g.shape}")
+    if p.shape != g.shape or p.ndim < 3 or p.shape[-1] != 3 or p.shape[-2] < 3:
+        raise ad.ShapeError(f"procrustes_align expects matching (...,k>=3,3) stacks, "
+                            f"got {p.shape} vs {g.shape}")
     k = p.shape[-2]
     mu_p = p.mean(axis=-2, keepdims=True)
     mu_g = g.mean(axis=-2, keepdims=True)
@@ -105,23 +107,19 @@ def procrustes_align(pred, gt) -> ProcrustesResult:
     aligned = (scale[..., None, None] * p) @ np.swapaxes(rot, -1, -2) + trans[..., None, :]
     residual = ((aligned - g) ** 2).reshape(var_p.shape + (3 * k,)).sum(axis=-1)
     degenerate = s_vals[..., 1] <= 1e-12 * np.maximum(s_vals[..., 0], 1e-300)
-    if p.ndim == 2:
-        return ProcrustesResult(aligned=aligned, rotation=rot, scale=float(scale),
-                                translation=trans, residual=float(residual),
-                                degenerate=bool(degenerate))
     return ProcrustesResult(aligned=aligned, rotation=rot, scale=scale,
                             translation=trans, residual=residual, degenerate=degenerate)
 
 
-def pa_mpjpe(pred_joints, gt_joints, root_index: int = 0, per_frame: bool = False):
+def pa_mpjpe(pred_joints, gt_joints, per_frame: bool = False):
     """MPJPE in mm after per-frame similarity alignment.
 
     The closed-form solve minimizes the squared error; the reported metric is
-    the mean distance, for which the root-matching translation can (rarely,
-    on badly wrong predictions) score better. Each frame keeps the better of
-    the two candidate alignments under the reported metric, which guarantees
-    pa_mpjpe <= mpjpe while coinciding with the standard alignment whenever
-    predictions are sane.
+    the mean distance, for which matching the root joints (joint 0) can
+    (rarely, on badly wrong predictions) score better. Each frame keeps the
+    better of the two candidate alignments under the reported metric, which
+    guarantees pa_mpjpe <= mpjpe while coinciding with the standard
+    alignment whenever predictions are sane.
 
     All frames of the (T,k,3) inputs are aligned in one stacked call. With
     ``per_frame`` the (T,) per-frame errors in mm are returned instead of
@@ -133,7 +131,7 @@ def pa_mpjpe(pred_joints, gt_joints, root_index: int = 0, per_frame: bool = Fals
         raise ValueError(f"pa_mpjpe expects matching (T,k,3), got {p.shape} vs {g.shape}")
     aligned = procrustes_align(p, g).aligned
     err_pa = np.linalg.norm(aligned - g, axis=-1).mean(axis=-1)
-    rooted = p - p[:, root_index:root_index + 1] + g[:, root_index:root_index + 1]
+    rooted = p - p[:, 0:1] + g[:, 0:1]
     err_root = np.linalg.norm(rooted - g, axis=-1).mean(axis=-1)
     errs = np.minimum(err_pa, err_root)
     if per_frame:

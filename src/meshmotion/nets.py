@@ -144,9 +144,10 @@ class TemporalEncoder:
 class IefRegressor:
     """Iterative-feedback regressor from context features to the 85-D vector.
 
-    Starts every row at the learned mean and applies ``iters`` shared-weight
-    correction steps: theta <- theta + mlp(concat(phi, theta)). Dropout masks
-    are pre-sampled by the caller (two per iteration) or omitted entirely.
+    Starts every row at the learned mean and applies ``cfg.ief_iters``
+    shared-weight correction steps: theta <- theta + mlp(concat(phi, theta)).
+    Dropout masks are pre-sampled by the caller (two per iteration) or
+    omitted entirely.
     """
 
     def __init__(self, cfg: EncoderConfig, rng):
@@ -157,10 +158,9 @@ class IefRegressor:
         self.out = Linear(rng, h, THETA_DIM, "f_3d.out", out_scale=0.01)
         self.theta_mean = ad.parameter(np.zeros(THETA_DIM), name="f_3d.theta_mean")
 
-    def __call__(self, phi, masks=None, iters=None):
-        iters = self.cfg.ief_iters if iters is None else iters
+    def __call__(self, phi, masks=None):
         theta = ad.broadcast_to(self.theta_mean, (phi.shape[0], THETA_DIM))
-        for i in range(iters):
+        for i in range(self.cfg.ief_iters):
             inp = ad.concat([phi, theta], axis=1)
             h1 = ad.relu(self.fc1(inp))
             if masks is not None:

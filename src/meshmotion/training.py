@@ -108,6 +108,8 @@ class BatchMixer:
     Dataset choice for a step follows a fixed ratio pattern; sequences within
     a dataset are drawn from per-epoch permutations. Everything is a pure
     function of (seed, step), so resuming never desynchronizes the stream.
+    ``metas[d]`` is pool d's FeatureMeta (or None), the camera directions
+    that jitter moves that dataset's features along.
     """
 
     def __init__(self, datasets, seq_len: int, batch_size: int, seed: int):
@@ -115,6 +117,7 @@ class BatchMixer:
         self.batch_size = batch_size
         self.seed = seed
         self.pools = []
+        self.metas = []
         pattern = []
         for d_idx, (bundle, ratio) in enumerate(datasets):
             usable = [s for s in bundle if s.n_frames >= seq_len]
@@ -123,6 +126,7 @@ class BatchMixer:
             if usable and ratio > 0:
                 pattern.extend([len(self.pools)] * int(ratio))
                 self.pools.append(usable)
+                self.metas.append(bundle.feature_meta)
             elif not usable:
                 log.warning("dataset %d has no sequences of length >= %d; skipped", d_idx, seq_len)
         if not pattern:
@@ -192,16 +196,18 @@ def jitter_window(kp, theta_gt, features, feature_meta, rng, cfg: TrainConfig):
 
 
 def build_real_pose_pool(datasets):
-    """The discriminator's real rows from every ground-truth-carrying sequence.
+    """The discriminator's real rows from every full3d sequence of the
+    datasets, ratio-0 ones included. Only that tier's 3-D truth may train
+    anything, the rule ``train_step``'s 3-D loss follows too.
 
-    Returns (beta (N,10), rotations (N,24,3,3)), or None without ground
-    truth. The poses are converted to rotations here, once per training
-    run, so a step only indexes them.
+    Returns (beta (N,10), rotations (N,24,3,3)), or None without full3d
+    ground truth. The poses are converted to rotations here, once per
+    training run, so a step only indexes them.
     """
     rows = []
     for bundle, _ratio in datasets:
         for s in bundle:
-            if s.theta_gt is not None:
+            if s.tier == "full3d" and s.theta_gt is not None:
                 rows.append(s.theta_gt[:, :82])
     if not rows:
         return None
@@ -223,8 +229,8 @@ def _require_finite_grads(step: int, params):
 
 def _require_real_pool(cfg: TrainConfig, real_pool):
     if cfg.weights.w_adv > 0 and real_pool is None:
-        raise ValidationError("adversarial prior enabled but no ground-truth poses "
-                              "are available for the discriminator")
+        raise ValidationError("adversarial prior enabled but no full3d ground-truth "
+                              "poses are available for the discriminator")
 
 
 def forward(model: body.BodyModel, nets_model: ModelNets, phis, delta_rows=(), drop_rng=None):
@@ -278,9 +284,10 @@ def train_step(model: body.BodyModel, state: TrainState, batch, cfg: TrainConfig
                feature_meta=None, real_pool=None):
     """One generator update followed by one discriminator update.
 
-    ``batch`` is a list of (SequenceSample, window_start) and ``real_pool``
-    is ``build_real_pose_pool``'s. Returns the loss breakdown dict (plain
-    floats); parameters and moments update in place. A non-finite loss term
+    ``batch`` is a list of (SequenceSample, window_start) drawn from one
+    dataset, ``feature_meta`` is that dataset's FeatureMeta (or None) and
+    ``real_pool`` is ``build_real_pose_pool``'s. Returns the loss breakdown
+    dict (plain floats); parameters and moments update in place. A non-finite loss term
     or gradient raises NumericalError naming it, before any parameter,
     moment or the step counter changes.
     """
@@ -473,7 +480,7 @@ def _cyclic_gc_paused():
 
 
 def train(model: body.BodyModel, state: TrainState, datasets, cfg: TrainConfig,
-          feature_meta=None, checkpoint_fn=None):
+          checkpoint_fn=None):
     """Run training up to cfg.steps (absolute step count; resumable).
 
     ``datasets`` is a list of (DatasetBundle, ratio). ``checkpoint_fn`` is
@@ -484,15 +491,11 @@ def train(model: body.BodyModel, state: TrainState, datasets, cfg: TrainConfig,
     real_pool = build_real_pose_pool(datasets)
     _require_real_pool(cfg, real_pool)
     mixer = BatchMixer(datasets, cfg.seq_len, cfg.batch_size, cfg.seed)
-    if feature_meta is None:
-        for bundle, _ in datasets:
-            if bundle.feature_meta is not None:
-                feature_meta = bundle.feature_meta
-                break
     with _cyclic_gc_paused():
         while state.step < cfg.steps:
             batch = mixer.batch(state.step)
-            train_step(model, state, batch, cfg, feature_meta=feature_meta, real_pool=real_pool)
+            meta = mixer.metas[mixer.dataset_for_step(state.step)]
+            train_step(model, state, batch, cfg, feature_meta=meta, real_pool=real_pool)
             if checkpoint_fn is not None and (state.step % cfg.checkpoint_every == 0
                                               or state.step >= cfg.steps):
                 checkpoint_fn(state)

@@ -61,8 +61,8 @@ def test_criterion_1_gradient_suite():
 
 
 def test_criterion_2_kinematics_identities(model):
-    verts = body.skin(model, np.zeros(10), np.zeros(72))
-    assert np.array_equal(verts.data, model.template), "zero-pose skinning not bit-exact"
+    verts = body.skin(model, np.zeros((1, 10)), np.zeros((1, 72)))
+    assert np.array_equal(verts.data[0], model.template), "zero-pose skinning not bit-exact"
 
     rng = np.random.default_rng(0)
     worst_orth = worst_det = 0.0
@@ -70,25 +70,25 @@ def test_criterion_2_kinematics_identities(model):
         for _ in range(50):
             d = rng.standard_normal(3)
             d /= np.linalg.norm(d)
-            r = body.rodrigues(ad.constant(d * norm)).data
+            r = body.rodrigues(ad.constant(d[None] * norm)).data[0]
             worst_orth = max(worst_orth, float(np.max(np.abs(r.T @ r - np.eye(3)))))
             worst_det = max(worst_det, abs(np.linalg.det(r) - 1.0))
     assert worst_orth < 1e-10 and worst_det < 1e-10
 
     worst_equiv = 0.0
     for trial in range(20):
-        theta = rng.normal(0, 0.4, 72)
-        beta = rng.normal(0, 0.5, 10)
-        aa = rng.normal(0, 1, 3)
+        theta = rng.normal(0, 0.4, (1, 72))
+        beta = rng.normal(0, 0.5, (1, 10))
+        aa = rng.normal(0, 1, (1, 3))
         theta_zero, theta_rot = theta.copy(), theta.copy()
-        theta_zero[:3] = 0.0
-        theta_rot[:3] = aa
-        v0 = body.skin(model, beta, theta_zero).data
-        v1 = body.skin(model, beta, theta_rot).data
+        theta_zero[:, :3] = 0.0
+        theta_rot[:, :3] = aa
+        v0 = body.skin(model, beta, theta_zero).data[0]
+        v1 = body.skin(model, beta, theta_rot).data[0]
         _, j0 = body.forward_kinematics(model, beta, theta_zero)
         _, j1 = body.forward_kinematics(model, beta, theta_rot)
-        rot = body.rodrigues(ad.constant(aa)).data
-        diff = (v1 - j1.data[0]) - (v0 - j0.data[0]) @ rot.T
+        rot = body.rodrigues(ad.constant(aa)).data[0]
+        diff = (v1 - j1.data[0, 0]) - (v0 - j0.data[0, 0]) @ rot.T
         worst_equiv = max(worst_equiv, float(np.max(np.abs(diff))))
     assert worst_equiv < 1e-9
     ok(f"criterion 2: template bit-exact; orthonormality {worst_orth:.1e} < 1e-10; "
@@ -130,10 +130,10 @@ def test_criterion_4_procrustes(model):
     rng = np.random.default_rng(3)
     for trial in range(10):
         p = rng.standard_normal((6, 3))
-        rot = body.rodrigues(ad.constant(rng.standard_normal(3))).data
+        rot = body.rodrigues(ad.constant(rng.standard_normal((1, 3)))).data[0]
         g = rng.uniform(0.5, 2.0) * p @ rot.T + rng.standard_normal(3) \
             + 0.3 * rng.standard_normal((6, 3))
-        closed = metrics.procrustes_align(p, g).residual
+        closed = metrics.procrustes_align(p[None], g[None]).residual[0]
         grid, sgg = procrustes_grid_search(p, g, step_deg=2.0)
         tol = sgg * np.deg2rad(2.0) ** 2
         assert closed <= grid + 1e-9, f"trial {trial}: closed above grid"

@@ -91,7 +91,7 @@ def test_conv1d_identity_kernel():
     w = np.zeros((4, 4, 1))
     for i in range(4):
         w[i, i, 0] = 1.0
-    out = ad.conv1d(sig, ad.constant(w))
+    out = ad.conv1d(sig, ad.constant(w), ad.constant(np.zeros(4)))
     assert np.array_equal(out.data, sig.data)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from meshmotion import autodiff as ad
-from meshmotion import body
+from meshmotion import body, losses, metrics
 from meshmotion.container import ValidationError
 from oracles import composite_rest_relative_transforms, composite_rodrigues
 
@@ -23,13 +23,13 @@ def np_rod(v):
 
 
 def test_rodrigues_zero_is_exact_identity():
-    r = body.rodrigues(ad.constant(np.zeros(3)))
-    assert np.array_equal(r.data, np.eye(3))
+    r = body.rodrigues(ad.constant(np.zeros((1, 3))))
+    assert np.array_equal(r.data[0], np.eye(3))
 
 
 def test_rodrigues_quarter_turn_about_z():
-    r = body.rodrigues(ad.constant([0.0, 0.0, np.pi / 2]))
-    rotated = r.data @ np.array([1.0, 0.0, 0.0])
+    r = body.rodrigues(ad.constant([[0.0, 0.0, np.pi / 2]]))
+    rotated = r.data[0] @ np.array([1.0, 0.0, 0.0])
     assert np.allclose(rotated, [0.0, 1.0, 0.0], atol=1e-12)
 
 
@@ -48,7 +48,7 @@ def test_rodrigues_orthonormal_with_unit_det(norm):
     for _ in range(25):
         d = rng.standard_normal(3)
         d /= np.linalg.norm(d)
-        r = body.rodrigues(ad.constant(d * norm)).data
+        r = body.rodrigues(ad.constant(d[None] * norm)).data[0]
         assert np.max(np.abs(r.T @ r - np.eye(3))) < 1e-10
         assert abs(np.linalg.det(r) - 1.0) < 1e-10
 
@@ -57,7 +57,7 @@ def test_rodrigues_matches_numpy_oracle():
     rng = np.random.default_rng(4)
     for _ in range(200):
         v = rng.normal(0, 2.0, 3)
-        assert np.allclose(body.rodrigues(ad.constant(v)).data, np_rod(v), atol=1e-12)
+        assert np.allclose(body.rodrigues(ad.constant(v[None])).data[0], np_rod(v), atol=1e-12)
 
 
 def test_fused_rodrigues_matches_composite_graph_bit_for_bit():
@@ -80,8 +80,8 @@ def test_fused_rodrigues_matches_composite_graph_bit_for_bit():
 def test_rodrigues_gradient_including_near_zero():
     rng = np.random.default_rng(5)
     for scale in (1.0, 1e-3, 1e-7, 0.0):
-        v = ad.parameter(rng.standard_normal(3) * scale, name="v")
-        probe = ad.constant(rng.standard_normal((3, 3)))
+        v = ad.parameter(rng.standard_normal((1, 3)) * scale, name="v")
+        probe = ad.constant(rng.standard_normal((1, 3, 3)))
         err = ad.finite_diff_check(lambda: ad.sum_(ad.mul(body.rodrigues(v), probe)), v)
         assert err < 1e-4, f"scale {scale}: {err}"
 
@@ -92,27 +92,28 @@ def test_rodrigues_gradient_including_near_zero():
 
 
 def test_fk_zero_pose_reproduces_rest_joints_exactly(toy_model):
-    shaped = body.shaped_template(toy_model, ad.constant(np.zeros(10)))
+    shaped = body.shaped_template(toy_model, ad.constant(np.zeros((1, 10))))
     rest = toy_model.rest_regressor @ shaped.data
-    _, posed = body.forward_kinematics(toy_model, np.zeros(10), np.zeros(72))
+    _, posed = body.forward_kinematics(toy_model, np.zeros((1, 10)), np.zeros((1, 72)))
     assert np.array_equal(posed.data, rest)
 
 
 def test_fk_root_rotation_rotates_all_joints(scaffold_model):
     aa = np.array([0.3, -0.2, 0.9])
-    theta = np.zeros(72)
-    theta[:3] = aa
-    _, posed = body.forward_kinematics(scaffold_model, np.zeros(10), theta)
+    theta = np.zeros((1, 72))
+    theta[0, :3] = aa
+    _, posed = body.forward_kinematics(scaffold_model, np.zeros((1, 10)), theta)
     expected = body.REST_SCAFFOLD @ np_rod(aa).T  # pelvis is at the origin
-    assert np.allclose(posed.data, expected, atol=1e-12)
+    assert np.allclose(posed.data[0], expected, atol=1e-12)
 
 
 def test_fk_two_link_arm_hand_case(scaffold_model):
     # 90 degree z-rotation at the left elbow: the wrist offset (+x from the
     # elbow in rest) must come out along +y relative to the posed elbow.
-    theta = np.zeros(72)
-    theta[18 * 3 + 2] = np.pi / 2
-    _, posed = body.forward_kinematics(scaffold_model, np.zeros(10), theta)
+    theta = np.zeros((1, 72))
+    theta[0, 18 * 3 + 2] = np.pi / 2
+    _, posed = body.forward_kinematics(scaffold_model, np.zeros((1, 10)), theta)
+    posed = posed[0]
     elbow = body.REST_SCAFFOLD[18]
     wrist_rest = body.REST_SCAFFOLD[20]
     offset = wrist_rest - elbow
@@ -128,11 +129,11 @@ def test_fk_two_link_arm_hand_case(scaffold_model):
 
 def test_fk_world_transforms_carry_posed_joints(toy_model):
     rng = np.random.default_rng(6)
-    theta = rng.normal(0, 0.4, 72)
-    world, posed = body.forward_kinematics(toy_model, np.zeros(10), theta)
-    assert world.shape == (24, 4, 4)
-    assert np.allclose(world.data[:, :3, 3], posed.data, atol=1e-12)
-    assert np.allclose(world.data[:, 3], np.tile([0, 0, 0, 1], (24, 1)), atol=0)
+    theta = rng.normal(0, 0.4, (1, 72))
+    world, posed = body.forward_kinematics(toy_model, np.zeros((1, 10)), theta)
+    assert world.shape == (1, 24, 4, 4)
+    assert np.allclose(world.data[:, :, :3, 3], posed.data, atol=1e-12)
+    assert np.allclose(world.data[0, :, 3], np.tile([0, 0, 0, 1], (24, 1)), atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +142,8 @@ def test_fk_world_transforms_carry_posed_joints(toy_model):
 
 
 def test_skin_zero_pose_zero_shape_is_template_bitexact(toy_model):
-    verts = body.skin(toy_model, np.zeros(10), np.zeros(72))
-    assert np.array_equal(verts.data, toy_model.template)
+    verts = body.skin(toy_model, np.zeros((1, 10)), np.zeros((1, 72)))
+    assert np.array_equal(verts.data[0], toy_model.template)
     # at zero pose any shape gives its shaped template, bit for bit, in
     # stacks of any size (metrics.mesh_errors relies on it)
     rng = np.random.default_rng(11)
@@ -153,45 +154,46 @@ def test_skin_zero_pose_zero_shape_is_template_bitexact(toy_model):
 
 
 def test_skin_unit_beta_adds_blendshape_column_exactly(toy_model):
-    beta = np.zeros(10)
-    beta[0] = 1.0
-    verts = body.skin(toy_model, beta, np.zeros(72))
-    assert np.array_equal(verts.data, toy_model.template + toy_model.shape_dirs[:, :, 0])
+    beta = np.zeros((1, 10))
+    beta[0, 0] = 1.0
+    verts = body.skin(toy_model, beta, np.zeros((1, 72)))
+    assert np.array_equal(verts.data[0], toy_model.template + toy_model.shape_dirs[:, :, 0])
 
 
 def test_skin_single_weight_vertex_follows_joint_rigidly(scaffold_model):
     rng = np.random.default_rng(7)
-    theta = rng.normal(0, 0.5, 72)
-    verts = body.skin(scaffold_model, np.zeros(10), theta).data
-    _, posed = body.forward_kinematics(scaffold_model, np.zeros(10), theta)
+    theta = rng.normal(0, 0.5, (1, 72))
+    verts = body.skin(scaffold_model, np.zeros((1, 10)), theta).data
+    _, posed = body.forward_kinematics(scaffold_model, np.zeros((1, 10)), theta)
     # every scaffold vertex has weight 1.0 on its own joint and sits at it
     assert np.allclose(verts, posed.data, atol=1e-12)
 
 
 def test_skin_affine_in_beta(toy_model):
     rng = np.random.default_rng(8)
-    b1, b2 = rng.normal(0, 1, 10), rng.normal(0, 1, 10)
-    base = body.skin(toy_model, np.zeros(10), np.zeros(72)).data
-    s1 = body.skin(toy_model, b1, np.zeros(72)).data - base
-    s2 = body.skin(toy_model, b2, np.zeros(72)).data - base
-    s12 = body.skin(toy_model, b1 + b2, np.zeros(72)).data - base
+    b1, b2 = rng.normal(0, 1, (1, 10)), rng.normal(0, 1, (1, 10))
+    zero_pose = np.zeros((1, 72))
+    base = body.skin(toy_model, np.zeros((1, 10)), zero_pose).data
+    s1 = body.skin(toy_model, b1, zero_pose).data - base
+    s2 = body.skin(toy_model, b2, zero_pose).data - base
+    s12 = body.skin(toy_model, b1 + b2, zero_pose).data - base
     assert np.max(np.abs(s12 - (s1 + s2))) < 1e-9
 
 
 def test_skin_global_rotation_equivariance_pelvis_centered(toy_model):
     rng = np.random.default_rng(9)
-    theta = rng.normal(0, 0.4, 72)
+    theta = rng.normal(0, 0.4, (1, 72))
     theta_rot = theta.copy()
     aa = rng.normal(0, 1, 3)
-    theta[:3] = 0.0
-    theta_rot[:3] = aa
-    beta = rng.normal(0, 0.5, 10)
-    v0 = body.skin(toy_model, beta, theta).data
-    v1 = body.skin(toy_model, beta, theta_rot).data
+    theta[0, :3] = 0.0
+    theta_rot[0, :3] = aa
+    beta = rng.normal(0, 0.5, (1, 10))
+    v0 = body.skin(toy_model, beta, theta).data[0]
+    v1 = body.skin(toy_model, beta, theta_rot).data[0]
     _, j0 = body.forward_kinematics(toy_model, beta, theta)
     _, j1 = body.forward_kinematics(toy_model, beta, theta_rot)
-    centered0 = v0 - j0.data[0]
-    centered1 = v1 - j1.data[0]
+    centered0 = v0 - j0.data[0, 0]
+    centered1 = v1 - j1.data[0, 0]
     assert np.max(np.abs(centered1 - centered0 @ np_rod(aa).T)) < 1e-9
 
 
@@ -201,9 +203,9 @@ def test_skin_batched_matches_per_frame(toy_model):
     thetas = rng.normal(0, 0.4, (3, 72))
     batched = body.skin(toy_model, ad.constant(betas), ad.constant(thetas)).data
     for i in range(3):
-        single = body.skin(toy_model, betas[i], thetas[i]).data
+        one_row = body.skin(toy_model, betas[i:i + 1], thetas[i:i + 1]).data
         # batched BLAS calls may sum in a different order; agreement is to roundoff
-        assert np.allclose(batched[i], single, atol=1e-12, rtol=0)
+        assert np.allclose(batched[i:i + 1], one_row, atol=1e-12, rtol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +222,8 @@ def test_regress_one_hot_rows_select_vertices(toy_model):
         template=toy_model.template, shape_dirs=toy_model.shape_dirs,
         joint_regressor=w, parents=toy_model.parents,
         skin_weights=toy_model.skin_weights, rest_regressor=toy_model.rest_regressor)
-    x = body.regress_joints(picker, ad.constant(toy_model.template))
-    assert np.array_equal(x.data, toy_model.template[[0, 5, 17, n - 1]])
+    x = body.regress_joints(picker, ad.constant(toy_model.template[None]))
+    assert np.array_equal(x.data[0], toy_model.template[[0, 5, 17, n - 1]])
 
 
 def test_regress_uniform_row_is_centroid(toy_model):
@@ -231,13 +233,13 @@ def test_regress_uniform_row_is_centroid(toy_model):
         template=toy_model.template, shape_dirs=toy_model.shape_dirs,
         joint_regressor=w, parents=toy_model.parents,
         skin_weights=toy_model.skin_weights, rest_regressor=toy_model.rest_regressor)
-    x = body.regress_joints(m, ad.constant(toy_model.template))
-    assert np.allclose(x.data[0], toy_model.template.mean(axis=0), atol=1e-12)
+    x = body.regress_joints(m, ad.constant(toy_model.template[None]))
+    assert np.allclose(x.data[0, 0], toy_model.template.mean(axis=0), atol=1e-12)
 
 
 def test_regress_rejects_wrong_vertex_count(toy_model):
     with pytest.raises(ad.ShapeError):
-        body.regress_joints(toy_model, ad.constant(np.zeros((10, 3))))
+        body.regress_joints(toy_model, ad.constant(np.zeros((1, 10, 3))))
 
 
 def test_regress_rows_built_from_rest_geometry_recover_rest(toy_model):
@@ -248,8 +250,8 @@ def test_regress_rows_built_from_rest_geometry_recover_rest(toy_model):
         template=toy_model.template, shape_dirs=toy_model.shape_dirs,
         joint_regressor=rows, parents=toy_model.parents,
         skin_weights=toy_model.skin_weights, rest_regressor=toy_model.rest_regressor)
-    verts = body.skin(m, np.zeros(10), np.zeros(72))
-    x = body.regress_joints(m, verts).data
+    verts = body.skin(m, np.zeros((1, 10)), np.zeros((1, 72)))
+    x = body.regress_joints(m, verts).data[0]
     rest = toy_model.rest_regressor @ toy_model.template
     assert np.allclose(x, rest[body.KEYPOINT_JOINTS[:14]], atol=1e-12)
 
@@ -280,8 +282,8 @@ def test_toy_model_invariants_over_seeds(seed):
     assert np.max(np.abs(m.joint_regressor.sum(axis=1) - 1)) < 1e-9
     assert np.max(np.abs(m.rest_regressor.sum(axis=1) - 1)) < 1e-9
     # kinematic identities hold on every seed
-    verts = body.skin(m, np.zeros(10), np.zeros(72))
-    assert np.array_equal(verts.data, m.template)
+    verts = body.skin(m, np.zeros((1, 10)), np.zeros((1, 72)))
+    assert np.array_equal(verts.data[0], m.template)
     dirs_flat = m.shape_dirs.reshape(-1, 10)
     assert np.max(np.abs(dirs_flat.T @ dirs_flat - np.eye(10))) < 1e-9
     # pelvis rest joint sits at the origin (within roundoff)
@@ -344,9 +346,9 @@ def test_model_load_rejects_bad_regressor_row(toy_model, tmp_path):
 
 def test_skin_gradients_wrt_beta_and_theta(toy_model):
     rng = np.random.default_rng(11)
-    beta = ad.parameter(rng.normal(0, 0.5, 10), name="beta")
-    theta = ad.parameter(rng.normal(0, 0.4, 72), name="theta")
-    probe = ad.constant(rng.standard_normal((toy_model.n_vertices, 3)))
+    beta = ad.parameter(rng.normal(0, 0.5, (1, 10)), name="beta")
+    theta = ad.parameter(rng.normal(0, 0.4, (1, 72)), name="theta")
+    probe = ad.constant(rng.standard_normal((1, toy_model.n_vertices, 3)))
 
     def loss():
         return ad.sum_(ad.mul(body.skin(toy_model, beta, theta), probe))
@@ -396,11 +398,11 @@ def test_skin_builds_no_posed_joints(toy_model, monkeypatch):
 
 def test_skin_gradients_near_zero_pose(toy_model):
     rng = np.random.default_rng(12)
-    theta = ad.parameter(np.zeros(72), name="theta")
-    probe = ad.constant(rng.standard_normal((toy_model.n_vertices, 3)))
+    theta = ad.parameter(np.zeros((1, 72)), name="theta")
+    probe = ad.constant(rng.standard_normal((1, toy_model.n_vertices, 3)))
 
     def loss():
-        return ad.sum_(ad.mul(body.skin(toy_model, ad.constant(np.zeros(10)), theta), probe))
+        return ad.sum_(ad.mul(body.skin(toy_model, ad.constant(np.zeros((1, 10))), theta), probe))
 
     err = ad.finite_diff_check(loss, theta, max_coords=24, rng=np.random.default_rng(2))
     assert err < 1e-4
@@ -435,3 +437,36 @@ def test_folded_keypoints_match_skin_then_regress(toy_model, rows, pose_scale):
     # the rotation block of the same rows gives the same keypoints, bit for bit
     rots = body.pose_rotations(ad.constant(theta.data))
     assert np.array_equal(body.keypoints_3d(toy_model, beta, rots).data, results[0][0])
+
+
+# ---------------------------------------------------------------------------
+# rows only
+# ---------------------------------------------------------------------------
+
+ROWS_ONLY = {
+    "rodrigues": lambda m: body.rodrigues(np.zeros(3)),
+    "shaped_template": lambda m: body.shaped_template(m, np.zeros(10)),
+    "forward_kinematics": lambda m: body.forward_kinematics(m, np.zeros(10), np.zeros(72)),
+    "skin_single_shape": lambda m: body.skin(m, np.zeros(10), np.zeros((1, 72))),
+    "skin_single_pose": lambda m: body.skin(m, np.zeros((1, 10)), np.zeros(72)),
+    "skin_single_rotations": lambda m: body.skin(m, np.zeros((1, 10)), np.tile(np.eye(3), (24, 1, 1))),
+    "keypoints_3d_single_shape": lambda m: body.keypoints_3d(m, np.zeros(10), np.zeros((1, 72))),
+    "keypoints_3d_single_pose": lambda m: body.keypoints_3d(m, np.zeros((1, 10)), np.zeros(72)),
+    "regress_joints": lambda m: body.regress_joints(m, m.template),
+    "raw_to_full": lambda m: losses.raw_to_full(np.zeros(85)),
+    "beta_prior": lambda m: losses.beta_prior(np.zeros(10)),
+    "procrustes_align": lambda m: metrics.procrustes_align(m.template[:6], m.template[:6]),
+}
+
+
+def test_keypoints_3d_single_frame_form_is_its_one_row_batch(toy_model):
+    rng = np.random.default_rng(24)
+    beta, pose = rng.normal(0, 0.5, 10), rng.normal(0, 0.4, 72)
+    one_row = body.keypoints_3d(toy_model, beta[None], pose[None]).data
+    assert np.array_equal(body.keypoints_3d(toy_model, beta, pose).data, one_row[0])
+
+
+@pytest.mark.parametrize("name", sorted(ROWS_ONLY))
+def test_single_item_input_is_a_shape_error(toy_model, name):
+    with pytest.raises(ad.ShapeError):
+        ROWS_ONLY[name](toy_model)

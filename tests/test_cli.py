@@ -413,7 +413,7 @@ def test_predict_dump_parses_and_matches_recomputation(workdir, trained, tmp_pat
         theta = sections[f"theta_{tag}"]
         assert theta.shape == (85,)
         verts = sections[f"vertices_{tag}"].reshape(model.n_vertices, 3)
-        recomputed = body.skin(model, theta[:10], theta[10:82]).data
+        recomputed = body.skin(model, theta[None, :10], theta[None, 10:82]).data[0]
         assert np.allclose(verts, recomputed, atol=1e-5)  # dump is 6-decimal text
     # hallucinated current prediction equals regressor(hallucinator(phi))
     bundle = data.load_dataset(workdir / "data.bin")

@@ -180,11 +180,11 @@ def test_discriminator_training_separates_toy_clusters():
 
 
 def test_beta_prior_values_and_gradient():
-    assert losses.beta_prior(ad.constant(np.zeros(10))).item() == 0.0
-    e1 = np.zeros(10)
-    e1[0] = 1.0
+    assert losses.beta_prior(ad.constant(np.zeros((1, 10)))).item() == 0.0
+    e1 = np.zeros((1, 10))
+    e1[0, 0] = 1.0
     assert losses.beta_prior(ad.constant(e1)).item() == 1.0
-    p = ad.parameter(np.random.default_rng(8).standard_normal(10))
+    p = ad.parameter(np.random.default_rng(8).standard_normal((1, 10)))
     losses.beta_prior(p).backward()
     assert np.allclose(p.grad, 2 * p.data, atol=1e-14)
 
@@ -287,8 +287,8 @@ def test_frame_loss_full_composite_gradient(toy_model):
 
 
 def test_raw_to_full_exponentiates_scale():
-    raw = np.zeros(85)
-    raw[82] = np.log(2.5)
+    raw = np.zeros((1, 85))
+    raw[0, 82] = np.log(2.5)
     full = losses.raw_to_full(ad.constant(raw))
-    assert full.data[82] == pytest.approx(2.5, abs=1e-12)
-    assert np.all(full.data[:82] == raw[:82])
+    assert full.data[0, 82] == pytest.approx(2.5, abs=1e-12)
+    assert np.all(full.data[:, :82] == raw[:, :82])

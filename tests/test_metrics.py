@@ -9,7 +9,7 @@ from oracles import (evaluate_per_sequence, nearest_neighbor_dynamics, pa_error_
 def random_rotation(rng):
     a = rng.standard_normal(3)
     from meshmotion import autodiff as ad
-    return body.rodrigues(ad.constant(a)).data
+    return body.rodrigues(ad.constant(a[None])).data[0]
 
 
 # ---------------------------------------------------------------------------
@@ -51,11 +51,11 @@ def test_procrustes_recovers_similarity_transform():
     rot = random_rotation(rng)
     c, tau = 1.7, rng.standard_normal(3)
     g = c * p @ rot.T + tau
-    res = metrics.procrustes_align(p, g)
-    assert res.residual < 1e-18
-    assert res.scale == pytest.approx(c, abs=1e-9)
-    assert np.allclose(res.rotation, rot, atol=1e-9)
-    assert np.allclose(res.translation, tau, atol=1e-9)
+    res = metrics.procrustes_align(p[None], g[None])
+    assert res.residual[0] < 1e-18
+    assert res.scale[0] == pytest.approx(c, abs=1e-9)
+    assert np.allclose(res.rotation[0], rot, atol=1e-9)
+    assert np.allclose(res.translation[0], tau, atol=1e-9)
 
 
 def test_procrustes_reflection_guard():
@@ -63,9 +63,9 @@ def test_procrustes_reflection_guard():
     p = rng.standard_normal((6, 3))
     mirrored = p.copy()
     mirrored[:, 0] *= -1.0
-    res = metrics.procrustes_align(p, mirrored)
-    assert np.linalg.det(res.rotation) == pytest.approx(1.0, abs=1e-9)
-    assert res.residual > 1e-3  # reflections cannot be absorbed
+    res = metrics.procrustes_align(p[None], mirrored[None])
+    assert np.linalg.det(res.rotation[0]) == pytest.approx(1.0, abs=1e-9)
+    assert res.residual[0] > 1e-3  # reflections cannot be absorbed
 
 
 def test_procrustes_matches_so3_grid_oracle():
@@ -74,7 +74,7 @@ def test_procrustes_matches_so3_grid_oracle():
         p = rng.standard_normal((6, 3))
         rot = random_rotation(rng)
         g = 1.5 * p @ rot.T + rng.standard_normal(3) + 0.3 * rng.standard_normal((6, 3))
-        closed = metrics.procrustes_align(p, g).residual
+        closed = metrics.procrustes_align(p[None], g[None]).residual[0]
         grid, sgg = procrustes_grid_search(p, g, step_deg=2.0)
         tol = sgg * np.deg2rad(2.0) ** 2
         assert closed <= grid + 1e-9, f"trial {trial}: closed-form worse than grid"
@@ -85,10 +85,10 @@ def test_procrustes_residual_invariant_to_presimilarity():
     rng = np.random.default_rng(5)
     p = rng.standard_normal((7, 3))
     g = rng.standard_normal((7, 3))
-    base = metrics.procrustes_align(p, g).residual
+    base = metrics.procrustes_align(p[None], g[None]).residual[0]
     rot = random_rotation(rng)
     p2 = 0.4 * p @ rot.T + rng.standard_normal(3)
-    again = metrics.procrustes_align(p2, g).residual
+    again = metrics.procrustes_align(p2[None], g[None]).residual[0]
     assert again == pytest.approx(base, rel=1e-9, abs=1e-12)
 
 
@@ -96,8 +96,8 @@ def test_procrustes_flags_degenerate_rank():
     p = np.zeros((5, 3))
     p[:, 0] = np.arange(5.0)  # collinear points: rank 1
     g = np.random.default_rng(6).standard_normal((5, 3))
-    res = metrics.procrustes_align(p, g)
-    assert res.degenerate
+    res = metrics.procrustes_align(p[None], g[None])
+    assert res.degenerate[0]
 
 
 def test_pa_mpjpe_never_above_mpjpe():
@@ -124,12 +124,11 @@ def test_stacked_procrustes_matches_per_frame_calls():
     stacked = metrics.procrustes_align(p, g)
     assert stacked.degenerate[6:8].all() and not stacked.degenerate[:6].any()
     for t in range(p.shape[0]):
-        one = metrics.procrustes_align(p[t], g[t])
-        assert isinstance(one.scale, float) and isinstance(one.degenerate, bool)
+        one = metrics.procrustes_align(p[t:t + 1], g[t:t + 1])
         for field in ("aligned", "rotation", "scale", "translation", "residual"):
-            assert np.allclose(getattr(stacked, field)[t], getattr(one, field), rtol=0, atol=1e-12), \
-                (t, field)
-        assert stacked.degenerate[t] == one.degenerate
+            assert np.allclose(getattr(stacked, field)[t:t + 1], getattr(one, field),
+                               rtol=0, atol=1e-12), (t, field)
+        assert np.array_equal(stacked.degenerate[t:t + 1], one.degenerate)
         assert np.linalg.det(stacked.rotation[t]) == pytest.approx(1.0, abs=1e-9)
 
 

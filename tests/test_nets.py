@@ -104,12 +104,12 @@ def test_ief_zero_final_layer_outputs_mean():
 
 
 def test_ief_single_iteration_adds_correction():
-    cfg = small_cfg()
+    cfg = small_cfg(ief_iters=1)
     reg = nets.IefRegressor(cfg, np.random.default_rng(7))
     c = np.random.default_rng(8).standard_normal(85)
     reg.out.w.data = np.zeros_like(reg.out.w.data)
     reg.out.b.data = c.copy()
-    out = reg(ad.constant(np.zeros((2, 16))), iters=1)
+    out = reg(ad.constant(np.zeros((2, 16))))
     assert np.allclose(out.data, np.tile(reg.theta_mean.data + c, (2, 1)), atol=1e-15)
 
 

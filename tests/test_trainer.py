@@ -224,8 +224,19 @@ def test_tier2_batches_produce_no_3d_loss(train_setup):
     from dataclasses import replace
     ds2 = data.DatasetBundle([replace(s, tier="gt2d") for s in ds], ds.feature_meta)
     state, tcfg = fresh_state(tcfg=tiny_tcfg(steps=3))
-    training.train(model, state, [(ds2, 1)], tcfg)
+    # the full3d bundle at ratio 0 only feeds the critics' real pool
+    training.train(model, state, [(ds2, 1), (ds, 0)], tcfg)
     assert all(row["l3d"] == 0.0 for row in state.history)
+
+
+def test_real_pose_pool_reads_full3d_sequences_only(train_setup):
+    model, ds = train_setup
+    from dataclasses import replace
+    gt2d = data.DatasetBundle([replace(s, tier="gt2d") for s in ds], ds.feature_meta)
+    assert training.build_real_pose_pool([(gt2d, 1)]) is None
+    beta, rots = training.build_real_pose_pool([(gt2d, 1), (ds, 0)])
+    assert np.array_equal(beta, np.concatenate([s.theta_gt[:, :10] for s in ds]))
+    assert rots.shape == (beta.shape[0], body.N_JOINTS, 3, 3)
 
 
 def test_adversarial_prior_without_gt_poses_fails_before_any_update(train_setup):
@@ -415,6 +426,28 @@ def test_mixer_single_dataset_epoch_covers_all_sequences(toy_model):
 def test_mixer_rejects_all_empty(toy_model):
     with pytest.raises(ValidationError):
         training.BatchMixer([(data.DatasetBundle([], None), 1)], 13, 1, 0)
+
+
+def test_each_batch_is_jittered_along_its_own_datasets_camera_directions(toy_model, monkeypatch):
+    d1 = make_pool("meta-a", 2, toy_model)
+    d2 = make_pool("meta-b", 2, toy_model)
+    bare = data.DatasetBundle(make_pool("meta-c", 2, toy_model).sequences, None)
+    assert not np.array_equal(d1.feature_meta.qcam, d2.feature_meta.qcam)
+    owner_meta = {s.id: bundle.feature_meta for bundle in (d1, d2, bare) for s in bundle}
+    seen = []
+    train_step = training.train_step
+
+    def recording(model, state, batch, cfg, feature_meta=None, real_pool=None):
+        seen.append(([owner_meta[s.id] for s, _ in batch], feature_meta))
+        return train_step(model, state, batch, cfg, feature_meta=feature_meta, real_pool=real_pool)
+
+    monkeypatch.setattr(training, "train_step", recording)
+    state, tcfg = fresh_state(tcfg=tiny_tcfg(steps=3, batch_size=1))
+    assert tcfg.use_jitter
+    training.train(toy_model, state, [(d1, 1), (d2, 1), (bare, 1)], tcfg)
+    assert len(seen) == 3       # one batch from each dataset
+    for owners, meta in seen:
+        assert all(o is meta for o in owners)
 
 
 # ---------------------------------------------------------------------------
