@@ -23,9 +23,15 @@ Alignments are array-shaped: ``pa_mpjpe`` aligns every frame of a sequence
 with one stacked similarity solve. The dynamics protocol scores every test
 centre of every method in one stacked alignment. Its nearest-neighbour
 baseline holds the training pool as one (P,3,k,3) array of past/current/
-future ground-truth joints and, per test centre, scores all P entries in
-one batched alignment and takes the first minimum: centres x P frame
-alignments in as many calls as there are centres, with memory O(P*k).
+future ground-truth joints and takes, per test centre, the first pool entry
+with the smallest ``pa_mpjpe``. ``_nearest_rows`` finds it in blocks of
+centres: an elementwise quaternion solve screens all centres x P pairs
+(nine small GEMMs for the covariances, no per-pair SVD), and ``pa_mpjpe``
+rescores only the pairs within a 1e-6 margin of each centre's minimum and
+those whose rotation is not unique, about one alignment per centre. The
+screen agrees with ``pa_mpjpe`` far inside that margin, so the choice is
+the brute-force argmin. Each array of a block holds one value per (pool
+entry, centre) pair, about 117 KB at most.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, fields
+from itertools import combinations
 
 import numpy as np
 
@@ -137,6 +144,135 @@ def pa_mpjpe(pred_joints, gt_joints, per_frame: bool = False):
     if per_frame:
         return errs * MM
     return float(np.mean(errs) * MM)
+
+
+# Float64 values in each (pool, centres) array of a block of the nearest-
+# neighbour search, about 117 KB, so the search's memory does not grow
+# with the number of centres.
+_SEARCH_BLOCK_VALUES = 15_000
+# Screen scores (metres) within this relative margin of a centre's minimum,
+# or this absolute floor for a zero minimum, are rescored by ``pa_mpjpe``.
+# The screen agrees with ``pa_mpjpe`` to ~1e-14 relative on sure pairs.
+_RERANK_REL, _RERANK_ABS = 1e-6, 1e-9
+# A pair is unsure, and always rescored, when its largest adjugate column
+# is below this fraction of lambda^3: the rotation is then not unique, or
+# too ill-conditioned for the screen to resolve it to the margin.
+_UNSURE_ADJ = 1e-3
+# Newton's method stops once no step exceeds this fraction of lambda; its
+# quadratic convergence then leaves sure pairs far inside the margin. The
+# cap only binds on double roots, which are unsure.
+_NEWTON_TOL, _NEWTON_MAX = 1e-11, 64
+
+
+def _adjugate4(a):
+    """Adjugate and determinant of 4x4 matrices given as nested lists of
+    equal-shape arrays, from the 2x2 minors of the top and bottom row pairs."""
+    top = {(i, j): a[0][i] * a[1][j] - a[0][j] * a[1][i] for i, j in combinations(range(4), 2)}
+    bottom = {(i, j): a[2][i] * a[3][j] - a[2][j] * a[3][i] for i, j in combinations(range(4), 2)}
+    adj = [[None] * 4 for _ in range(4)]
+    # deleting row i leaves one row of the other pair, expanded against
+    # the 2x2 minors of the remaining pair (in row order)
+    for i, (row, minors) in enumerate(((a[1], bottom), (a[0], bottom), (a[3], top), (a[2], top))):
+        for j in range(4):
+            o0, o1, o2 = (m for m in range(4) if m != j)
+            minor = row[o0] * minors[o1, o2] - row[o1] * minors[o0, o2] + row[o2] * minors[o0, o1]
+            adj[j][i] = minor if (i + j) % 2 == 0 else -minor
+    return adj, sum(a[0][j] * adj[j][0] for j in range(4))
+
+
+def _horn_rotations(cov):
+    """Best rotations R with R p ~ g, and the summed singular values with the
+    reflection guard (the alignment's largest eigenvalue), for 3x3
+    cross-covariances sum_i p_i g_i^T given as nested lists of equal-shape
+    arrays (or a single 3x3 matrix); all elementwise.
+
+    Horn's quaternion matrix N of each covariance has the characteristic
+    polynomial l^4 - 2|S|^2 l^2 - 8 det(S) l + det(N); Newton's method from
+    the upper bound sqrt(3)|S| finds its largest root, and the rotation's
+    quaternion is the largest column of adj(N - l I). Returns (rotations as
+    nested 3x3 lists, lambda, unsure), unsure where that column is too small
+    to trust.
+    """
+    (sxx, sxy, sxz), (syx, syy, syz), (szx, szy, szz) = cov
+    n = [[sxx + syy + szz, syz - szy, szx - sxz, sxy - syx],
+         [syz - szy, sxx - syy - szz, sxy + syx, szx + sxz],
+         [szx - sxz, sxy + syx, syy - sxx - szz, syz + szy],
+         [sxy - syx, szx + sxz, syz + szy, szz - sxx - syy]]
+    sq = sum(v * v for row in cov for v in row)
+    c2 = -2.0 * sq
+    c1 = -8.0 * (sxx * (syy * szz - syz * szy) - sxy * (syx * szz - syz * szx)
+                 + sxz * (syx * szy - syy * szx))
+    c0 = _adjugate4(n)[1]
+    lam = np.sqrt(3.0 * sq)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_MAX):
+            l2 = lam * lam
+            step = (((l2 + c2) * l2 + c1 * lam + c0)
+                    / ((4.0 * l2 + 2.0 * c2) * lam + c1))
+            lam = lam - step
+            if not np.any(np.abs(step) > _NEWTON_TOL * lam):
+                break
+    adj = _adjugate4([[v - lam if i == j else v for j, v in enumerate(row)]
+                      for i, row in enumerate(n)])[0]
+    norms = [sum(adj[i][j] ** 2 for i in range(4)) for j in range(4)]    # column norms^2
+    pick = np.argmax(norms, axis=0)
+    q_sq = np.choose(pick, norms)
+    unsure = ~(q_sq > (_UNSURE_ADJ * lam ** 3) ** 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w, x, y, z = (np.choose(pick, row) / np.sqrt(q_sq) for row in adj)
+    ww, xx, yy, zz = w * w, x * x, y * y, z * z
+    rot = [[ww + xx - yy - zz, 2 * (x * y - w * z), 2 * (x * z + w * y)],
+           [2 * (x * y + w * z), ww - xx + yy - zz, 2 * (y * z - w * x)],
+           [2 * (x * z - w * y), 2 * (y * z + w * x), ww - xx - yy + zz]]
+    return rot, lam, unsure
+
+
+def _nearest_rows(pool_cur, queries):
+    """For each (k,3) query, the index of the first pool entry with the
+    smallest ``pa_mpjpe`` against it: the per-query argmin over the whole
+    (P,k,3) pool, in far fewer alignments.
+
+    Centres are taken in blocks, and every array of the screen holds one
+    value per (pool entry, centre) pair. The screen scores every pair by
+    ``pa_mpjpe``'s rule, joint by joint, with the rotation from
+    ``_horn_rotations``: elementwise, with no per-pair LAPACK call. Then the
+    pairs within the re-rank margin of each centre's minimum, and every
+    unsure pair, are rescored by ``pa_mpjpe`` in one stacked call per block.
+    """
+    n_pool, k = pool_cur.shape[:2]
+    pc = pool_cur - pool_cur.mean(axis=1, keepdims=True)
+    pc_sq = (pc ** 2).sum(axis=(1, 2))[:, None]
+    pc_cols = [np.ascontiguousarray(pc[:, :, a]) for a in range(3)]     # (P,k) each
+    rooted = pool_cur - pool_cur[:, :1]
+    block = max(1, _SEARCH_BLOCK_VALUES // n_pool)
+    best = []
+    for lo in range(0, len(queries), block):
+        g = queries[lo:lo + block]
+        gc = g - g.mean(axis=1, keepdims=True)
+        g_rooted = g - g[:, :1]
+        rot, lam, unsure = _horn_rotations([[pc_cols[a] @ gc[:, :, b].T for b in range(3)]
+                                            for a in range(3)])
+        scale = lam / pc_sq
+        s_rot = [[r * scale for r in row] for row in rot]
+        err_pa = err_root = 0.0
+        for i in range(k):
+            d2 = r2 = 0.0
+            for a in range(3):
+                d = (s_rot[a][0] * pc[:, i, 0, None] + s_rot[a][1] * pc[:, i, 1, None]
+                     + s_rot[a][2] * pc[:, i, 2, None] - gc[:, i, a])
+                r = rooted[:, i, a, None] - g_rooted[:, i, a]
+                d2 = d2 + d * d
+                r2 = r2 + r * r
+            err_pa = err_pa + np.sqrt(d2)
+            err_root = err_root + np.sqrt(r2)
+        score = np.minimum(err_pa, err_root) / k
+        score[unsure] = np.inf
+        cut = score.min(axis=0) * (1.0 + _RERANK_REL) + _RERANK_ABS
+        pi, ci = np.nonzero(unsure | (score <= cut))
+        exact = np.full(score.shape, np.inf)
+        exact[pi, ci] = pa_mpjpe(pool_cur[pi], g[ci], per_frame=True)
+        best.append(exact.argmin(axis=0))
+    return np.concatenate(best)
 
 
 def _segments(lengths):
@@ -470,15 +606,16 @@ def evaluate(model: body.BodyModel, nets_model, dataset, mode: str = "temporal",
     return MetricReport(per_sequence=per_seq, aggregate=aggregate, dynamics=dyn)
 
 
-def _dynamics_centers(sample, step_mag, half_field):
+def _dynamics_centers(sample, step_mag, half_field, shifts=None):
+    """The centre frames t the dynamics protocol scores: at least
+    max(half_field, step_mag) frames from either end, with t and each
+    scored frame t + shift kept by the visibility filter. ``shifts`` are
+    the past and future offsets, (-step_mag, step_mag) when not given."""
     lo = max(half_field, step_mag)
     hi = sample.n_frames - 1 - max(half_field, step_mag)
     excluded = sample.excluded if sample.excluded is not None else np.zeros(sample.n_frames, bool)
-    out = []
-    for t in range(lo, hi + 1):
-        if not (excluded[t] or excluded[t - step_mag] or excluded[t + step_mag]):
-            out.append(t)
-    return out
+    offsets = (0, *(shifts if shifts is not None else (-step_mag, step_mag)))
+    return [t for t in range(lo, hi + 1) if not any(excluded[t + d] for d in offsets)]
 
 
 def _gt_triplets(g_joints, centers, back, fwd):
@@ -495,8 +632,14 @@ def evaluate_dynamics(model: body.BodyModel, nets_model, dataset, train_dataset=
     predictors for the shifted frames (shape reused from the current frame),
     taken at the centre frames.
     'constant': the current prediction reused for past and future. 'nearest':
-    the training pose whose joints best align with the current ground truth,
-    carried over with its own past/future (needs ``train_dataset``).
+    the first training centre whose current joints have the smallest
+    ``pa_mpjpe`` to the current ground truth, carried over with its own
+    past/future (needs ``train_dataset``, of which only full3d sequences
+    serve). ``_nearest_rows`` searches the pool; it aligns about one pool
+    entry per centre exactly and screens the rest.
+
+    A centre t scores frames t + min(deltas) and t + max(deltas); it is used
+    when those and t itself are kept by the visibility filter.
 
     ``gt_joints`` and ``predictions``, when given, hold ``gt_joints_of`` and
     single-frame ``predict_sequence(..., deltas=True)`` over the dataset's
@@ -513,10 +656,11 @@ def evaluate_dynamics(model: body.BodyModel, nets_model, dataset, train_dataset=
 
     pool = None     # (P, 3, k, 3) past/current/future ground truth of every training centre
     if train_dataset is not None:
-        train = list(train_dataset)
+        # only the full3d tier's 3-D truth may serve, as for the adversarial prior
+        train = [s for s in train_dataset if s.tier == "full3d"]
         trips = []
         for s, g_joints in zip(train, gt_joints_of(model, train)):
-            centers = _dynamics_centers(s, step_mag, hf) if g_joints is not None else []
+            centers = _dynamics_centers(s, step_mag, hf, (back, fwd))
             if centers:
                 trips.append(_gt_triplets(g_joints, centers, back, fwd))
         if trips:
@@ -531,7 +675,7 @@ def evaluate_dynamics(model: body.BodyModel, nets_model, dataset, train_dataset=
     # every test centre's row in the batched predictions, in dataset order
     rows, gts = [], []
     for s, (lo, _), g_joints in zip(samples, _segments([s.n_frames for s in samples]), gt_joints):
-        centers = _dynamics_centers(s, step_mag, hf) if g_joints is not None else []
+        centers = _dynamics_centers(s, step_mag, hf, (back, fwd)) if g_joints is not None else []
         if centers:
             rows.append(lo + np.asarray(centers))
             gts.append(_gt_triplets(g_joints, centers, back, fwd))
@@ -544,13 +688,7 @@ def evaluate_dynamics(model: body.BodyModel, nets_model, dataset, train_dataset=
                                predictions["joints_future"][rows]], axis=1),
              "constant": np.stack([j_cur, j_cur, j_cur], axis=1)}
     if pool is not None:
-        # the whole pool against each centre in one batched alignment;
-        # argmin keeps the first of equal scores
-        pool_cur = pool[:, 1]
-        best = [int(np.argmin(pa_mpjpe(pool_cur, np.broadcast_to(g_cur, pool_cur.shape),
-                                       per_frame=True)))
-                for g_cur in gt[:, 1]]
-        preds["nearest"] = pool[best]
+        preds["nearest"] = pool[_nearest_rows(pool[:, 1], gt[:, 1])]
     errs = pa_mpjpe(np.concatenate(list(preds.values())).reshape(-1, k, 3),
                     np.concatenate([gt] * len(preds)).reshape(-1, k, 3), per_frame=True)
     means = {}

@@ -113,6 +113,14 @@ def nearest_neighbor_dynamics(test_triplets, train_triplets):
     return sums / len(test_triplets)
 
 
+def nearest_rows_brute_force(pool_cur, queries):
+    """Per query, the first pool index of the smallest ``pa_mpjpe`` over the
+    whole (P,k,3) pool, one stacked alignment of every entry per query."""
+    return [int(np.argmin(metrics.pa_mpjpe(pool_cur, np.broadcast_to(q, pool_cur.shape),
+                                           per_frame=True)))
+            for q in queries]
+
+
 def pck_loop(pred_2d, gt_2d, vis, alpha=0.05, frame_mask=None):
     """PCK frame by frame: (fraction, n_correct, n_total), skipping masked
     frames, frames with fewer than two visible points and degenerate boxes."""
@@ -178,7 +186,6 @@ def _dynamics_triplets(model, nets_model, bundle, with_predictions):
     centre, sequence by sequence."""
     back, fwd = min(nets_model.deltas), max(nets_model.deltas)
     margin = max(nets_model.cfg.half_field, abs(back), abs(fwd))
-    step = max(abs(back), abs(fwd))
     gts, preds = [], []
     for s in bundle:
         if s.theta_gt is None:
@@ -188,7 +195,7 @@ def _dynamics_triplets(model, nets_model, bundle, with_predictions):
              if with_predictions else None)
         excluded = s.excluded if s.excluded is not None else np.zeros(s.n_frames, bool)
         for t in range(margin, s.n_frames - margin):
-            if excluded[t] or excluded[t - step] or excluded[t + step]:
+            if excluded[t] or excluded[t + back] or excluded[t + fwd]:
                 continue
             gts.append((g[t + back], g[t], g[t + fwd]))
             if p is not None:
@@ -243,7 +250,8 @@ def evaluate_per_sequence(model, nets_model, dataset, mode="temporal", alpha=0.0
         gts, ours = _dynamics_triplets(model, nets_model, dataset, with_predictions=True)
         methods = {"ours": ours, "constant": [(o[1], o[1], o[1]) for o in ours]}
         if train_dataset is not None:
-            pool_trips, _ = _dynamics_triplets(model, nets_model, train_dataset, False)
+            full3d = [s for s in train_dataset if s.tier == "full3d"]
+            pool_trips, _ = _dynamics_triplets(model, nets_model, full3d, False)
             nearest = []
             for gt in gts:
                 errs = [_frame_pa(cand[1], gt[1]) for cand in pool_trips]

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from meshmotion import body, data, metrics, nets
-from oracles import (evaluate_per_sequence, nearest_neighbor_dynamics, pa_error_one_frame,
-                     pck_loop, procrustes_grid_search, sinusoid_mean_abs_accel)
+from oracles import (evaluate_per_sequence, nearest_neighbor_dynamics, nearest_rows_brute_force,
+                     pa_error_one_frame, pck_loop, procrustes_grid_search,
+                     sinusoid_mean_abs_accel)
 
 
 def random_rotation(rng):
@@ -406,6 +407,98 @@ def test_dynamics_nearest_matches_brute_force_oracle(eval_setup, toy_model):
     want = nearest_neighbor_dynamics(test_trips, train_trips) * 1000.0
     assert np.allclose(d.nearest, want, rtol=0, atol=1e-9)
     assert d.nearest[1] > 0.0   # a foreign pool: the search is not trivially exact
+
+
+def test_nearest_rows_equals_brute_force_on_adversarial_pools(monkeypatch):
+    rng = np.random.default_rng(21)
+    base = 0.3 * rng.standard_normal((6, 14, 3))
+    mirrored = base[1] * [-1.0, 1.0, 1.0]                  # det(S) < 0 against base[1]
+    line = np.linspace(-0.4, 0.4, 14)[:, None] * [1.0, 2.0, -0.5]
+    plane = base[2] * [1.0, 1.0, 0.0]
+    outlier = base[3].copy()
+    outlier[5] += [2.0, 0.0, 0.0]                          # root alignment beats PA on it
+    similar = 1.3 * line @ random_rotation(rng).T + 0.1    # collinear: rotation not unique
+    # similarity copies of base[4]: zero error up to rounding, in either path
+    moved = [c * base[4] @ random_rotation(rng).T + c - 1.0 for c in (0.8, 1.2, 1.0, 0.9)]
+    pool = np.stack([base[0], base[1], base[0], mirrored, line, plane, base[3], outlier,
+                     base[1], similar, *moved])
+    queries = np.stack([base[0], base[1] + 1e-3 * rng.standard_normal((14, 3)), mirrored,
+                        line + 1e-3 * rng.standard_normal((14, 3)), base[2], base[3], base[5],
+                        plane * [1.0, -1.0, 1.0], outlier + 1e-4, base[4]])
+    res = metrics.procrustes_align(outlier[None], base[3][None]).aligned[0]
+    assert (np.linalg.norm(outlier - outlier[0] + base[3][0] - base[3], axis=1).mean()
+            < np.linalg.norm(res - base[3], axis=1).mean())
+    # three centres per block, so the ten centres end in a partial block
+    monkeypatch.setattr(metrics, "_SEARCH_BLOCK_VALUES", 3 * len(pool))
+    got = metrics._nearest_rows(pool, queries).tolist()
+    assert got == nearest_rows_brute_force(pool, queries)
+    assert got[0] == 0              # exact duplicates: the first index wins
+    assert got[2] == 3              # a query in the pool: zero minimum
+    assert got[3] in (4, 9)         # won by an unsure (collinear) entry
+    for q in (queries[:1], queries[4:6]):
+        assert metrics._nearest_rows(pool[6:7], q).tolist() == [0] * len(q)   # a pool of one
+    _, _, unsure = metrics._horn_rotations((line - line.mean(0)).T @ (similar - similar.mean(0)))
+    assert unsure
+
+
+@pytest.fixture(scope="module")
+def foreign_train(toy_model):
+    """A training set that shares no sequence with ``eval_setup``'s."""
+    return data.gen_synthetic_dataset(toy_model, n_seqs=3, n_frames=20, fps=25.0, seed=12,
+                                      feature_dim=24, vis_dropout=0.0, feature_noise=0.01)
+
+
+def test_nearest_search_aligns_few_rows_per_centre(eval_setup, foreign_train, monkeypatch):
+    model, model_nets, ds = eval_setup
+    rows = []
+    procrustes_align = metrics.procrustes_align
+
+    def counting(pred, gt):
+        rows.append(len(pred))
+        return procrustes_align(pred, gt)
+
+    monkeypatch.setattr(metrics, "procrustes_align", counting)
+    d = metrics.evaluate_dynamics(model, model_nets, ds, train_dataset=foreign_train)
+    # the final scoring aligns past/current/future of three methods per centre
+    search_rows = sum(rows) - 9 * d.n_centers
+    assert 0 < search_rows <= 2 * d.n_centers
+
+
+def test_dynamics_pool_takes_full3d_sequences_only(eval_setup, foreign_train):
+    from dataclasses import replace
+    model, model_nets, ds = eval_setup
+    # the test set's own truth under a 2-D tier would be a perfect neighbour
+    leaked = data.DatasetBundle([*foreign_train.sequences, *(replace(s, tier=tier) for s, tier in
+                                                             zip(ds, ("gt2d", "pseudo2d")))],
+                                foreign_train.feature_meta)
+    got = metrics.evaluate_dynamics(model, model_nets, ds, train_dataset=leaked)
+    assert got == metrics.evaluate_dynamics(model, model_nets, ds, train_dataset=foreign_train)
+    assert got.nearest[1] > 1.0
+    _, _, dyn = evaluate_per_sequence(model, model_nets, ds, mode="single-frame",
+                                      train_dataset=leaked, dynamics=True)
+    assert all(_close(g, w) for g, w in zip(got.nearest, dyn[3]))
+
+
+def test_dynamics_centres_skip_the_excluded_frames_they_score(toy_model):
+    from dataclasses import replace
+    cfg = nets.EncoderConfig(feature_dim=24, gn_groups=4, gn_group_size=6, ief_hidden=16,
+                             disc_hidden=8, delta_steps=(-2, 4))
+    model_nets = nets.ModelNets.create(cfg, seed=0)
+    seq = data.gen_synthetic_dataset(toy_model, n_seqs=1, n_frames=24, fps=25.0, seed=13,
+                                     feature_dim=24, vis_dropout=0.0,
+                                     feature_noise=0.01).sequences[0]
+    margin = max(cfg.half_field, 4)
+    excluded = np.zeros(24, bool)
+    excluded[margin - 2] = True     # the past frame of the first centre only
+    seq = replace(seq, excluded=excluded)
+    d = metrics.evaluate_dynamics(toy_model, model_nets, [seq])
+    _, _, dyn = evaluate_per_sequence(toy_model, model_nets, [seq], mode="single-frame",
+                                      dynamics=True)
+    assert d.n_centers == dyn[0] == 24 - 2 * margin - 1
+    for got, want in zip((d.ours, d.constant), dyn[1:3]):
+        assert all(_close(g, w) for g, w in zip(got, want))
+    assert metrics._dynamics_centers(seq, 4, cfg.half_field, (-2, 4)) == \
+        list(range(margin + 1, 24 - margin))
 
 
 # ---------------------------------------------------------------------------
