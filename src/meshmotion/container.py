@@ -10,10 +10,13 @@ Payload length is count*8 bytes for numeric dtypes and count bytes for text.
 Sections are written in insertion order and read back in file order, so a
 write/read round trip is bit-exact.
 
-Loaders read sections with ``require(sections, name, path, shape)``. With a
-``shape``, the section must hold prod(shape) numbers and is returned reshaped
-(``()`` gives a scalar); otherwise, or if the section is missing,
-``ValidationError`` names the file, section, count and shape.
+``read_container`` returns numeric sections as read-only views on the file's
+bytes, so reading a section a loader never uses costs no copy. Loaders read
+sections with ``require(sections, name, path, shape)``. With a ``shape``, the
+section must hold prod(shape) numbers and is returned reshaped (``()`` gives
+a scalar); otherwise, or if the section is missing, ``ValidationError`` names
+the file, section, count and shape. ``require`` returns an owned, writable
+copy; ``view`` makes the same checks and returns the view itself.
 """
 
 from __future__ import annotations
@@ -91,44 +94,60 @@ def _write_sections(fh, magic, sections):
         fh.write(payload)
 
 
+_U32 = struct.Struct("<I")
+_DTYPE_COUNT = struct.Struct("<BQ")
+_NUMERIC = {DTYPE_F64: np.dtype("<f8"), DTYPE_I64: np.dtype("<i8")}
+
+
 def read_container(path, magic: str):
-    """Read all sections into an ordered dict name -> numpy array or str."""
+    """Read all sections into an ordered dict name -> numpy array or str.
+
+    Numeric sections are read-only views on the file's bytes; ``require``
+    copies what a loader keeps.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     magic_b = magic.encode("ascii")
-    if len(data) < len(magic_b) or data[:len(magic_b)] != magic_b:
+    if not data.startswith(magic_b):
         raise ValidationError(f"{path}: bad magic, expected {magic!r} got {data[:len(magic_b)]!r}")
     sections = {}
-    off = len(magic_b)
-    while off < len(data):
+    off, end = len(magic_b), len(data)
+    while off < end:
         start = off
-
-        def need(n, what):
-            nonlocal off
-            if off + n > len(data):
-                raise ValidationError(
-                    f"{path}: truncated while reading {what} of section starting at offset {start}")
-            chunk = data[off:off + n]
-            off += n
-            return chunk
-
-        (name_len,) = struct.unpack("<I", need(4, "name length"))
-        name = need(name_len, "name").decode("ascii")
-        (dtype,) = struct.unpack("<B", need(1, f"dtype of '{name}'"))
-        (count,) = struct.unpack("<Q", need(8, f"element count of '{name}'"))
-        if dtype == DTYPE_STR:
-            sections[name] = need(count, f"payload of '{name}'").decode("utf-8")
-        elif dtype == DTYPE_F64:
-            sections[name] = np.frombuffer(need(count * 8, f"payload of '{name}'"), dtype="<f8").copy()
-        elif dtype == DTYPE_I64:
-            sections[name] = np.frombuffer(need(count * 8, f"payload of '{name}'"), dtype="<i8").copy()
-        else:
+        if off + _U32.size > end:
+            raise _truncated(path, "name length", start)
+        (name_len,) = _U32.unpack_from(data, off)
+        off += _U32.size
+        if off + name_len > end:
+            raise _truncated(path, "name", start)
+        name = data[off:off + name_len].decode("ascii")
+        off += name_len
+        if off + _DTYPE_COUNT.size > end:
+            what = f"dtype of '{name}'" if off == end else f"element count of '{name}'"
+            raise _truncated(path, what, start)
+        dtype, count = _DTYPE_COUNT.unpack_from(data, off)
+        off += _DTYPE_COUNT.size
+        if dtype != DTYPE_STR and dtype not in _NUMERIC:
             raise ValidationError(f"{path}: section '{name}' has unknown dtype code {dtype}")
+        size = count if dtype == DTYPE_STR else count * 8
+        if off + size > end:
+            raise _truncated(path, f"payload of '{name}'", start)
+        if dtype == DTYPE_STR:
+            sections[name] = data[off:off + size].decode("utf-8")
+        else:
+            sections[name] = np.frombuffer(data, dtype=_NUMERIC[dtype], count=count, offset=off)
+        off += size
     return sections
 
 
-def require(sections, name, path="<container>", shape=None):
-    """Section ``name``, checked against ``shape`` if given (see the module docstring)."""
+def _truncated(path, what, start):
+    return ValidationError(
+        f"{path}: truncated while reading {what} of section starting at offset {start}")
+
+
+def view(sections, name, path="<container>", shape=None):
+    """Section ``name`` checked as ``require`` checks it, but not copied: a
+    numeric section stays a read-only view on the file's bytes."""
     if name not in sections:
         raise ValidationError(f"{path}: missing required section '{name}'")
     value = sections[name]
@@ -139,3 +158,10 @@ def require(sections, name, path="<container>", shape=None):
         raise ValidationError(f"{path}: section '{name}' holds {found}, "
                               f"shape {tuple(shape)} needs {math.prod(shape)}")
     return value.reshape(shape) if shape else value[0]
+
+
+def require(sections, name, path="<container>", shape=None):
+    """Section ``name``, checked against ``shape`` if given (see the module
+    docstring); a numeric section comes back as an owned, writable copy."""
+    value = view(sections, name, path, shape)
+    return np.array(value) if isinstance(value, np.ndarray) else value

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import body
-from .container import ValidationError, read_container, require, write_container
+from .container import ValidationError, read_container, require, view, write_container
 
 CKPT_MAGIC = "HMMRCKPT1"
 
@@ -76,15 +76,35 @@ class EncoderConfig:
         return self
 
 
-def _glorot(rng, fan_in, fan_out, scale=1.0):
-    limit = np.sqrt(6.0 / (fan_in + fan_out)) * scale
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+# Every component declares each of its parameters once, as
+# ``param(name, shape, init)``. ``param`` is a factory: ``drawing(rng)`` makes
+# the value with ``init(rng, shape)`` (a new model), and ``load_checkpoint``'s
+# factory reads it from the file, so a loaded model draws nothing.
+
+def _zeros(rng, shape):
+    return np.zeros(shape)
+
+
+def _ones(rng, shape):
+    return np.ones(shape)
+
+
+def _uniform(limit):
+    return lambda rng, shape: rng.uniform(-limit, limit, size=shape)
+
+
+def drawing(rng):
+    """Parameter factory for a new model: each value drawn from ``rng`` by its initializer."""
+    def param(name, shape, init):
+        return ad.parameter(init(rng, shape), name=name)
+    return param
 
 
 class Linear:
-    def __init__(self, rng, n_in, n_out, name, out_scale=1.0):
-        self.w = ad.parameter(_glorot(rng, n_in, n_out, out_scale), name=f"{name}.w")
-        self.b = ad.parameter(np.zeros(n_out), name=f"{name}.b")
+    def __init__(self, param, n_in, n_out, name, out_scale=1.0):
+        limit = np.sqrt(6.0 / (n_in + n_out)) * out_scale   # Glorot uniform
+        self.w = param(f"{name}.w", (n_in, n_out), _uniform(limit))
+        self.b = param(f"{name}.b", (n_out,), _zeros)
         self.name = name
 
     def __call__(self, x):
@@ -104,19 +124,22 @@ class TemporalEncoder:
     (context-free ablation).
     """
 
-    def __init__(self, cfg: EncoderConfig, rng):
+    def __init__(self, cfg: EncoderConfig, param):
         self.cfg = cfg
         d, k = cfg.feature_dim, cfg.kernel
+        scale = np.sqrt(6.0 / (2 * d * k))
+
+        def conv_init(rng, shape):
+            return rng.uniform(-1, 1, shape) * scale
+
         self.blocks = []
         for i in range(cfg.n_blocks):
             blk = {}
             for half in (1, 2):
-                fan = d * k
-                w = ad.parameter(rng.uniform(-1, 1, (d, d, k)) * np.sqrt(6.0 / (2 * fan)),
-                                 name=f"f_movie.block{i}.conv{half}.w")
-                b = ad.parameter(np.zeros(d), name=f"f_movie.block{i}.conv{half}.b")
-                gamma = ad.parameter(np.ones(d), name=f"f_movie.block{i}.gn{half}.gamma")
-                beta = ad.parameter(np.zeros(d), name=f"f_movie.block{i}.gn{half}.beta")
+                w = param(f"f_movie.block{i}.conv{half}.w", (d, d, k), conv_init)
+                b = param(f"f_movie.block{i}.conv{half}.b", (d,), _zeros)
+                gamma = param(f"f_movie.block{i}.gn{half}.gamma", (d,), _ones)
+                beta = param(f"f_movie.block{i}.gn{half}.beta", (d,), _zeros)
                 blk[half] = (w, b, gamma, beta)
             self.blocks.append(blk)
 
@@ -150,13 +173,13 @@ class IefRegressor:
     omitted entirely.
     """
 
-    def __init__(self, cfg: EncoderConfig, rng):
+    def __init__(self, cfg: EncoderConfig, param):
         self.cfg = cfg
         d, h = cfg.feature_dim, cfg.ief_hidden
-        self.fc1 = Linear(rng, d + THETA_DIM, h, "f_3d.fc1")
-        self.fc2 = Linear(rng, h, h, "f_3d.fc2")
-        self.out = Linear(rng, h, THETA_DIM, "f_3d.out", out_scale=0.01)
-        self.theta_mean = ad.parameter(np.zeros(THETA_DIM), name="f_3d.theta_mean")
+        self.fc1 = Linear(param, d + THETA_DIM, h, "f_3d.fc1")
+        self.fc2 = Linear(param, h, h, "f_3d.fc2")
+        self.out = Linear(param, h, THETA_DIM, "f_3d.out", out_scale=0.01)
+        self.theta_mean = param("f_3d.theta_mean", (THETA_DIM,), _zeros)
 
     def __call__(self, phi, masks=None):
         theta = ad.broadcast_to(self.theta_mean, (phi.shape[0], THETA_DIM))
@@ -183,13 +206,13 @@ class DeltaPredictor:
     shifted frame is solved in closed form downstream.
     """
 
-    def __init__(self, cfg: EncoderConfig, step: int, rng):
+    def __init__(self, cfg: EncoderConfig, step: int, param):
         d, h = cfg.feature_dim, cfg.ief_hidden
         tag = f"f_delta[{step:+d}]"
         self.step = step
-        self.fc1 = Linear(rng, d + POSE_DIM, h, f"{tag}.fc1")
-        self.fc2 = Linear(rng, h, h, f"{tag}.fc2")
-        self.out = Linear(rng, h, POSE_DIM, f"{tag}.out", out_scale=0.01)
+        self.fc1 = Linear(param, d + POSE_DIM, h, f"{tag}.fc1")
+        self.fc2 = Linear(param, h, h, f"{tag}.fc2")
+        self.out = Linear(param, h, POSE_DIM, f"{tag}.out", out_scale=0.01)
 
     def __call__(self, phi, theta_pose, masks=None):
         inp = ad.concat([phi, theta_pose], axis=1)
@@ -208,10 +231,10 @@ class DeltaPredictor:
 class Hallucinator:
     """Single-frame feature to context feature, as a residual correction."""
 
-    def __init__(self, cfg: EncoderConfig, rng):
+    def __init__(self, cfg: EncoderConfig, param):
         d = cfg.feature_dim
-        self.fc1 = Linear(rng, d, d, "hal.fc1")
-        self.fc2 = Linear(rng, d, d, "hal.fc2")
+        self.fc1 = Linear(param, d, d, "hal.fc1")
+        self.fc2 = Linear(param, d, d, "hal.fc2")
 
     def __call__(self, phi):
         return phi + self.fc2(ad.relu(self.fc1(phi)))
@@ -237,20 +260,20 @@ class DiscriminatorSet:
     along a leading joint axis so one batched matmul evaluates all of them.
     """
 
-    def __init__(self, cfg: EncoderConfig, rng):
+    def __init__(self, cfg: EncoderConfig, param):
         h = cfg.disc_hidden
         j = N_BODY_JOINTS
         lim1 = np.sqrt(6.0 / (9 + h))
         lim2 = np.sqrt(6.0 / (h + 1))
-        self.joint_fc_w = ad.parameter(rng.uniform(-lim1, lim1, (j, 9, h)), name="disc.joints.fc.w")
-        self.joint_fc_b = ad.parameter(np.zeros((j, 1, h)), name="disc.joints.fc.b")
-        self.joint_out_w = ad.parameter(rng.uniform(-lim2, lim2, (j, h, 1)), name="disc.joints.out.w")
-        self.joint_out_b = ad.parameter(np.zeros((j, 1, 1)), name="disc.joints.out.b")
-        self.all_fc1 = Linear(rng, 9 * j, h, "disc.all.fc1")
-        self.all_fc2 = Linear(rng, h, h, "disc.all.fc2")
-        self.all_out = Linear(rng, h, 1, "disc.all.out")
-        self.shape_fc = Linear(rng, SHAPE_DIM, h, "disc.shape.fc")
-        self.shape_out = Linear(rng, h, 1, "disc.shape.out")
+        self.joint_fc_w = param("disc.joints.fc.w", (j, 9, h), _uniform(lim1))
+        self.joint_fc_b = param("disc.joints.fc.b", (j, 1, h), _zeros)
+        self.joint_out_w = param("disc.joints.out.w", (j, h, 1), _uniform(lim2))
+        self.joint_out_b = param("disc.joints.out.b", (j, 1, 1), _zeros)
+        self.all_fc1 = Linear(param, 9 * j, h, "disc.all.fc1")
+        self.all_fc2 = Linear(param, h, h, "disc.all.fc2")
+        self.all_out = Linear(param, h, 1, "disc.all.out")
+        self.shape_fc = Linear(param, SHAPE_DIM, h, "disc.shape.fc")
+        self.shape_out = Linear(param, h, 1, "disc.shape.out")
 
     def __call__(self, theta_pose, beta):
         """Scores (M, 25) for poses and shape rows (M,10).
@@ -292,16 +315,23 @@ class ModelNets:
 
     @classmethod
     def create(cls, cfg: EncoderConfig, seed: int = 0) -> "ModelNets":
+        """A new model; each component draws from its own stream of ``seed``."""
+        return cls._build(cfg, [
+            drawing(np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(i,))))
+            for i in range(5)])
+
+    @classmethod
+    def _build(cls, cfg: EncoderConfig, params) -> "ModelNets":
+        """Components made with one parameter factory each, in the order temporal,
+        regressor, delta predictors, hallucinator, discriminators."""
         cfg.validate()
-        rngs = [np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(i,)))
-                for i in range(5)]
         nets = cls(
             cfg=cfg,
-            temporal=TemporalEncoder(cfg, rngs[0]),
-            regressor=IefRegressor(cfg, rngs[1]),
-            deltas={int(s): DeltaPredictor(cfg, int(s), rngs[2]) for s in cfg.delta_steps},
-            hallucinator=Hallucinator(cfg, rngs[3]) if cfg.use_hal else None,
-            discriminators=DiscriminatorSet(cfg, rngs[4]),
+            temporal=TemporalEncoder(cfg, params[0]),
+            regressor=IefRegressor(cfg, params[1]),
+            deltas={int(s): DeltaPredictor(cfg, int(s), params[2]) for s in cfg.delta_steps},
+            hallucinator=Hallucinator(cfg, params[3]) if cfg.use_hal else None,
+            discriminators=DiscriminatorSet(cfg, params[4]),
         )
         nets._build_registry()
         return nets
@@ -362,14 +392,30 @@ def save_checkpoint(path, nets: ModelNets, step: int, adam_m=None, adam_v=None,
 
 
 _PARAM_SECTIONS = ("param", "shape", "adam_m", "adam_v")   # per-parameter section prefixes
+_MOMENTS = ("adam_m", "adam_v")
+
+
+def _reading(sec, path):
+    """Parameter factory for a saved model: each value is a copy of its ``param/``
+    section, checked against the declared shape and the saved ``shape/``."""
+    def param(name, shape, init):
+        saved = tuple(int(x) for x in view(sec, f"shape/{name}", path, (len(shape),)))
+        if saved != shape:
+            raise ValidationError(f"{path}: parameter {name} has shape {saved}, the configured "
+                                  f"architecture needs {shape}")
+        return ad.parameter(view(sec, f"param/{name}", path, shape), name=name)
+    return param
 
 
 def load_checkpoint(path):
     """Rebuild nets (and optimizer moments, if present) from a checkpoint.
 
     Sections are looked up by name, so their order in the file does not
-    matter. Returns (nets, step, adam_m, adam_v, adam_steps); the moment
-    dicts are empty when the checkpoint carries none.
+    matter. Returns (nets, step, adam_m, adam_v, adam_steps). Optimizer state
+    is all or nothing: ``adam_steps`` and both moments of every parameter, or
+    none of them (empty moment dicts and ``adam_steps`` None). Every moment is
+    size-checked against its parameter but returned as a read-only view on
+    the file's bytes; ``optim.Adam.load_state`` copies what it keeps.
     """
     sec = read_container(path, CKPT_MAGIC)
     cfg = {}
@@ -379,27 +425,24 @@ def load_checkpoint(path):
             cfg[f.name] = tuple(type(f.default[0])(x) for x in require(sec, key, path))
         else:
             cfg[f.name] = type(f.default)(require(sec, key, path, ()))
-    nets = ModelNets.create(EncoderConfig(**cfg), seed=0)
+    nets = ModelNets._build(EncoderConfig(**cfg), [_reading(sec, path)] * 5)
     named = nets.named_params()
+    has_adam_state = "adam_steps" in sec
     for key in sec:
         prefix, _, name = key.partition("/")
         if prefix in _PARAM_SECTIONS and name not in named:
             raise ValidationError(f"{path}: section '{key}' names no parameter of the configured "
                                   "architecture")
-    for name, p in named.items():
-        shape = tuple(int(x) for x in require(sec, f"shape/{name}", path, (p.data.ndim,)))
-        if shape != p.data.shape:
-            raise ValidationError(f"{path}: parameter {name} has shape {shape}, the configured "
-                                  f"architecture needs {p.data.shape}")
-        p.data = require(sec, f"param/{name}", path, shape)
+        has_adam_state = has_adam_state or prefix in _MOMENTS
     step = int(require(sec, "step", path, ()))
-    adam_m, adam_v = {}, {}
-    for name, p in named.items():
-        if f"adam_m/{name}" in sec:
-            adam_m[name] = require(sec, f"adam_m/{name}", path, p.data.shape)
-            adam_v[name] = require(sec, f"adam_v/{name}", path, p.data.shape)
-    adam_steps = None
-    if "adam_steps" in sec:
+    adam_m, adam_v, adam_steps = {}, {}, None
+    if has_adam_state:
+        for key in [f"{kind}/{name}" for name in named for kind in _MOMENTS] + ["adam_steps"]:
+            if key not in sec:
+                raise ValidationError(f"{path}: partial Adam state, section '{key}' is missing")
+        for name, p in named.items():
+            adam_m[name] = view(sec, f"adam_m/{name}", path, p.data.shape)
+            adam_v[name] = view(sec, f"adam_v/{name}", path, p.data.shape)
         gen, disc = require(sec, "adam_steps", path, (2,))
         adam_steps = {"gen": int(gen), "disc": int(disc)}
     return nets, step, adam_m, adam_v, adam_steps

@@ -156,7 +156,7 @@ def test_criterion_5_receptive_field():
     t_len, t_mid = 24, 11
     for seed in range(20):
         cfg = nets.EncoderConfig(feature_dim=16, gn_groups=4, gn_group_size=4)
-        enc = nets.TemporalEncoder(cfg, np.random.default_rng(seed))
+        enc = nets.TemporalEncoder(cfg, nets.drawing(np.random.default_rng(seed)))
         assert cfg.receptive_field == 13
         rng = np.random.default_rng(1000 + seed)
         feats = rng.standard_normal((t_len, 16))

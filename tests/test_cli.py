@@ -276,7 +276,8 @@ def trained(workdir, tmp_path_factory):
 
 
 @pytest.mark.parametrize("kind,section,cut", [
-    ("ckpt", "step", 1), ("ckpt", "adam_steps", 1), ("data", "seq0/fps", 1),
+    ("ckpt", "step", 1), ("ckpt", "adam_steps", 1), ("ckpt", "adam_m/f_3d.out.w", 1),
+    ("data", "seq0/fps", 1),
     ("data", "seq1/kp2d", 2), ("data", "feature_meta/qcam", 1), ("model", "template", 1)])
 def test_malformed_section_exits_validation(workdir, trained, tmp_path, capsys, kind, section, cut):
     files = {"model": (workdir / "model.bin", body.MODEL_MAGIC),
@@ -297,6 +298,24 @@ def test_malformed_section_exits_validation(workdir, trained, tmp_path, capsys, 
     assert cli.run(argv) == 2
     err = capsys.readouterr().err
     assert str(bad) in err and f"'{section}'" in err, err
+
+
+def test_loaded_arrays_own_aligned_writable_memory(workdir, trained):
+    """No loaded array is a view into a file's bytes."""
+    model = body.load_model(workdir / "model.bin")
+    bundle = data.load_dataset(workdir / "data.bin")
+    arrays = {f"model.{name}": getattr(model, name)
+              for name in ("template", "shape_dirs", "joint_regressor", "parents",
+                           "skin_weights", "rest_regressor")}
+    for seq in bundle.sequences:
+        for name in ("kp2d", "vis", "features", "theta_gt", "excluded"):
+            arrays[f"{seq.id}.{name}"] = getattr(seq, name)
+    arrays["feature_meta.qcam"] = bundle.feature_meta.qcam
+    arrays |= {f"param/{name}": p.data
+               for name, p in nets.load_checkpoint(trained)[0].named_params().items()}
+    for name, arr in arrays.items():
+        flags = arr.flags
+        assert flags.c_contiguous and flags.aligned and flags.writeable and flags.owndata, name
 
 
 def test_eval_oracle_gt_reports_zero(workdir, trained, tmp_path):

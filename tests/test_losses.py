@@ -3,7 +3,7 @@ import pytest
 
 from meshmotion import autodiff as ad
 from meshmotion import losses
-from meshmotion.nets import EncoderConfig, DiscriminatorSet
+from meshmotion.nets import EncoderConfig, DiscriminatorSet, drawing
 from meshmotion.optim import Adam
 
 
@@ -116,7 +116,7 @@ def test_adv_generator_25_when_scores_are_zero():
 
 def test_adv_generator_gradient_wrt_pose():
     cfg = EncoderConfig(feature_dim=16, gn_groups=4, gn_group_size=4, ief_hidden=8, disc_hidden=8)
-    disc = DiscriminatorSet(cfg, np.random.default_rng(3))
+    disc = DiscriminatorSet(cfg, drawing(np.random.default_rng(3)))
     theta = ad.parameter(np.random.default_rng(4).normal(0, 0.4, (1, 72)), name="theta")
     beta = ad.constant(np.zeros((1, 10)))
 
@@ -149,7 +149,7 @@ def test_adv_discriminator_constant_half_gives_half_per_critic():
 
 def test_discriminator_training_separates_toy_clusters():
     cfg = EncoderConfig(feature_dim=16, gn_groups=4, gn_group_size=4, ief_hidden=8, disc_hidden=16)
-    disc = DiscriminatorSet(cfg, np.random.default_rng(6))
+    disc = DiscriminatorSet(cfg, drawing(np.random.default_rng(6)))
     opt = Adam(disc.params(), lr=5e-3)
     rng = np.random.default_rng(7)
     base_real = rng.normal(0, 0.3, 72)
@@ -269,7 +269,7 @@ def test_frame_loss_full_composite_gradient(toy_model):
     gt_pts = rng.normal(0, 50, (1, toy_model.n_keypoints, 2))
     vis = np.ones((1, toy_model.n_keypoints), dtype=bool)
     cfg = EncoderConfig(feature_dim=16, gn_groups=4, gn_group_size=4, disc_hidden=8)
-    disc = DiscriminatorSet(cfg, np.random.default_rng(15))
+    disc = DiscriminatorSet(cfg, drawing(np.random.default_rng(15)))
     w = losses.LossWeights()
 
     def f():

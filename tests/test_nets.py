@@ -35,7 +35,7 @@ def test_config_validation():
 
 def test_temporal_constant_input_constant_interior_output():
     cfg = small_cfg()
-    enc = nets.TemporalEncoder(cfg, np.random.default_rng(0))
+    enc = nets.TemporalEncoder(cfg, nets.drawing(np.random.default_rng(0)))
     t_len = 25
     feats = np.tile(np.random.default_rng(1).standard_normal(16), (t_len, 1))
     out = enc(ad.constant(feats)).data
@@ -47,7 +47,7 @@ def test_temporal_constant_input_constant_interior_output():
 @pytest.mark.parametrize("seed", range(5))
 def test_temporal_receptive_field_is_13_frames(seed):
     cfg = small_cfg()
-    enc = nets.TemporalEncoder(cfg, np.random.default_rng(seed))
+    enc = nets.TemporalEncoder(cfg, nets.drawing(np.random.default_rng(seed)))
     rng = np.random.default_rng(100 + seed)
     t_len, t_mid = 20, 9
     feats = rng.standard_normal((t_len, 16))
@@ -64,7 +64,7 @@ def test_temporal_receptive_field_is_13_frames(seed):
 
 def test_temporal_batch_equals_single_sequence_calls_and_keeps_sequences_apart():
     cfg = small_cfg()
-    enc = nets.TemporalEncoder(cfg, np.random.default_rng(4))
+    enc = nets.TemporalEncoder(cfg, nets.drawing(np.random.default_rng(4)))
     feats = np.random.default_rng(5).standard_normal((3, 24, 16))
     batch = enc(ad.constant(feats)).data
     assert batch.shape == (3, 24, 16)
@@ -81,7 +81,7 @@ def test_temporal_batch_equals_single_sequence_calls_and_keeps_sequences_apart()
 
 def test_temporal_zero_blocks_is_identity():
     cfg = small_cfg(n_blocks=0)
-    enc = nets.TemporalEncoder(cfg, np.random.default_rng(2))
+    enc = nets.TemporalEncoder(cfg, nets.drawing(np.random.default_rng(2)))
     feats = np.random.default_rng(3).standard_normal((7, 16))
     assert np.array_equal(enc(ad.constant(feats)).data, feats)
     assert cfg.receptive_field == 1
@@ -94,7 +94,7 @@ def test_temporal_zero_blocks_is_identity():
 
 def test_ief_zero_final_layer_outputs_mean():
     cfg = small_cfg()
-    reg = nets.IefRegressor(cfg, np.random.default_rng(4))
+    reg = nets.IefRegressor(cfg, nets.drawing(np.random.default_rng(4)))
     reg.out.w.data = np.zeros_like(reg.out.w.data)
     reg.out.b.data = np.zeros_like(reg.out.b.data)
     mean = np.random.default_rng(5).standard_normal(85)
@@ -105,7 +105,7 @@ def test_ief_zero_final_layer_outputs_mean():
 
 def test_ief_single_iteration_adds_correction():
     cfg = small_cfg(ief_iters=1)
-    reg = nets.IefRegressor(cfg, np.random.default_rng(7))
+    reg = nets.IefRegressor(cfg, nets.drawing(np.random.default_rng(7)))
     c = np.random.default_rng(8).standard_normal(85)
     reg.out.w.data = np.zeros_like(reg.out.w.data)
     reg.out.b.data = c.copy()
@@ -119,7 +119,7 @@ def test_ief_output_contracts_to_mean_as_final_scale_shrinks():
     phi = ad.constant(rng.standard_normal((2, 16)))
     prev_gap = None
     for alpha in (1.0, 1e-2, 1e-4, 1e-6):
-        reg = nets.IefRegressor(cfg, np.random.default_rng(10))
+        reg = nets.IefRegressor(cfg, nets.drawing(np.random.default_rng(10)))
         reg.out.w.data = reg.out.w.data * alpha
         reg.out.b.data = reg.out.b.data * alpha
         gap = np.max(np.abs(reg(phi).data - reg.theta_mean.data))
@@ -131,7 +131,7 @@ def test_ief_output_contracts_to_mean_as_final_scale_shrinks():
 
 def test_ief_gradient_through_three_iterations():
     cfg = small_cfg()
-    reg = nets.IefRegressor(cfg, np.random.default_rng(11))
+    reg = nets.IefRegressor(cfg, nets.drawing(np.random.default_rng(11)))
     phi = ad.constant(np.random.default_rng(12).standard_normal((2, 16)))
     probe = ad.constant(np.random.default_rng(13).standard_normal((2, 85)))
     wrt = [reg.fc1.w, reg.out.w, reg.theta_mean]
@@ -143,7 +143,7 @@ def test_ief_gradient_through_three_iterations():
 
 def test_ief_dropout_masks_change_output_deterministically():
     cfg = small_cfg()
-    reg = nets.IefRegressor(cfg, np.random.default_rng(15))
+    reg = nets.IefRegressor(cfg, nets.drawing(np.random.default_rng(15)))
     phi = ad.constant(np.random.default_rng(16).standard_normal((2, 16)))
     masks = [(ad.dropout_mask(np.random.default_rng(17 + i), (2, 12), 0.5),
               ad.dropout_mask(np.random.default_rng(37 + i), (2, 12), 0.5))
@@ -161,7 +161,7 @@ def test_ief_dropout_masks_change_output_deterministically():
 
 def test_delta_zero_output_layer_is_identity():
     cfg = small_cfg()
-    dp = nets.DeltaPredictor(cfg, 5, np.random.default_rng(18))
+    dp = nets.DeltaPredictor(cfg, 5, nets.drawing(np.random.default_rng(18)))
     dp.out.w.data = np.zeros_like(dp.out.w.data)
     dp.out.b.data = np.zeros_like(dp.out.b.data)
     theta = np.random.default_rng(19).standard_normal((3, 72))
@@ -191,7 +191,7 @@ def test_delta_unconfigured_step_rejected():
 
 def test_hallucinator_zero_mlp_is_skip_path():
     cfg = small_cfg()
-    hal = nets.Hallucinator(cfg, np.random.default_rng(23))
+    hal = nets.Hallucinator(cfg, nets.drawing(np.random.default_rng(23)))
     hal.fc2.w.data = np.zeros_like(hal.fc2.w.data)
     hal.fc2.b.data = np.zeros_like(hal.fc2.b.data)
     phi = np.random.default_rng(24).standard_normal((4, 16))
@@ -200,7 +200,7 @@ def test_hallucinator_zero_mlp_is_skip_path():
 
 def test_hallucinator_preserves_dimension():
     cfg = small_cfg()
-    hal = nets.Hallucinator(cfg, np.random.default_rng(25))
+    hal = nets.Hallucinator(cfg, nets.drawing(np.random.default_rng(25)))
     out = hal(ad.constant(np.zeros((3, 16))))
     assert out.shape == (3, 16)
 
@@ -236,7 +236,7 @@ def test_hallucination_loss_gradient_and_target_detach():
 
 def test_discriminator_score_count_and_determinism():
     cfg = small_cfg()
-    disc = nets.DiscriminatorSet(cfg, np.random.default_rng(29))
+    disc = nets.DiscriminatorSet(cfg, nets.drawing(np.random.default_rng(29)))
     rng = np.random.default_rng(30)
     theta = ad.constant(rng.normal(0, 0.5, (3, 72)))
     beta = ad.constant(rng.normal(0, 0.5, (3, 10)))
@@ -248,7 +248,7 @@ def test_discriminator_score_count_and_determinism():
 
 def test_global_rotation_excluded_from_critics():
     cfg = small_cfg()
-    disc = nets.DiscriminatorSet(cfg, np.random.default_rng(31))
+    disc = nets.DiscriminatorSet(cfg, nets.drawing(np.random.default_rng(31)))
     rng = np.random.default_rng(32)
     theta = rng.normal(0, 0.5, (2, 72))
     beta = rng.normal(0, 0.5, (2, 10))
@@ -366,6 +366,29 @@ def test_checkpoint_rejects_unknown_parameter_section(tmp_path):
     _rewrite_checkpoint(path, lambda sec: sec.update({"param/f_3d.extra.w": np.zeros(4)}))
     with pytest.raises(ValidationError, match="param/f_3d.extra.w"):
         nets.load_checkpoint(path)
+
+
+def _drop_moment(sec, kind):
+    for key in [key for key in sec if key.startswith(kind + "/")]:
+        del sec[key]
+
+
+@pytest.mark.parametrize("edit,missing", [
+    (lambda sec: sec.pop("adam_steps"), "adam_steps"),                  # moments, no step counts
+    (lambda sec: sec.pop("adam_m/f_3d.out.w"), "adam_m/f_3d.out.w"),    # adam_v without its adam_m
+    (lambda sec: (_drop_moment(sec, "adam_m"), _drop_moment(sec, "adam_v")),
+     "adam_m/"),                                                         # step counts, no moments
+], ids=["moments_without_steps", "v_without_m", "steps_without_moments"])
+def test_checkpoint_rejects_partial_adam_state(tmp_path, edit, missing):
+    model = nets.ModelNets.create(small_cfg(), seed=0)
+    moments = {p.name: np.ones(p.data.shape) for p in model.all_params()}
+    path = tmp_path / "ckpt.bin"
+    nets.save_checkpoint(path, model, step=5, adam_m=moments, adam_v=moments,
+                         adam_steps={"gen": 5, "disc": 5})
+    _rewrite_checkpoint(path, edit)
+    with pytest.raises(ValidationError, match="partial Adam state") as ei:
+        nets.load_checkpoint(path)
+    assert str(path) in str(ei.value) and f"'{missing}" in str(ei.value), ei.value
 
 
 def test_full_path_gradient_temporal_to_regressor():
