@@ -3,7 +3,12 @@
 Graphs are built define-by-run: every operation records its parents and a
 backward closure, so tensor creation order is always a valid topological
 order. Calling ``backward`` on a scalar accumulates dLoss/dX into ``.grad``
-of every reachable tensor that has ``requires_grad`` set.
+of every reachable leaf (a parameter) that has ``requires_grad`` set, and
+consumes the graph it ran: every interior node it visited, the loss
+included, is left with no ``.grad``, parents or backward closure, so the
+forward arrays that only the tape held are freed. A graph is therefore
+backpropagated once; a later ``backward`` that reaches a consumed node
+raises.
 
 Design constraints honored throughout:
   * float64 everywhere (tight finite-difference checks stay meaningful),
@@ -33,6 +38,11 @@ class NumericalError(ArithmeticError):
 
 _POST = object()  # marks a finished tensor on Tensor.backward's traversal stack
 _RECORDING = contextvars.ContextVar("recording", default=True)  # off inside no_grad()
+
+
+def _consumed(g):
+    """The backward closure of a node whose graph an earlier backward consumed."""
+    raise RuntimeError("backward() through a graph that an earlier backward() consumed")
 
 
 class Tensor:
@@ -86,7 +96,14 @@ class Tensor:
             self.grad += g
 
     def backward(self):
-        """Reverse accumulation from this scalar into .grad of all leaves."""
+        """Reverse accumulation from this scalar into .grad of all leaves.
+
+        Consumes the graph: once the sweep is done, every interior node it
+        ran (this tensor included) drops its .grad, parents and backward
+        closure, all in one pass after the sweep. Leaves keep their
+        gradients. A node consumed by an earlier call raises RuntimeError
+        here, before any gradient is touched.
+        """
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar loss, got shape {self.shape}")
         # depth-first post-order, visiting a tensor when it is popped (so a
@@ -103,6 +120,8 @@ class Tensor:
                 continue
             if node in visited:
                 continue
+            if node._backward_fn is _consumed:
+                _consumed(None)    # raises before any gradient is touched
             visited.add(node)
             stack.append(node)
             stack.append(_POST)
@@ -113,6 +132,10 @@ class Tensor:
         for node in reversed(order):
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
+        for node in order:
+            node.grad = None
+            node._parents = ()
+            node._backward_fn = _consumed
 
     def detach(self) -> "Tensor":
         """Constant copy cut off from the graph (gradients stop here)."""

@@ -16,6 +16,7 @@ as comma lists (``delta_steps=-5,5``, ``jitter_scale=0.9,1.1``).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -456,7 +457,10 @@ def cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing leaves no state
+    in it. Each subcommand NAME runs the module's ``cmd_NAME`` function."""
     p = _Parser(prog="meshmotion",
                 description="desk-scale 3D body mesh and motion recovery")
     sub = p.add_subparsers(dest="command", required=True)
@@ -466,7 +470,6 @@ def build_parser() -> _Parser:
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--vertices", type=int, default=120)
     g.add_argument("--keypoints", type=int, default=14)
-    g.set_defaults(fn=cmd_gen_model)
 
     d = sub.add_parser("gen-data", help="write a synthetic sequence dataset")
     d.add_argument("--model", required=True)
@@ -484,7 +487,6 @@ def build_parser() -> _Parser:
     d.add_argument("--holdout", type=int, default=0,
                    help="extra sequences written to --holdout-out; same encoding family")
     d.add_argument("--holdout-out")
-    d.set_defaults(fn=cmd_gen_data)
 
     t = sub.add_parser("train", help="train networks on datasets")
     t.add_argument("--model", required=True)
@@ -497,7 +499,6 @@ def build_parser() -> _Parser:
     t.add_argument("--seed", type=int)
     t.add_argument("--delta-steps", help="comma list of frame offsets, e.g. -5,5")
     t.add_argument("--resume")
-    t.set_defaults(fn=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     e.add_argument("--model", required=True)
@@ -510,7 +511,6 @@ def build_parser() -> _Parser:
     e.add_argument("--train-data", help="training dataset for the nearest-neighbor baseline")
     e.add_argument("--oracle-gt", action="store_true",
                    help="score the ground truth against itself (pipeline self-check)")
-    e.set_defaults(fn=cmd_eval)
 
     r = sub.add_parser("predict", help="dump past/current/future prediction for one frame")
     r.add_argument("--model", required=True)
@@ -519,12 +519,10 @@ def build_parser() -> _Parser:
     r.add_argument("--seq", type=int, default=0)
     r.add_argument("--frame", type=int, required=True)
     r.add_argument("--out", required=True)
-    r.set_defaults(fn=cmd_predict)
 
     c = sub.add_parser("gradcheck", help="finite-difference verification of every path")
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out", help="optional CSV report path")
-    c.set_defaults(fn=cmd_gradcheck)
     return p
 
 
@@ -535,7 +533,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (ValidationError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return VALIDATION_EXIT

@@ -359,6 +359,13 @@ class ModelNets:
     def discriminator_params(self):
         return self.discriminators.params()
 
+    def frozen_discriminators(self) -> DiscriminatorSet:
+        """The critics on constants that share the live weights' arrays: the
+        same scores, but a backward through them computes no critic gradient."""
+        def param(name, shape, init):
+            return ad.constant(self._registry[name].data, name=name)
+        return DiscriminatorSet(self.cfg, param)
+
     def all_params(self):
         return self.generator_params() + self.discriminator_params()
 

@@ -406,7 +406,10 @@ def train_step(model: body.BodyModel, state: TrainState, batch, cfg: TrainConfig
 
     # adversarial prior over every predicted pose/shape row
     if w.w_adv > 0:
-        ladv = adv_prior_generator_loss(nets_model.discriminators, out["rots"], out["beta"])
+        # the critics are constants here: the generator backward computes no
+        # critic gradient
+        ladv = adv_prior_generator_loss(nets_model.frozen_discriminators(), out["rots"],
+                                        out["beta"])
         total = total + w.w_adv * ladv
         breakdown["ladv"] = ladv.item()
 
@@ -429,18 +432,16 @@ def train_step(model: body.BodyModel, state: TrainState, batch, cfg: TrainConfig
     # -- gradients of both updates, all checked before any parameter moves -----
     state.adam_gen.zero_grad()
     state.adam_disc.zero_grad()
-    total.backward()
+    total.backward()    # consumes the generator graph; ``out`` keeps only its arrays
     _require_finite_grads(step, state.adam_gen.params)
     if w.w_adv > 0:
-        # the fakes are this step's rotations; the critics' gradients from the
-        # generator pass are dropped
+        # the fakes are this step's rotations
         real_beta, real_rots = real_pool
         idx = disc_rng.integers(0, real_beta.shape[0], out["rots"].shape[0])
         dloss = adv_prior_discriminator_loss(nets_model.discriminators, real_rots[idx],
                                              real_beta[idx], out["rots"].data, out["beta"].data)
         breakdown["ldisc"] = dloss.item()
         _require_finite(step, "loss terms", [("ldisc", breakdown["ldisc"])])
-        state.adam_disc.zero_grad()
         dloss.backward()
         _require_finite_grads(step, state.adam_disc.params)
 

@@ -281,6 +281,36 @@ def sinusoid_mean_abs_accel(amplitude, freq_hz):
 
 
 # ---------------------------------------------------------------------------
+# The reverse sweep without consuming the graph
+# ---------------------------------------------------------------------------
+
+
+def retained_backward(loss):
+    """``Tensor.backward``'s sweep in the same order, leaving every node's
+    gradient, parents and closure in place: the leaf gradients a consuming
+    backward must reproduce bit for bit."""
+    order, visited = [], set()
+    # depth-first post-order, a tensor placed where its latest push puts it;
+    # None marks a finished tensor
+    stack = [loss]
+    while stack:
+        node = stack.pop()
+        if node is None:
+            order.append(stack.pop())
+            continue
+        if node in visited:
+            continue
+        visited.add(node)
+        stack.extend((node, None))
+        stack.extend(p for p in node._parents
+                     if (p._parents or p._backward_fn is not None) and p not in visited)
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(order):
+        if node._backward_fn is not None and node.grad is not None:
+            node._backward_fn(node.grad)
+
+
+# ---------------------------------------------------------------------------
 # Primitive-op graphs that fused tape nodes must reproduce bit for bit
 # ---------------------------------------------------------------------------
 

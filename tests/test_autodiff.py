@@ -1,3 +1,4 @@
+import weakref
 import zlib
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshmotion import autodiff as ad
-from oracles import composite_group_norm
+from oracles import composite_group_norm, retained_backward
 
 
 def rand(rng, *shape):
@@ -277,9 +278,60 @@ def test_fused_node_matches_composite_graph_bit_for_bit(name):
         assert got.shape == want.shape and np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("name", sorted(FUSED_CASES))
+def test_consuming_backward_gives_the_retained_sweeps_leaf_gradients_bit_for_bit(name):
+    """Releasing the graph after the sweep changes no arithmetic: on the fused
+    and the composite graph alike, every leaf gradient equals the one a sweep
+    that keeps the graph computes."""
+    for build in FUSED_CASES[name][:2]:
+        results = []
+        for sweep in (ad.Tensor.backward, retained_backward):
+            rng = np.random.default_rng(zlib.crc32(name.encode()))
+            params = [ad.parameter(rng.standard_normal(s), name=f"p{i}")
+                      for i, s in enumerate(FUSED_CASES[name][2])]
+            out = build(*params)
+            sweep(ad.sum_(ad.mul(out, ad.constant(rng.standard_normal(out.shape)))))
+            results.append([p.grad for p in params])
+        for got, want in zip(*results):
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # Structural invariants.
 # ---------------------------------------------------------------------------
+
+
+def test_backward_consumes_its_graph_and_keeps_leaf_gradients():
+    rng = np.random.default_rng(7)
+    p = ad.parameter(rand(rng, 3, 4), name="p")
+    q = ad.parameter(rand(rng, 4, 2), name="q")
+    hidden = ad.relu(ad.matmul_add(p, q, 0.5))
+    freed = weakref.ref(hidden.data)       # held by the tape only once ``hidden`` goes
+    scaled = hidden * ad.constant(rand(rng, 3, 2))
+    loss = ad.sum_(scaled)
+    interior = [scaled, loss]
+    del hidden
+    loss.backward()
+    for t in interior:
+        assert t.grad is None and t._parents == ()
+        assert getattr(t._backward_fn, "__closure__", None) is None
+    assert freed() is None
+    assert p.grad.shape == (3, 4) and q.grad.shape == (4, 2)
+
+
+def test_backward_through_a_consumed_graph_raises_before_touching_gradients():
+    p = ad.parameter(np.array([1.0, -2.0, 3.0]), name="p")
+    y = p * p
+    loss = ad.sum_(y)
+    loss.backward()
+    grad = p.grad.copy()
+    with pytest.raises(RuntimeError, match="consumed"):
+        loss.backward()
+    with pytest.raises(RuntimeError, match="consumed"):
+        ad.sum_(y * 3.0 + p).backward()     # a new graph that reaches a consumed node
+    assert np.array_equal(p.grad, grad)
+    ad.sum_(p * p).backward()                 # a fresh graph over the same leaf still runs
+    assert np.array_equal(p.grad, 2.0 * grad)
 
 
 def test_determinism_bit_identical():

@@ -61,6 +61,23 @@ def test_invalid_flag_usage_error():
     assert cli.run(["frobnicate"]) == 1
 
 
+def test_parser_is_built_once_and_carries_no_values_between_calls(monkeypatch):
+    """One parser serves every call: repeated options start empty on each
+    call, a usage error still exits 1, and the command runs by its name."""
+    seen = []
+    monkeypatch.setattr(cli, "cmd_train", lambda args: seen.append(args) or 0)
+    train = ["train", "--model", "m.bin", "--out", "run"]
+    assert cli.run(train + ["--data", "a.bin", "--data", "b.bin::2", "--set", "lr=0.5",
+                            "--set", "steps=3"]) == 0
+    assert cli.run(["train", "--model", "m.bin", "--data", "a.bin", "--no-such-flag"]) == 1
+    assert cli.run(train + ["--data", "c.bin"]) == 0
+    assert cli.run(train + ["--data", "d.bin", "--set", "seed=4"]) == 0
+    assert [(a.data, a.set) for a in seen] == [(["a.bin", "b.bin::2"], ["lr=0.5", "steps=3"]),
+                                              (["c.bin"], None), (["d.bin"], ["seed=4"])]
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.run(["train", "--model", "m.bin", "--out", "run"]) == 1   # --data is required
+
+
 def test_missing_file_validation_error(tmp_path):
     code = cli.run(["gen-data", "--model", str(tmp_path / "missing.bin"),
                     "--out", str(tmp_path / "d.bin")])
@@ -77,7 +94,7 @@ def subprocess_env(drop=()):
 
 def test_module_entrypoint_runs():
     out = subprocess.run([sys.executable, "-m", "meshmotion.cli", "--help"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=subprocess_env())
     assert out.returncode == 0
     assert "gradcheck" in out.stdout
 

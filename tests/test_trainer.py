@@ -1,3 +1,4 @@
+import gc
 import logging
 import zlib
 
@@ -129,6 +130,62 @@ def test_training_step_encodes_the_whole_batch_in_one_call(toy_model, monkeypatc
     state = training.init_state(nets.ModelNets.create(enc, seed=tcfg.seed), tcfg)
     training.train(toy_model, state, [(train_ds, 1)], tcfg)
     assert state.step == 1 and shapes == [(4, 16, 32)]
+
+
+def _live_graph_nodes():
+    return sum(1 for o in gc.get_objects() if type(o) is ad.Tensor and o._parents)
+
+
+def test_generator_graph_is_released_before_the_critic_loss_is_built(train_setup, monkeypatch):
+    """The generator backward consumes its graph: when the critic loss is
+    built, the step's forward outputs keep their arrays but no parents, and
+    no graph node made in the step is still alive."""
+    model, ds = train_setup
+    state, tcfg = fresh_state(tcfg=tiny_tcfg(steps=1))
+    outs, seen = [], []
+    forward = training.forward
+    disc_loss = training.adv_prior_discriminator_loss
+
+    def capturing(*args, **kwargs):
+        outs.append(forward(*args, **kwargs))
+        return outs[-1]
+
+    def checking(*args):
+        out = outs[0]
+        tensors = list(out["full"]) + [out[k] for k in ("beta", "pose", "rots", "joints", "pred2d")]
+        seen.append(([t._parents for t in tensors], [t.grad for t in tensors],
+                     _live_graph_nodes()))
+        return disc_loss(*args)
+
+    monkeypatch.setattr(training, "forward", capturing)
+    monkeypatch.setattr(training, "adv_prior_discriminator_loss", checking)
+    before = _live_graph_nodes()
+    training.train(model, state, [(ds, 1)], tcfg)
+    assert len(outs) == len(seen) == 1
+    parents, grads, live = seen[0]
+    assert all(p == () for p in parents) and all(g is None for g in grads)
+    assert live == before
+    assert outs[0]["joints"].data.shape[0] > 0      # the arrays themselves are kept
+
+
+def test_generator_backward_computes_no_critic_gradient(train_setup, monkeypatch):
+    """The generator's adversarial term runs on constant critics, so its
+    backward leaves every critic parameter's gradient unset; the critic
+    backward then fills all of them."""
+    model, ds = train_setup
+    state, tcfg = fresh_state(tcfg=tiny_tcfg(steps=1))
+    critics = state.nets.discriminator_params()
+    unset = []
+    backward = ad.Tensor.backward
+
+    def recording(self):
+        backward(self)
+        unset.append([p.grad is None for p in critics])
+
+    monkeypatch.setattr(ad.Tensor, "backward", recording)
+    training.train(model, state, [(ds, 1)], tcfg)
+    assert len(critics) == 14 and len(unset) == 2
+    assert all(unset[0]) and not any(unset[1])
 
 
 def test_zero_learning_rate_leaves_parameters_unchanged(train_setup):
