@@ -177,18 +177,6 @@ class Tensor:
     def __getitem__(self, idx):
         return getitem(self, idx)
 
-    def reshape(self, *shape):
-        return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
-
-    def transpose(self, axes=None):
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean_(self, axis=axis, keepdims=keepdims)
-
 
 def as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
@@ -361,47 +349,6 @@ def exp(a) -> Tensor:
     return _node(out_data, (a,), backward_fn)
 
 
-def log(a) -> Tensor:
-    a = as_tensor(a)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a._accum_fresh(g / a.data)
-
-    return _node(np.log(a.data), (a,), backward_fn)
-
-
-def sin(a) -> Tensor:
-    a = as_tensor(a)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a._accum_fresh(g * np.cos(a.data))
-
-    return _node(np.sin(a.data), (a,), backward_fn)
-
-
-def cos(a) -> Tensor:
-    a = as_tensor(a)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a._accum_fresh(-g * np.sin(a.data))
-
-    return _node(np.cos(a.data), (a,), backward_fn)
-
-
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.sqrt(a.data)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a._accum_fresh(g * 0.5 / out_data)
-
-    return _node(out_data, (a,), backward_fn)
-
-
 def relu(a) -> Tensor:
     a = as_tensor(a)
     mask = a.data > 0.0
@@ -411,19 +358,6 @@ def relu(a) -> Tensor:
             a._accum_fresh(g * mask)
 
     return _node(a.data * mask, (a,), backward_fn)
-
-
-def l2_norm(a) -> Tensor:
-    """Euclidean norm over all elements; derivative at 0 is defined as 0."""
-    a = as_tensor(a)
-    val = float(np.sqrt(np.sum(a.data * a.data)))
-
-    def backward_fn(g):
-        if a.requires_grad:
-            denom = np.sqrt(np.sum(a.data * a.data) + NORM_GRAD_EPS)
-            a._accum_fresh(float(g.reshape(())) * a.data / denom)
-
-    return _node(np.float64(val), (a,), backward_fn)
 
 
 def l2_norm_rows(a) -> Tensor:

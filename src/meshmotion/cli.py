@@ -138,6 +138,9 @@ def cmd_gen_model(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
+    if args.seqs < 1 or args.holdout < 0:
+        raise ValidationError(f"--seqs must be at least 1 and --holdout at least 0, got "
+                              f"{args.seqs} and {args.holdout}")
     model = body.load_model(args.model)
     if args.holdout and not args.holdout_out:
         raise ValidationError("--holdout needs --holdout-out")
@@ -214,13 +217,10 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     train_bundle = data.load_dataset(args.train_data) if args.train_data else None
-    want_dynamics = args.mode == "hallucinated-dynamics"
-    mode = "single-frame" if want_dynamics else args.mode
-    report = metrics.evaluate(model, nets_model, bundle, mode=mode, alpha=args.alpha,
-                              train_dataset=train_bundle, gt_as_prediction=args.oracle_gt,
-                              dynamics=want_dynamics)
+    report = metrics.evaluate(model, nets_model, bundle, mode=args.mode, alpha=args.alpha,
+                              train_dataset=train_bundle, gt_as_prediction=args.oracle_gt)
     report.write_csv(out_dir / "metrics.csv")
-    if want_dynamics:
+    if report.dynamics is not None:
         report.write_dynamics_csv(out_dir / "dynamics.csv")
     print(f"checkpoint step {step}, mode {args.mode}")
     print(report.to_text())
@@ -270,7 +270,8 @@ def cmd_predict(args) -> int:
 
 
 def _gradcheck_cases(seed):
-    """Named gradient checks: primitive ops first, then full network paths."""
+    """Named gradient checks: one ``op:`` case or more for each differentiable
+    autodiff op, then full network paths."""
     rng = np.random.default_rng(seed)
     model = body.make_toy_model(seed=seed, n_vertices=48, k_keypoints=8)
     enc = nets.EncoderConfig(feature_dim=16, n_blocks=1, gn_groups=4, gn_group_size=4,
@@ -286,21 +287,25 @@ def _gradcheck_cases(seed):
         "div": (lambda t, u: ad.sum_(t / u), [(5,), (5,)], 3.0),
         "matmul": (lambda t, u: ad.sum_(ad.matmul(t, u) * ad.matmul(t, u)), [(3, 4), (4, 2)], 0.0),
         "batched_matmul": (lambda t, u: ad.sum_(ad.matmul(t, u)), [(3, 2, 4), (3, 4, 2)], 0.0),
+        "matmul_add": (lambda t, u, v: ad.sum_(ad.matmul_add(t, u, v) * ad.matmul_add(t, u, v)),
+                       [(3, 4), (4, 2), (2,)], 0.0),
+        "broadcast_to": (lambda t: ad.sum_(ad.broadcast_to(t, (3, 4)) * ad.broadcast_to(t, (3, 4))),
+                         [(1, 4)], 0.0),
         "reshape_transpose": (lambda t: ad.sum_(ad.transpose(ad.reshape(t, (3, 4))) *
                                                 ad.transpose(ad.reshape(t, (3, 4)))), [(12,)], 0.0),
         "concat_slice": (lambda t, u: ad.sum_(ad.concat([t, u], axis=1)[:, 2:5] *
                                               ad.concat([t, u], axis=1)[:, 2:5]), [(2, 4), (2, 3)], 0.0),
         "gather_rows": (lambda t: ad.sum_(ad.gather_rows(t, [0, 2, 2, 5]) * 1.5), [(6, 3)], 0.0),
         "relu": (lambda t: ad.sum_(ad.relu(t)), [(4, 4)], 0.2),
-        "exp_log_sqrt": (lambda t: ad.sum_(ad.log(ad.exp(t) + 2.0) + ad.sqrt(ad.exp(t))), [(4,)], 0.0),
-        "sin_cos": (lambda t: ad.sum_(ad.sin(t) * ad.cos(t)), [(5,)], 0.0),
+        "exp": (lambda t: ad.sum_(ad.exp(t) * t), [(4,)], 0.0),
+        "pow_const": (lambda t: ad.sum_(ad.pow_const(t - 1.0, 2.0)), [(4,)], 0.0),
+        "neg": (lambda t: ad.sum_(-t * t), [(5,)], 0.0),
         "reduce_mean": (lambda t: ad.sum_(ad.mean_(t, axis=1, keepdims=True) *
                                           ad.mean_(t, axis=1, keepdims=True)), [(3, 5)], 0.0),
         "conv1d": (lambda x, w, b: ad.sum_(ad.conv1d(x, w, b) * ad.conv1d(x, w, b)),
                    [(3, 9), (2, 3, 3), (2,)], 0.0),
         "group_norm": (lambda x, g, b: ad.sum_(ad.group_norm(x, g, b, 2) *
                                                ad.group_norm(x, g, b, 2)), [(4, 6), (4,), (4,)], 0.5),
-        "l2_norm": (lambda t: ad.l2_norm(t), [(6,)], 2.0),
         "l2_norm_rows": (lambda t: ad.sum_(ad.l2_norm_rows(t)), [(4, 3)], 1.5),
         "dropout_apply": (lambda t: ad.sum_(t * ad.dropout_mask(
             np.random.default_rng(seed + 3), (4, 4), 0.4)), [(4, 4)], 0.0),
@@ -505,8 +510,7 @@ def build_parser() -> _Parser:
     e.add_argument("--ckpt", required=True)
     e.add_argument("--data", required=True)
     e.add_argument("--out", required=True)
-    e.add_argument("--mode", default="temporal",
-                   choices=["temporal", "single-frame", "hallucinated-dynamics"])
+    e.add_argument("--mode", default="temporal", choices=metrics.EVAL_MODES)
     e.add_argument("--alpha", type=float, default=0.05)
     e.add_argument("--train-data", help="training dataset for the nearest-neighbor baseline")
     e.add_argument("--oracle-gt", action="store_true",

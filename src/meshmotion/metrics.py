@@ -313,18 +313,14 @@ def pck(pred_2d, gt_2d, vis, alpha: float = 0.05, frame_mask=None, lengths=None)
 
 
 def accel_error(pred_joints, gt_joints, fps: float) -> float:
-    """Mean acceleration discrepancy in mm/s^2 via second finite differences.
-
-    With ground truth: mean over interior frames and joints of the norm of
-    the acceleration difference. Without: mean norm of the predicted
-    acceleration alone.
+    """Mean acceleration discrepancy in mm/s^2 via second finite differences:
+    the mean over interior frames and joints of the norm of the difference
+    between predicted and ground-truth acceleration.
     """
     p = np.asarray(pred_joints, dtype=np.float64)
     if p.shape[0] < 3:
         raise ValueError(f"acceleration undefined for T={p.shape[0]} < 3 frames")
     acc_p = (p[2:] - 2 * p[1:-1] + p[:-2]) * fps * fps
-    if gt_joints is None:
-        return float(np.linalg.norm(acc_p, axis=2).mean() * MM)
     g = np.asarray(gt_joints, dtype=np.float64)
     acc_g = (g[2:] - 2 * g[1:-1] + g[:-2]) * fps * fps
     return float(np.linalg.norm(acc_p - acc_g, axis=2).mean() * MM)
@@ -522,35 +518,46 @@ class _Pool:
         return math.fsum(self.values) / math.fsum(self.counts)
 
 
+EVAL_MODES = ("temporal", "single-frame", "hallucinated-dynamics")
+
+
 @ad.no_grad()
 def evaluate(model: body.BodyModel, nets_model, dataset, mode: str = "temporal",
-             alpha: float = 0.05, train_dataset=None, gt_as_prediction: bool = False,
-             dynamics: bool = False) -> MetricReport:
+             alpha: float = 0.05, train_dataset=None,
+             gt_as_prediction: bool = False) -> MetricReport:
     """Full metric sweep over a dataset, batched across its sequences.
 
-    ``gt_as_prediction`` short-circuits the networks and scores the ground
-    truth against itself (pipeline self-check). ``dynamics`` adds the
-    past/current/future protocol with the constant baseline and, when a
-    training set is supplied, the nearest-neighbor baseline; in single-frame
-    mode it reuses this sweep's predictions, made with the delta predictors.
+    ``mode`` is one of ``EVAL_MODES``, the ``eval`` command's modes.
+    'hallucinated-dynamics' scores the single-frame predictions, made with
+    the delta predictors, and adds the past/current/future protocol of
+    ``evaluate_dynamics`` on the same predictions: the constant baseline
+    and, when a training set is supplied, the nearest-neighbor baseline.
+    ``gt_as_prediction`` short-circuits the networks in the sequence
+    metrics and scores the ground truth against itself (pipeline
+    self-check); the dynamics protocol still scores the networks.
     """
+    if mode not in EVAL_MODES:
+        raise ValueError(f"unknown evaluation mode {mode!r}")
+    dynamics = mode == "hallucinated-dynamics"
+    if dynamics and (not nets_model.deltas or nets_model.hallucinator is None):
+        raise ValueError("dynamics evaluation needs delta predictors and a hallucinator")
     samples = list(dataset)
     lengths = [s.n_frames for s in samples]
     segments = _segments(lengths)
     mask = ~np.concatenate([s.excluded if s.excluded is not None else np.zeros(s.n_frames, bool)
                             for s in samples])
     gt_by_seq = gt_joints_of(model, samples)
-    hand_over = dynamics and mode == "single-frame" and not gt_as_prediction
-    pred = None
     if gt_as_prediction:
         for sample in samples:
             if sample.theta_gt is None:
                 raise ValueError(f"{sample.id}: gt_as_prediction needs theta_gt")
+    if dynamics or not gt_as_prediction:
+        pred = predict_sequence(model, nets_model, [s.features for s in samples],
+                                "single-frame" if dynamics else mode, deltas=dynamics)
+    if gt_as_prediction:
         full, joints = np.concatenate([s.theta_gt for s in samples]), np.concatenate(gt_by_seq)
         pred2d = camera.project(joints, full[:, 82:83], full[:, 83:85]).data
     else:
-        pred = predict_sequence(model, nets_model, [s.features for s in samples], mode=mode,
-                                deltas=hand_over)
         full, joints, pred2d = pred["full"], pred["joints_current"], pred["pred2d"]
 
     pck_by_seq = pck(pred2d, np.concatenate([s.kp2d for s in samples]),
@@ -601,21 +608,19 @@ def evaluate(model: body.BodyModel, nets_model, dataset, mode: str = "temporal",
         aggregate[key] = pool.mean()
     dyn = None
     if dynamics:
-        dyn = evaluate_dynamics(model, nets_model, samples, train_dataset=train_dataset,
-                                gt_joints=gt_by_seq, predictions=pred if hand_over else None)
+        dyn = evaluate_dynamics(model, nets_model, samples, gt_by_seq, pred,
+                                train_dataset=train_dataset)
     return MetricReport(per_sequence=per_seq, aggregate=aggregate, dynamics=dyn)
 
 
-def _dynamics_centers(sample, step_mag, half_field, shifts=None):
+def _dynamics_centers(sample, half_field, back, fwd):
     """The centre frames t the dynamics protocol scores: at least
-    max(half_field, step_mag) frames from either end, with t and each
-    scored frame t + shift kept by the visibility filter. ``shifts`` are
-    the past and future offsets, (-step_mag, step_mag) when not given."""
-    lo = max(half_field, step_mag)
-    hi = sample.n_frames - 1 - max(half_field, step_mag)
+    max(half_field, |back|, |fwd|) frames from either end, with t and the
+    scored frames t + back and t + fwd kept by the visibility filter."""
+    margin = max(half_field, abs(back), abs(fwd))
     excluded = sample.excluded if sample.excluded is not None else np.zeros(sample.n_frames, bool)
-    offsets = (0, *(shifts if shifts is not None else (-step_mag, step_mag)))
-    return [t for t in range(lo, hi + 1) if not any(excluded[t + d] for d in offsets)]
+    return [t for t in range(margin, sample.n_frames - margin)
+            if not (excluded[t] or excluded[t + back] or excluded[t + fwd])]
 
 
 def _gt_triplets(g_joints, centers, back, fwd):
@@ -624,13 +629,15 @@ def _gt_triplets(g_joints, centers, back, fwd):
     return np.stack([g_joints[c + back], g_joints[c], g_joints[c + fwd]], axis=1)
 
 
-def evaluate_dynamics(model: body.BodyModel, nets_model, dataset, train_dataset=None,
-                      gt_joints=None, predictions=None):
-    """Past/current/future PA-MPJPE from single-frame input.
+def evaluate_dynamics(model: body.BodyModel, nets_model, dataset, gt_joints, predictions,
+                      train_dataset=None):
+    """Past/current/future PA-MPJPE from single-frame input; ``evaluate``'s
+    'hallucinated-dynamics' mode runs it.
 
-    'ours': ``predict_sequence`` in single-frame mode with the delta
-    predictors for the shifted frames (shape reused from the current frame),
-    taken at the centre frames.
+    ``gt_joints`` and ``predictions`` hold ``gt_joints_of`` and single-frame
+    ``predict_sequence(..., deltas=True)`` over the dataset's sequences.
+    'ours': those predictions, with the delta predictors' shifted frames
+    (shape reused from the current frame), taken at the centre frames.
     'constant': the current prediction reused for past and future. 'nearest':
     the first training centre whose current joints have the smallest
     ``pa_mpjpe`` to the current ground truth, carried over with its own
@@ -639,19 +646,10 @@ def evaluate_dynamics(model: body.BodyModel, nets_model, dataset, train_dataset=
     entry per centre exactly and screens the rest.
 
     A centre t scores frames t + min(deltas) and t + max(deltas); it is used
-    when those and t itself are kept by the visibility filter.
-
-    ``gt_joints`` and ``predictions``, when given, hold ``gt_joints_of`` and
-    single-frame ``predict_sequence(..., deltas=True)`` over the dataset's
-    sequences, as ``evaluate`` has already computed them. Every method's
-    centres are scored in one stacked alignment.
+    when those and t itself are kept by the visibility filter. Every
+    method's centres are scored in one stacked alignment.
     """
-    steps = sorted(nets_model.deltas)
-    if not steps or nets_model.hallucinator is None:
-        raise ValueError("dynamics evaluation needs delta predictors and a hallucinator")
-    back = min(steps)
-    fwd = max(steps)
-    step_mag = max(abs(back), abs(fwd))
+    back, fwd = min(nets_model.deltas), max(nets_model.deltas)
     hf = nets_model.cfg.half_field
 
     pool = None     # (P, 3, k, 3) past/current/future ground truth of every training centre
@@ -660,22 +658,17 @@ def evaluate_dynamics(model: body.BodyModel, nets_model, dataset, train_dataset=
         train = [s for s in train_dataset if s.tier == "full3d"]
         trips = []
         for s, g_joints in zip(train, gt_joints_of(model, train)):
-            centers = _dynamics_centers(s, step_mag, hf, (back, fwd))
+            centers = _dynamics_centers(s, hf, back, fwd)
             if centers:
                 trips.append(_gt_triplets(g_joints, centers, back, fwd))
         if trips:
             pool = np.concatenate(trips)
 
     samples = list(dataset)
-    if gt_joints is None:
-        gt_joints = gt_joints_of(model, samples)
-    if predictions is None:
-        predictions = predict_sequence(model, nets_model, [s.features for s in samples],
-                                       "single-frame", deltas=True)
     # every test centre's row in the batched predictions, in dataset order
     rows, gts = [], []
     for s, (lo, _), g_joints in zip(samples, _segments([s.n_frames for s in samples]), gt_joints):
-        centers = _dynamics_centers(s, step_mag, hf, (back, fwd)) if g_joints is not None else []
+        centers = _dynamics_centers(s, hf, back, fwd) if g_joints is not None else []
         if centers:
             rows.append(lo + np.asarray(centers))
             gts.append(_gt_triplets(g_joints, centers, back, fwd))

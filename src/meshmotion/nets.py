@@ -34,8 +34,6 @@ SHAPE_DIM = body.SHAPE_DIM   # 10
 N_BODY_JOINTS = body.N_JOINTS - 1  # discriminated joints, global rotation excluded
 
 # raw regressor output layout: [beta | pose | camera(log s, tx, ty)]
-BETA_SLICE = slice(0, SHAPE_DIM)
-POSE_SLICE = slice(SHAPE_DIM, SHAPE_DIM + POSE_DIM)
 CAM_SLICE = slice(SHAPE_DIM + POSE_DIM, THETA_DIM)
 
 

@@ -315,6 +315,29 @@ def retained_backward(loss):
 # ---------------------------------------------------------------------------
 
 
+def sin(a):
+    """Elementwise sine as a tape node, for the composite graphs below."""
+    a = ad.as_tensor(a)
+
+    def backward_fn(g):
+        if a.requires_grad:
+            a._accum_fresh(g * np.cos(a.data))
+
+    return ad.custom_op(np.sin(a.data), (a,), backward_fn)
+
+
+def sqrt(a):
+    """Elementwise square root as a tape node, for the composite graphs below."""
+    a = ad.as_tensor(a)
+    out_data = np.sqrt(a.data)
+
+    def backward_fn(g):
+        if a.requires_grad:
+            a._accum_fresh(g * 0.5 / out_data)
+
+    return ad.custom_op(out_data, (a,), backward_fn)
+
+
 def composite_group_norm(x, gamma, beta, n_groups, eps=1e-5):
     """Per-group, per-time-step normalization of a (C, T) map, one node per step."""
     c, t_len = x.shape
@@ -323,7 +346,7 @@ def composite_group_norm(x, gamma, beta, n_groups, eps=1e-5):
     m = ad.mul(ad.sum_(xg, axis=1, keepdims=True), 1.0 / gsize)
     centered = ad.add(xg, ad.neg(m))
     var = ad.mul(ad.sum_(ad.mul(centered, centered), axis=1, keepdims=True), 1.0 / gsize)
-    denom = ad.sqrt(ad.add(var, eps))
+    denom = sqrt(ad.add(var, eps))
     normed = ad.reshape(ad.div(centered, denom), (c, t_len))
     return ad.add(ad.mul(normed, ad.reshape(gamma, (c, 1))), ad.reshape(beta, (c, 1)))
 
@@ -334,10 +357,10 @@ def composite_rodrigues(v):
     s = ad.sum_(ad.mul(v, v), axis=1, keepdims=True)
     small = ad.constant((s.data < body.SMALL_ANGLE ** 2).astype(float))
     big = ad.constant(1.0 - small.data)
-    a = ad.sqrt(ad.add(s, small))
+    a = sqrt(ad.add(s, small))
     half = ad.mul(a, 0.5)
-    c1_big = ad.div(ad.sin(a), a)
-    half_sinc = ad.div(ad.sin(half), half)
+    c1_big = ad.div(sin(a), a)
+    half_sinc = ad.div(sin(half), half)
     c2_big = ad.mul(ad.mul(half_sinc, half_sinc), 0.5)
     c1_small = ad.add(1.0, ad.neg(ad.mul(s, 1.0 / 6.0)))
     c2_small = ad.add(0.5, ad.neg(ad.mul(s, 1.0 / 24.0)))

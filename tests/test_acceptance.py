@@ -278,8 +278,8 @@ def _dynamics_report(model, motion, seed):
     tcfg = training.TrainConfig(seq_len=16, batch_size=4, steps=2500, lr=5e-4,
                                 seed=0, use_jitter=False, delta_centers_per_seq=3)
     state = run_training(model, enc32(), tcfg, train_ds)
-    rep = metrics.evaluate(model, state.nets, test_ds, mode="single-frame",
-                           dynamics=True, train_dataset=train_ds)
+    rep = metrics.evaluate(model, state.nets, test_ds, mode="hallucinated-dynamics",
+                           train_dataset=train_ds)
     return rep.dynamics
 
 

@@ -56,6 +56,16 @@ def test_gen_data_outputs_loadable_and_seed_stable(workdir, tmp_path):
     assert len(data.load_dataset(a)) == 2
 
 
+def test_gen_data_rejects_bad_split_sizes_before_writing(workdir, tmp_path, capsys):
+    out, held = tmp_path / "d.bin", tmp_path / "h.bin"
+    base = ["gen-data", "--model", str(workdir / "model.bin"), "--out", str(out),
+            "--holdout-out", str(held), "--frames", "12", "--feature-dim", "24"]
+    for sizes in (["--seqs", "5", "--holdout", "-2"], ["--seqs", "0"], ["--seqs", "-1"]):
+        assert cli.run(base + sizes) == 2
+        assert "--seqs must be at least 1" in capsys.readouterr().err
+        assert not out.exists() and not held.exists()
+
+
 def test_invalid_flag_usage_error():
     assert cli.run(["gen-model", "--no-such-flag", "x"]) == 1
     assert cli.run(["frobnicate"]) == 1
@@ -402,14 +412,6 @@ def test_eval_dynamics_skins_each_ground_truth_once(workdir, trained, tmp_path, 
     # delta rows), whose rows the dynamics protocol reuses, and the training pool
     assert kp3d_rows == [n_frames, n_frames * (1 + n_steps), n_frames]
 
-    # the joints evaluate hands over give what evaluate_dynamics computes itself
-    model = body.load_model(workdir / "model.bin")
-    model_nets = nets.load_checkpoint(trained)[0]
-    ds = data.load_dataset(workdir / "data.bin")
-    handed = metrics.evaluate(model, model_nets, ds, mode="single-frame", dynamics=True,
-                              train_dataset=ds).dynamics
-    assert handed == metrics.evaluate_dynamics(model, model_nets, ds, train_dataset=ds)
-
 
 def test_eval_scores_mixed_lengths_as_each_sequence_alone(workdir, trained, tmp_path):
     model = body.load_model(workdir / "model.bin")
@@ -525,6 +527,27 @@ def test_gradcheck_command_passes(tmp_path):
     rows = report.read_text().splitlines()
     assert rows[0] == "check,max_rel_err,pass"
     assert all(r.endswith(",1") for r in rows[1:])
+
+
+def test_gradcheck_op_cases_cover_every_differentiable_op(monkeypatch):
+    """Each public autodiff function that records a tape node is called by an
+    ``op:`` case, and a case whose op is gone would fail to build."""
+    not_ops = {"as_tensor", "constant", "parameter", "no_grad", "custom_op", "zero_grads",
+               "finite_diff_check"}
+    ops = sorted(name for name, fn in vars(ad).items()
+                 if callable(fn) and getattr(fn, "__module__", None) == ad.__name__
+                 and not name.startswith("_") and name not in not_ops
+                 and not isinstance(fn, type))
+    called = set()
+    for name in ops:
+        fn = getattr(ad, name)
+        monkeypatch.setattr(ad, name, lambda *a, _n=name, _f=fn, **k: called.add(_n) or _f(*a, **k))
+    for case, build in cli._gradcheck_cases(0):
+        if case.startswith("op:"):
+            f, _ = build()
+            f()
+    assert {"neg", "matmul_add", "reshape"} <= set(ops)
+    assert called == set(ops), sorted(set(ops) - called)
 
 
 def test_gradcheck_detects_corrupted_backward(monkeypatch, capsys):

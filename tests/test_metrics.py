@@ -256,15 +256,7 @@ def test_accel_invariant_to_shared_drift():
 
 def test_accel_requires_three_frames():
     with pytest.raises(ValueError):
-        metrics.accel_error(np.zeros((2, 1, 3)), None, fps=25.0)
-
-
-def test_accel_without_gt_reports_prediction_magnitude():
-    t = np.arange(5.0)
-    pred = np.zeros((5, 1, 3))
-    pred[:, 0, 0] = t * t  # constant acceleration 2 per frame^2
-    got = metrics.accel_error(pred, None, fps=1.0)
-    assert got == pytest.approx(2.0 * 1000.0, rel=1e-12)
+        metrics.accel_error(np.zeros((2, 1, 3)), np.zeros((2, 1, 3)), fps=25.0)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +366,8 @@ def test_failed_metrics_write_keeps_previous_csv(tmp_path):
 
 def test_dynamics_protocol_structure(eval_setup):
     model, model_nets, ds = eval_setup
-    report = metrics.evaluate(model, model_nets, ds, dynamics=True, train_dataset=ds)
+    report = metrics.evaluate(model, model_nets, ds, mode="hallucinated-dynamics",
+                              train_dataset=ds)
     d = report.dynamics
     assert d.n_centers > 0
     # the constant baseline shares its current-frame prediction with ours
@@ -391,14 +384,14 @@ def test_dynamics_nearest_matches_brute_force_oracle(eval_setup, toy_model):
     model, model_nets, ds = eval_setup
     train = data.gen_synthetic_dataset(toy_model, n_seqs=3, n_frames=20, fps=25.0, seed=12,
                                        feature_dim=24, vis_dropout=0.0, feature_noise=0.01)
-    d = metrics.evaluate_dynamics(model, model_nets, ds, train_dataset=train)
+    d = metrics.evaluate(model, model_nets, ds, mode="hallucinated-dynamics",
+                         train_dataset=train).dynamics
     back, fwd = min(model_nets.deltas), max(model_nets.deltas)
-    step_mag = max(abs(back), abs(fwd))
 
     def triplets(bundle):
         out = []
         for s, g in zip(bundle, metrics.gt_joints_of(model, bundle)):
-            for t in metrics._dynamics_centers(s, step_mag, model_nets.cfg.half_field):
+            for t in metrics._dynamics_centers(s, model_nets.cfg.half_field, back, fwd):
                 out.append((g[t + back], g[t], g[t + fwd]))
         return out
 
@@ -457,8 +450,13 @@ def test_nearest_search_aligns_few_rows_per_centre(eval_setup, foreign_train, mo
         rows.append(len(pred))
         return procrustes_align(pred, gt)
 
+    samples = list(ds)
+    gt_joints = metrics.gt_joints_of(model, samples)
+    preds = metrics.predict_sequence(model, model_nets, [s.features for s in samples],
+                                     "single-frame", deltas=True)
     monkeypatch.setattr(metrics, "procrustes_align", counting)
-    d = metrics.evaluate_dynamics(model, model_nets, ds, train_dataset=foreign_train)
+    d = metrics.evaluate_dynamics(model, model_nets, samples, gt_joints, preds,
+                                  train_dataset=foreign_train)
     # the final scoring aligns past/current/future of three methods per centre
     search_rows = sum(rows) - 9 * d.n_centers
     assert 0 < search_rows <= 2 * d.n_centers
@@ -471,8 +469,10 @@ def test_dynamics_pool_takes_full3d_sequences_only(eval_setup, foreign_train):
     leaked = data.DatasetBundle([*foreign_train.sequences, *(replace(s, tier=tier) for s, tier in
                                                              zip(ds, ("gt2d", "pseudo2d")))],
                                 foreign_train.feature_meta)
-    got = metrics.evaluate_dynamics(model, model_nets, ds, train_dataset=leaked)
-    assert got == metrics.evaluate_dynamics(model, model_nets, ds, train_dataset=foreign_train)
+    got, clean = (metrics.evaluate(model, model_nets, ds, mode="hallucinated-dynamics",
+                                   train_dataset=train).dynamics
+                  for train in (leaked, foreign_train))
+    assert got == clean
     assert got.nearest[1] > 1.0
     _, _, dyn = evaluate_per_sequence(model, model_nets, ds, mode="single-frame",
                                       train_dataset=leaked, dynamics=True)
@@ -491,13 +491,13 @@ def test_dynamics_centres_skip_the_excluded_frames_they_score(toy_model):
     excluded = np.zeros(24, bool)
     excluded[margin - 2] = True     # the past frame of the first centre only
     seq = replace(seq, excluded=excluded)
-    d = metrics.evaluate_dynamics(toy_model, model_nets, [seq])
+    d = metrics.evaluate(toy_model, model_nets, [seq], mode="hallucinated-dynamics").dynamics
     _, _, dyn = evaluate_per_sequence(toy_model, model_nets, [seq], mode="single-frame",
                                       dynamics=True)
     assert d.n_centers == dyn[0] == 24 - 2 * margin - 1
     for got, want in zip((d.ours, d.constant), dyn[1:3]):
         assert all(_close(g, w) for g, w in zip(got, want))
-    assert metrics._dynamics_centers(seq, 4, cfg.half_field, (-2, 4)) == \
+    assert metrics._dynamics_centers(seq, cfg.half_field, -2, 4) == \
         list(range(margin + 1, 24 - margin))
 
 
@@ -528,15 +528,15 @@ def _close(got, want):
     return got == pytest.approx(want, rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("mode", ["temporal", "single-frame", "dynamics"])
+@pytest.mark.parametrize("mode", ["temporal", "single-frame",
+                                  pytest.param("hallucinated-dynamics", id="dynamics")])
 def test_batched_evaluate_equals_per_sequence_oracle(eval_setup, mixed_dataset, mode):
     model, model_nets, train = eval_setup
-    dynamics = mode == "dynamics"
-    mode = "single-frame" if dynamics else mode
-    report = metrics.evaluate(model, model_nets, mixed_dataset, mode=mode, dynamics=dynamics,
-                              train_dataset=train)
-    rows, aggregate, dyn = evaluate_per_sequence(model, model_nets, mixed_dataset, mode=mode,
-                                                 train_dataset=train, dynamics=dynamics)
+    report = metrics.evaluate(model, model_nets, mixed_dataset, mode=mode, train_dataset=train)
+    dynamics = mode == "hallucinated-dynamics"
+    rows, aggregate, dyn = evaluate_per_sequence(
+        model, model_nets, mixed_dataset, mode="single-frame" if dynamics else mode,
+        train_dataset=train, dynamics=dynamics)
     assert len(report.per_sequence) == len(rows) == 4
     for got, want in zip(report.per_sequence, rows):
         for name, value in want.items():
@@ -578,10 +578,24 @@ def test_inference_records_no_graph(eval_setup, mixed_dataset, monkeypatch):
         return outputs[-1]
 
     monkeypatch.setattr(metrics, "forward", keeping)
-    metrics.evaluate(model, model_nets, mixed_dataset, mode="single-frame", dynamics=True,
+    metrics.evaluate(model, model_nets, mixed_dataset, mode="hallucinated-dynamics",
                      train_dataset=mixed_dataset)
     metrics.predict_sequence(model, model_nets, [s.features for s in mixed_dataset])
     assert len(outputs) == 2
     for out in outputs:
         for t in (out["joints"], out["pred2d"], out["full"][0]):
             assert not t.requires_grad and t._parents == () and t._backward_fn is None
+
+
+def test_dynamics_mode_checks_the_networks_before_predicting(eval_setup, monkeypatch):
+    model, model_nets, ds = eval_setup
+    monkeypatch.setattr(metrics, "predict_sequence", lambda *a, **k: pytest.fail("predicted"))
+    for cfg in (dict(use_hal=False), dict(delta_steps=())):
+        bare = nets.ModelNets.create(nets.EncoderConfig(feature_dim=24, gn_groups=4,
+                                                        gn_group_size=6, **cfg), seed=0)
+        for oracle in (False, True):
+            with pytest.raises(ValueError, match="delta predictors and a hallucinator"):
+                metrics.evaluate(model, bare, ds, mode="hallucinated-dynamics",
+                                 gt_as_prediction=oracle)
+    with pytest.raises(ValueError, match="unknown evaluation mode"):
+        metrics.evaluate(model, model_nets, ds, mode="dynamics")
