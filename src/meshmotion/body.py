@@ -470,18 +470,9 @@ def skin(model, beta, theta, parts: bool = False):
     return verts, shaped, _posed_joints(g, joints_rest)
 
 
-def regress_joints(model: BodyModel, vertices) -> ad.Tensor:
-    """Keypoint locations X = W @ vertices: (B,N,3) -> (B,k,3)."""
-    v = ad.as_tensor(vertices)
-    if v.ndim != 3 or v.shape[1:] != (model.n_vertices, 3):
-        raise ad.ShapeError(f"regress_joints expects (B,{model.n_vertices},3) vertex rows, "
-                            f"got {tuple(v.shape)}")
-    return ad.matmul(model.joint_regressor, v)
-
-
 def keypoints_3d(model: BodyModel, beta, theta) -> ad.Tensor:
-    """Keypoints under shape and pose: (B,k,3), equal to
-    ``regress_joints(skin(model, ...))`` up to roundoff but without the mesh.
+    """Keypoints under shape and pose: (B,k,3), equal to the joint regressor
+    applied to ``skin(model, ...)`` up to roundoff but without the mesh.
 
     ``beta`` is shape rows (B,10) and ``theta`` pose rows (B,72) or their
     rotation block (B,24,3,3), which a caller that also needs the rotations

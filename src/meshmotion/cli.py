@@ -214,11 +214,11 @@ def cmd_eval(args) -> int:
     model = body.load_model(args.model)
     bundle = data.load_dataset(args.data)
     nets_model, step, _, _, _ = nets.load_checkpoint(args.ckpt)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     train_bundle = data.load_dataset(args.train_data) if args.train_data else None
     report = metrics.evaluate(model, nets_model, bundle, mode=args.mode, alpha=args.alpha,
                               train_dataset=train_bundle, gt_as_prediction=args.oracle_gt)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     report.write_csv(out_dir / "metrics.csv")
     if report.dynamics is not None:
         report.write_dynamics_csv(out_dir / "dynamics.csv")
@@ -231,9 +231,7 @@ def cmd_predict(args) -> int:
     model = body.load_model(args.model)
     bundle = data.load_dataset(args.data)
     nets_model, _, _, _, _ = nets.load_checkpoint(args.ckpt)
-    if not nets_model.deltas or nets_model.hallucinator is None:
-        raise ValidationError("prediction needs a checkpoint with delta predictors "
-                              "and a hallucinator")
+    nets_model.require_dynamics()
     if not 0 <= args.seq < len(bundle.sequences):
         raise ValidationError(f"sequence index {args.seq} out of range")
     sample = bundle.sequences[args.seq]

@@ -1,5 +1,5 @@
-"""Sequence datasets: synthetic motion generation, frame filtering, and the
-on-disk container format.
+"""Sequence datasets: synthetic motion generation, the visibility rule, and
+the on-disk container format.
 
 Synthetic sequences are produced by the body model itself: smooth pose
 trajectories drive the mesh, keypoints are rendered through the weak
@@ -7,11 +7,14 @@ perspective camera, and per-frame features are a fixed orthogonal encoding
 of the shape, a window of the motion state, and the camera, plus seeded
 noise. Each single-frame feature therefore carries short-range motion cues,
 so recovering temporal context from one frame is possible but not trivial.
+
+``SequenceSample.excluded``, the frames below ``MIN_VISIBLE``, is derived
+from ``vis`` on every read and never stored, so it cannot go stale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +42,11 @@ class SequenceSample:
     vis: np.ndarray         # (T, k) bool
     features: np.ndarray    # (T, D)
     theta_gt: np.ndarray | None = None  # (T, 85) [beta | pose | s tx ty]
-    excluded: np.ndarray | None = None  # (T,) bool, set by filter_frames
+
+    @property
+    def excluded(self) -> np.ndarray:
+        """(T,) bool: the frames with fewer than MIN_VISIBLE visible keypoints."""
+        return self.vis.sum(axis=1) < MIN_VISIBLE
 
     @property
     def n_frames(self) -> int:
@@ -89,12 +96,6 @@ class DatasetBundle:
 
     def __len__(self):
         return len(self.sequences)
-
-
-def filter_frames(sample: SequenceSample) -> SequenceSample:
-    """Flag frames with too few visible keypoints; indices are preserved."""
-    excluded = sample.vis.sum(axis=1) < MIN_VISIBLE
-    return replace(sample, excluded=excluded)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +226,7 @@ def gen_synthetic_dataset(model: body.BodyModel, n_seqs: int, n_frames: int, fps
         sample = SequenceSample(
             id=f"{motion_kind}-{seed}-{s_idx:04d}", fps=float(fps), tier=tier,
             kp2d=kp2d, vis=vis, features=features, theta_gt=theta_gt)
-        sequences.append(filter_frames(sample.validate("gen_synthetic_dataset")))
+        sequences.append(sample.validate("gen_synthetic_dataset"))
     return DatasetBundle(sequences=sequences, feature_meta=meta)
 
 
@@ -299,5 +300,5 @@ def load_dataset(path) -> DatasetBundle:
             features=require(sec, f"{pre}/features", path, (t, d)),
             theta_gt=theta,
         )
-        seqs.append(filter_frames(sample.validate(f"{path}:{pre}")))
+        seqs.append(sample.validate(f"{path}:{pre}"))
     return DatasetBundle(sequences=seqs, feature_meta=meta)

@@ -2,9 +2,10 @@
 
 3-D errors are reported in millimeters (model space is meters), acceleration
 error in mm/s^2, and 2-D accuracy as the fraction of visible keypoints
-within alpha times the ground-truth bounding-box size. Frames flagged by the
-visibility filter are skipped everywhere except the acceleration metric,
-which needs unbroken triples and uses the full predicted trajectory.
+within alpha times the ground-truth bounding-box size. The frames a sample
+excludes (``SequenceSample.excluded``, derived from its visibility) are
+skipped everywhere except the acceleration metric, which needs unbroken
+triples and uses the full predicted trajectory.
 
 Sequence aggregation pools frames across sequences using compensated
 summation, so results do not depend on evaluation order.
@@ -17,7 +18,11 @@ sequence length, on a (B, T, D) block of the sequences of that length, as
 the convolutions must not reach across sequences; single-frame mode needs
 no grouping. Each sequence's row of ``metrics.csv`` is then cut from the
 batched arrays with that sequence's frame mask, so cost grows with the
-number of frames, not of sequences.
+number of frames, not of sequences. Each metric has this one form: ``pck``
+and ``mesh_errors`` take the rows of consecutive sequences with their
+lengths and frame mask and return one entry per sequence, and
+``procrustes_align`` returns only the aligned stack. The ``ALL`` row of
+``metrics.csv`` pools every column of ``SequenceMetrics``.
 
 Alignments are array-shaped: ``pa_mpjpe`` aligns every frame of a sequence
 with one stacked similarity solve. The dynamics protocol scores every test
@@ -68,28 +73,15 @@ def mpjpe(pred_joints, gt_joints) -> float:
     return float(np.linalg.norm(pc - gc, axis=2).mean() * MM)
 
 
-@dataclass
-class ProcrustesResult:
-    """One alignment per item of the (...,k,3) input stack; every field is
-    an array over the stack's leading dims, also for a one-item stack."""
-
-    aligned: np.ndarray      # (...,k,3) transformed prediction
-    rotation: np.ndarray     # (...,3,3), det +1
-    scale: np.ndarray        # (...)
-    translation: np.ndarray  # (...,3)
-    residual: np.ndarray     # (...) sum of squared distances after alignment
-    degenerate: np.ndarray   # (...) rank-deficient covariance: rotation not unique
-
-
-def procrustes_align(pred, gt) -> ProcrustesResult:
-    """Best similarity transform (scale, rotation, translation) of pred onto gt.
+def procrustes_align(pred, gt) -> np.ndarray:
+    """pred moved onto gt by its best similarity transform (scale, rotation,
+    translation): the aligned (...,k,3) stack.
 
     Takes matching (...,k,3) stacks of point sets, aligned item by item; a
     single (k,3) set is a ShapeError, pass it as a (1,k,3) stack. Closed
     form via the covariance SVD (one stacked SVD for the whole stack) with
-    a per-item reflection guard keeping det(R) = +1.
-    Degenerate (rank < 2) point sets are flagged: the returned rotation is
-    then one of several equally good choices.
+    a per-item reflection guard keeping det(R) = +1. For a degenerate
+    (rank < 2) point set the rotation is one of several equally good ones.
     """
     p = np.asarray(pred, dtype=np.float64)
     g = np.asarray(gt, dtype=np.float64)
@@ -111,11 +103,7 @@ def procrustes_align(pred, gt) -> ProcrustesResult:
     rot = (u * sign_fix[..., None, :]) @ vt
     scale = (s_vals * sign_fix).sum(axis=-1) / var_p
     trans = mu_g[..., 0, :] - ((scale[..., None, None] * rot) @ np.swapaxes(mu_p, -1, -2))[..., 0]
-    aligned = (scale[..., None, None] * p) @ np.swapaxes(rot, -1, -2) + trans[..., None, :]
-    residual = ((aligned - g) ** 2).reshape(var_p.shape + (3 * k,)).sum(axis=-1)
-    degenerate = s_vals[..., 1] <= 1e-12 * np.maximum(s_vals[..., 0], 1e-300)
-    return ProcrustesResult(aligned=aligned, rotation=rot, scale=scale,
-                            translation=trans, residual=residual, degenerate=degenerate)
+    return (scale[..., None, None] * p) @ np.swapaxes(rot, -1, -2) + trans[..., None, :]
 
 
 def pa_mpjpe(pred_joints, gt_joints, per_frame: bool = False):
@@ -136,7 +124,7 @@ def pa_mpjpe(pred_joints, gt_joints, per_frame: bool = False):
     g = np.asarray(gt_joints, dtype=np.float64)
     if p.ndim != 3:
         raise ValueError(f"pa_mpjpe expects matching (T,k,3), got {p.shape} vs {g.shape}")
-    aligned = procrustes_align(p, g).aligned
+    aligned = procrustes_align(p, g)
     err_pa = np.linalg.norm(aligned - g, axis=-1).mean(axis=-1)
     rooted = p - p[:, 0:1] + g[:, 0:1]
     err_root = np.linalg.norm(rooted - g, axis=-1).mean(axis=-1)
@@ -281,15 +269,15 @@ def _segments(lengths):
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def pck(pred_2d, gt_2d, vis, alpha: float = 0.05, frame_mask=None, lengths=None):
+def pck(pred_2d, gt_2d, vis, frame_mask, lengths, alpha: float = 0.05):
     """Fraction of visible keypoints within alpha * max(bbox side) of truth.
 
-    The bounding box is taken from the visible ground-truth keypoints of each
-    frame. Returns (fraction, n_correct, n_total); frames with a degenerate
-    box or fewer than two visible points contribute nothing. Every frame's
-    box and hits come from array ops over the whole (T,k,2) input. With
-    ``lengths`` the rows are consecutive sequences of those lengths and one
-    such triple per sequence is returned.
+    The rows are consecutive sequences of ``lengths``, and the frames
+    ``frame_mask`` keeps are scored. The bounding box is taken from the
+    visible ground-truth keypoints of each frame. Returns one (fraction,
+    n_correct, n_total) per sequence; frames with a degenerate box or fewer
+    than two visible points contribute nothing. Every frame's box and hits
+    come from array ops over the whole (R,k,2) input.
     """
     p = np.asarray(pred_2d, dtype=np.float64)
     g = np.asarray(gt_2d, dtype=np.float64)
@@ -298,18 +286,16 @@ def pck(pred_2d, gt_2d, vis, alpha: float = 0.05, frame_mask=None, lengths=None)
     lo = np.where(v[..., None], g, np.inf).min(axis=1)             # (T,2) box corners
     hi = np.where(v[..., None], g, -np.inf).max(axis=1)
     size = (hi - lo).max(axis=1)
-    used = (n_vis >= 2) & (size > 0)
-    if frame_mask is not None:
-        used &= np.asarray(frame_mask, dtype=bool)
+    used = (n_vis >= 2) & (size > 0) & np.asarray(frame_mask, dtype=bool)
     dist = np.linalg.norm(p - g, axis=2)
     hits = (v & (dist <= alpha * size[:, None]) & used[:, None]).sum(axis=1)
     totals = np.where(used, n_vis, 0)
     out = []
-    for lo_row, hi_row in _segments(lengths if lengths is not None else [len(p)]):
+    for lo_row, hi_row in _segments(lengths):
         n_correct = int(hits[lo_row:hi_row].sum())
         n_total = int(totals[lo_row:hi_row].sum())
         out.append((float(n_correct / n_total) if n_total else 0.0, n_correct, n_total))
-    return out if lengths is not None else out[0]
+    return out
 
 
 def accel_error(pred_joints, gt_joints, fps: float) -> float:
@@ -326,33 +312,31 @@ def accel_error(pred_joints, gt_joints, fps: float) -> float:
     return float(np.linalg.norm(acc_p - acc_g, axis=2).mean() * MM)
 
 
-def mesh_errors(pred_full, gt_full, model: body.BodyModel, frame_mask=None, lengths=None):
-    """(posed_mm, unposed_mm) mean vertex errors over a sequence.
+def mesh_errors(pred_full, gt_full, model: body.BodyModel, frame_mask, lengths):
+    """(posed_mm, unposed_mm) mean vertex errors, one pair per sequence.
 
-    Posed meshes are compared after per-frame root (pelvis joint) centering.
-    Unposed meshes are the zero-pose (shaped template) meshes, compared
-    directly, so the number reflects pure shape error. With ``lengths`` the
-    rows are consecutive sequences of those lengths and one pair per
-    sequence is returned; a sequence whose mask keeps no frame scores nan.
+    The rows are consecutive sequences of ``lengths``, and the frames
+    ``frame_mask`` keeps are scored; a sequence with no kept frame scores
+    nan. Posed meshes are compared after per-frame root (pelvis joint)
+    centering. Unposed meshes are the zero-pose (shaped template) meshes,
+    compared directly, so the number reflects pure shape error.
     """
     p = np.asarray(pred_full, dtype=np.float64)
     g = np.asarray(gt_full, dtype=np.float64)
-    mask = np.ones(p.shape[0], dtype=bool) if frame_mask is None else np.asarray(frame_mask, dtype=bool)
-    segments = _segments(lengths if lengths is not None else [len(p)])
-    out = [(float("nan"), float("nan"))] * len(segments)
-    if mask.any():
-        # one skinning pass over [pred; gt] gives the posed meshes, the
-        # unposed (shaped template) meshes and the root joints
-        parts = body.skin(model, np.concatenate([p[:, :10], g[:, :10]]),
-                          np.concatenate([p[:, 10:82], g[:, 10:82]]), parts=True)
-        (vp, vg), (up, ug), (jp, jg) = (np.split(t.data, 2) for t in parts)
-        posed = np.linalg.norm((vp - jp[:, 0:1]) - (vg - jg[:, 0:1]), axis=2)
-        unposed = np.linalg.norm(up - ug, axis=2)
-        for i, (lo, hi) in enumerate(segments):
-            m = mask[lo:hi]
-            if m.any():
-                out[i] = (float(posed[lo:hi][m].mean() * MM), float(unposed[lo:hi][m].mean() * MM))
-    return out if lengths is not None else out[0]
+    mask = np.asarray(frame_mask, dtype=bool)
+    # one skinning pass over [pred; gt] gives the posed meshes, the unposed
+    # (shaped template) meshes and the root joints
+    parts = body.skin(model, np.concatenate([p[:, :10], g[:, :10]]),
+                      np.concatenate([p[:, 10:82], g[:, 10:82]]), parts=True)
+    (vp, vg), (up, ug), (jp, jg) = (np.split(t.data, 2) for t in parts)
+    posed = np.linalg.norm((vp - jp[:, 0:1]) - (vg - jg[:, 0:1]), axis=2)
+    unposed = np.linalg.norm(up - ug, axis=2)
+    out = []
+    for lo, hi in _segments(lengths):
+        m = mask[lo:hi]
+        out.append((float(posed[lo:hi][m].mean() * MM), float(unposed[lo:hi][m].mean() * MM))
+                   if m.any() else (float("nan"), float("nan")))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -426,11 +410,11 @@ class SequenceMetrics:
     seq_id: str
     n_frames_used: int
     pck: float
-    mpjpe_mm: float | None
-    pa_mpjpe_mm: float | None
-    accel_err_mm_s2: float | None
-    mesh_posed_mm: float | None
-    mesh_unposed_mm: float | None
+    mpjpe_mm: float | None = None
+    pa_mpjpe_mm: float | None = None
+    accel_err_mm_s2: float | None = None
+    mesh_posed_mm: float | None = None
+    mesh_unposed_mm: float | None = None
 
 
 @dataclass
@@ -456,11 +440,7 @@ class MetricReport:
             w.writerow(cols)
             for row in self.per_sequence:
                 w.writerow(_fmt_row([getattr(row, c) for c in cols]))
-            agg = ["ALL", self.aggregate["n_frames_used"], self.aggregate["pck"],
-                   self.aggregate["mpjpe_mm"], self.aggregate["pa_mpjpe_mm"],
-                   self.aggregate["accel_err_mm_s2"], self.aggregate["mesh_posed_mm"],
-                   self.aggregate["mesh_unposed_mm"]]
-            w.writerow(_fmt_row(agg))
+            w.writerow(_fmt_row(["ALL", *(self.aggregate[c] for c in cols[1:])]))
 
     def write_dynamics_csv(self, path):
         if self.dynamics is None:
@@ -539,13 +519,12 @@ def evaluate(model: body.BodyModel, nets_model, dataset, mode: str = "temporal",
     if mode not in EVAL_MODES:
         raise ValueError(f"unknown evaluation mode {mode!r}")
     dynamics = mode == "hallucinated-dynamics"
-    if dynamics and (not nets_model.deltas or nets_model.hallucinator is None):
-        raise ValueError("dynamics evaluation needs delta predictors and a hallucinator")
+    if dynamics:
+        nets_model.require_dynamics()
     samples = list(dataset)
     lengths = [s.n_frames for s in samples]
     segments = _segments(lengths)
-    mask = ~np.concatenate([s.excluded if s.excluded is not None else np.zeros(s.n_frames, bool)
-                            for s in samples])
+    mask = ~np.concatenate([s.excluded for s in samples])
     gt_by_seq = gt_joints_of(model, samples)
     if gt_as_prediction:
         for sample in samples:
@@ -561,8 +540,7 @@ def evaluate(model: body.BodyModel, nets_model, dataset, mode: str = "temporal",
         full, joints, pred2d = pred["full"], pred["joints_current"], pred["pred2d"]
 
     pck_by_seq = pck(pred2d, np.concatenate([s.kp2d for s in samples]),
-                     np.concatenate([s.vis for s in samples]), alpha, frame_mask=mask,
-                     lengths=lengths)
+                     np.concatenate([s.vis for s in samples]), mask, lengths, alpha)
     # the sequences with 3-D metrics, and their mesh errors from one pass
     scored = [i for i, (lo, hi) in enumerate(segments)
               if gt_by_seq[i] is not None and mask[lo:hi].any()]
@@ -571,19 +549,16 @@ def evaluate(model: body.BodyModel, nets_model, dataset, mode: str = "temporal",
         rows = np.concatenate([np.arange(*segments[i]) for i in scored])
         mesh_by_seq = dict(zip(scored, mesh_errors(
             full[rows], np.concatenate([samples[i].theta_gt for i in scored]), model,
-            frame_mask=mask[rows], lengths=[lengths[i] for i in scored])))
+            mask[rows], [lengths[i] for i in scored])))
 
     per_seq = []
-    pools = {k: _Pool() for k in ("pck", "mpjpe_mm", "pa_mpjpe_mm", "accel_err_mm_s2",
-                                  "mesh_posed_mm", "mesh_unposed_mm")}
+    pools = {f.name: _Pool() for f in fields(SequenceMetrics)[2:]}
     n_frames_total = 0
     for i, (sample, (lo, hi)) in enumerate(zip(samples, segments)):
         m = mask[lo:hi]
         n_frames = int(m.sum())
         pck_frac, _, pck_total = pck_by_seq[i]
-        row = SequenceMetrics(seq_id=sample.id, n_frames_used=n_frames, pck=pck_frac,
-                              mpjpe_mm=None, pa_mpjpe_mm=None, accel_err_mm_s2=None,
-                              mesh_posed_mm=None, mesh_unposed_mm=None)
+        row = SequenceMetrics(seq_id=sample.id, n_frames_used=n_frames, pck=pck_frac)
         if i in mesh_by_seq:
             j, g = joints[lo:hi], gt_by_seq[i]
             row.mpjpe_mm = mpjpe(j[m], g[m])
@@ -596,16 +571,13 @@ def evaluate(model: body.BodyModel, nets_model, dataset, mode: str = "temporal",
             row.mesh_posed_mm, row.mesh_unposed_mm = mesh_by_seq[i]
         per_seq.append(row)
         n_frames_total += n_frames
-        pools["pck"].add(pck_frac, pck_total)
-        pools["mpjpe_mm"].add(row.mpjpe_mm, n_frames)
-        pools["pa_mpjpe_mm"].add(row.pa_mpjpe_mm, n_frames)
-        pools["accel_err_mm_s2"].add(row.accel_err_mm_s2, max(sample.n_frames - 2, 0))
-        pools["mesh_posed_mm"].add(row.mesh_posed_mm, n_frames)
-        pools["mesh_unposed_mm"].add(row.mesh_unposed_mm, n_frames)
+        # a metric is pooled over the frames it scored
+        weights = {"pck": pck_total, "accel_err_mm_s2": max(sample.n_frames - 2, 0)}
+        for name, pool in pools.items():
+            pool.add(getattr(row, name), weights.get(name, n_frames))
 
-    aggregate = {"n_frames_used": n_frames_total}
-    for key, pool in pools.items():
-        aggregate[key] = pool.mean()
+    aggregate = {"n_frames_used": n_frames_total} | {
+        name: pool.mean() for name, pool in pools.items()}
     dyn = None
     if dynamics:
         dyn = evaluate_dynamics(model, nets_model, samples, gt_by_seq, pred,
@@ -618,7 +590,7 @@ def _dynamics_centers(sample, half_field, back, fwd):
     max(half_field, |back|, |fwd|) frames from either end, with t and the
     scored frames t + back and t + fwd kept by the visibility filter."""
     margin = max(half_field, abs(back), abs(fwd))
-    excluded = sample.excluded if sample.excluded is not None else np.zeros(sample.n_frames, bool)
+    excluded = sample.excluded
     return [t for t in range(margin, sample.n_frames - margin)
             if not (excluded[t] or excluded[t + back] or excluded[t + fwd])]
 

@@ -346,6 +346,13 @@ class ModelNets:
             raise ValidationError(f"delta step {step} not configured; have {sorted(self.deltas)}")
         return self.deltas[int(step)]
 
+    def require_dynamics(self):
+        """Raise ValidationError unless the delta predictors and the
+        hallucinator behind single-frame dynamics (eval, predict) exist."""
+        if not self.deltas or self.hallucinator is None:
+            raise ValidationError("single-frame dynamics need a checkpoint with delta "
+                                  "predictors and a hallucinator")
+
     def generator_params(self):
         out = self.temporal.params() + self.regressor.params()
         for s in sorted(self.deltas):

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from . import body, camera, data
+from . import body, camera
 from .container import ValidationError, replacing_open
 from .losses import (LossWeights, adv_prior_discriminator_loss, adv_prior_generator_loss,
                      beta_prior, const_shape_loss, loss_2d_rows, loss_3d_rows, raw_to_full)
@@ -311,6 +311,7 @@ def train_step(model: body.BodyModel, state: TrainState, batch, cfg: TrainConfig
     # -- assemble window arrays ----------------------------------------------
     kp_all = np.empty((n_batch, t_len, k, 2))
     vis_all = np.empty((n_batch, t_len, k), dtype=bool)
+    excluded = np.empty((n_batch, t_len), dtype=bool)
     feats_all = np.empty((n_batch, t_len, enc.feature_dim))
     gt_full = np.full((n_batch, t_len, 85), np.nan)
     has_3d = np.zeros(n_batch, dtype=bool)
@@ -318,6 +319,7 @@ def train_step(model: body.BodyModel, state: TrainState, batch, cfg: TrainConfig
         sl = slice(w0, w0 + t_len)
         kp_w = sample.kp2d[sl]
         vis_all[b] = sample.vis[sl]
+        excluded[b] = sample.excluded[sl]
         feats_w = sample.features[sl]
         theta_w = sample.theta_gt[sl] if sample.theta_gt is not None else None
         if cfg.use_jitter:
@@ -327,7 +329,6 @@ def train_step(model: body.BodyModel, state: TrainState, batch, cfg: TrainConfig
         if theta_w is not None:
             gt_full[b] = theta_w
         has_3d[b] = sample.tier == "full3d" and theta_w is not None
-    excluded = vis_all.sum(axis=2) < data.MIN_VISIBLE
     frame_ok = ~excluded
     if not frame_ok.any():
         log.warning("step %d: every frame in the batch is below the visibility floor; skipped", step)

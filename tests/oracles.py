@@ -4,8 +4,9 @@ These deliberately avoid the library's own closed-form code paths: the grid
 searches evaluate raw objectives on dense grids, and the analytic values are
 hand-derived. The composite_* functions are the references for the
 library's fused tape nodes: the same computation built node by node from
-autodiff primitives. ``parse_prediction_dump`` reads the ``predict``
-command's text dump back for the tests that check it.
+autodiff primitives. ``regress_joints`` (skinned vertices through the joint
+regressor) is the reference for the keypoint fold. ``parse_prediction_dump``
+reads the ``predict`` command's text dump back for the tests that check it.
 """
 
 import itertools
@@ -75,6 +76,13 @@ def procrustes_grid_search(pred, gt, step_deg=2.0):
             + cb * c[2, 2]
         best_t = max(best_t, float(t.max()), float(-t.min()))
     return sgg - best_t * best_t / spp, sgg
+
+
+def procrustes_residual(pred, gt):
+    """Sum of squared distances left after ``metrics.procrustes_align`` moves
+    the (k,3) point set ``pred`` onto ``gt``."""
+    aligned = metrics.procrustes_align(pred[None], gt[None])
+    return ((aligned - gt[None]) ** 2).reshape(1, -1).sum(axis=-1)[0]
 
 
 def pa_error_one_frame(pred, gt):
@@ -193,7 +201,7 @@ def _dynamics_triplets(model, nets_model, bundle, with_predictions):
         g = body.keypoints_3d(model, s.theta_gt[:, :10], s.theta_gt[:, 10:82]).data
         p = (predict_one_sequence(model, nets_model, s.features, "single-frame", deltas=True)
              if with_predictions else None)
-        excluded = s.excluded if s.excluded is not None else np.zeros(s.n_frames, bool)
+        excluded = s.excluded
         for t in range(margin, s.n_frames - margin):
             if excluded[t] or excluded[t + back] or excluded[t + fwd]:
                 continue
@@ -221,7 +229,7 @@ def evaluate_per_sequence(model, nets_model, dataset, mode="temporal", alpha=0.0
 
     rows = []
     for s in dataset:
-        mask = ~s.excluded if s.excluded is not None else np.ones(s.n_frames, bool)
+        mask = ~s.excluded
         pred = predict_one_sequence(model, nets_model, s.features, mode)
         frac, _, n_kp = pck_loop(pred["pred2d"], s.kp2d, s.vis, alpha, mask)
         row = dict(seq_id=s.id, n_frames_used=int(mask.sum()), pck=frac, mpjpe_mm=None,
@@ -396,6 +404,16 @@ def composite_rest_relative_transforms(model, shaped, theta):
                     ad.constant(np.ones((b * n, 1, 1)))], axis=1)
     posed = ad.matmul(ad.reshape(g, (b * n, 4, 4)), jh)
     return g, joints_rest, ad.reshape(posed[:, 0:3, :], (b, n, 3))
+
+
+def regress_joints(model, vertices):
+    """Keypoint locations X = W @ vertices, (B,N,3) -> (B,k,3): the unfolded
+    regression that ``body.keypoints_3d``'s folded constants must reproduce."""
+    v = ad.as_tensor(vertices)
+    if v.ndim != 3 or v.shape[1:] != (model.n_vertices, 3):
+        raise ad.ShapeError(f"regress_joints expects (B,{model.n_vertices},3) vertex rows, "
+                            f"got {tuple(v.shape)}")
+    return ad.matmul(model.joint_regressor, v)
 
 
 def parse_prediction_dump(path):

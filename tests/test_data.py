@@ -83,21 +83,21 @@ def test_gen_feature_meta_tracks_camera_slots(toy_model, small_dataset):
 # ---------------------------------------------------------------------------
 
 
-def test_filter_frames_thresholds_at_six(toy_model):
+def test_excluded_frames_follow_visibility_and_threshold_at_six(toy_model):
     ds = data.gen_synthetic_dataset(toy_model, 1, 8, 25.0, seed=3, feature_dim=24,
                                     vis_dropout=0.0)
     s = ds.sequences[0]
+    assert not s.excluded.any()
     vis = s.vis.copy()
     vis[2, :] = False
     vis[2, :5] = True   # 5 visible: excluded
     vis[4, :] = False
     vis[4, :6] = True   # 6 visible: kept
     from dataclasses import replace
-    s2 = data.filter_frames(replace(s, vis=vis))
-    assert s2.excluded[2]
-    assert not s2.excluded[4]
-    assert not s2.excluded[0]
-    assert s2.n_frames == s.n_frames  # indices preserved
+    s2 = replace(s, vis=vis)
+    assert s2.excluded.tolist() == [False, False, True] + [False] * 5  # indices preserved
+    vis[0] = False      # a later change of the same array shows at once
+    assert s2.excluded[0]
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 from meshmotion import body, data, metrics, nets
 from oracles import (evaluate_per_sequence, nearest_neighbor_dynamics, nearest_rows_brute_force,
-                     pa_error_one_frame, pck_loop, procrustes_grid_search,
+                     pa_error_one_frame, pck_loop, procrustes_grid_search, procrustes_residual,
                      sinusoid_mean_abs_accel)
 
 
@@ -52,11 +52,8 @@ def test_procrustes_recovers_similarity_transform():
     rot = random_rotation(rng)
     c, tau = 1.7, rng.standard_normal(3)
     g = c * p @ rot.T + tau
-    res = metrics.procrustes_align(p[None], g[None])
-    assert res.residual[0] < 1e-18
-    assert res.scale[0] == pytest.approx(c, abs=1e-9)
-    assert np.allclose(res.rotation[0], rot, atol=1e-9)
-    assert np.allclose(res.translation[0], tau, atol=1e-9)
+    # p spans 3-D, so only the exact transform leaves no residual
+    assert procrustes_residual(p, g) < 1e-18
 
 
 def test_procrustes_reflection_guard():
@@ -64,9 +61,11 @@ def test_procrustes_reflection_guard():
     p = rng.standard_normal((6, 3))
     mirrored = p.copy()
     mirrored[:, 0] *= -1.0
-    res = metrics.procrustes_align(p[None], mirrored[None])
-    assert np.linalg.det(res.rotation[0]) == pytest.approx(1.0, abs=1e-9)
-    assert res.residual[0] > 1e-3  # reflections cannot be absorbed
+    aligned = metrics.procrustes_align(p[None], mirrored[None])[0]
+    # the linear map taking p's centred points to the aligned ones is s R, det(R) = +1
+    lin = np.linalg.lstsq(p - p.mean(0), aligned - aligned.mean(0), rcond=None)[0]
+    assert np.linalg.det(lin) > 0.0
+    assert procrustes_residual(p, mirrored) > 1e-3  # reflections cannot be absorbed
 
 
 def test_procrustes_matches_so3_grid_oracle():
@@ -75,7 +74,7 @@ def test_procrustes_matches_so3_grid_oracle():
         p = rng.standard_normal((6, 3))
         rot = random_rotation(rng)
         g = 1.5 * p @ rot.T + rng.standard_normal(3) + 0.3 * rng.standard_normal((6, 3))
-        closed = metrics.procrustes_align(p[None], g[None]).residual[0]
+        closed = procrustes_residual(p, g)
         grid, sgg = procrustes_grid_search(p, g, step_deg=2.0)
         tol = sgg * np.deg2rad(2.0) ** 2
         assert closed <= grid + 1e-9, f"trial {trial}: closed-form worse than grid"
@@ -86,19 +85,11 @@ def test_procrustes_residual_invariant_to_presimilarity():
     rng = np.random.default_rng(5)
     p = rng.standard_normal((7, 3))
     g = rng.standard_normal((7, 3))
-    base = metrics.procrustes_align(p[None], g[None]).residual[0]
+    base = procrustes_residual(p, g)
     rot = random_rotation(rng)
     p2 = 0.4 * p @ rot.T + rng.standard_normal(3)
-    again = metrics.procrustes_align(p2[None], g[None]).residual[0]
+    again = procrustes_residual(p2, g)
     assert again == pytest.approx(base, rel=1e-9, abs=1e-12)
-
-
-def test_procrustes_flags_degenerate_rank():
-    p = np.zeros((5, 3))
-    p[:, 0] = np.arange(5.0)  # collinear points: rank 1
-    g = np.random.default_rng(6).standard_normal((5, 3))
-    res = metrics.procrustes_align(p[None], g[None])
-    assert res.degenerate[0]
 
 
 def test_pa_mpjpe_never_above_mpjpe():
@@ -123,14 +114,10 @@ def _mixed_frames(rng, n=12, k=8):
 def test_stacked_procrustes_matches_per_frame_calls():
     p, g = _mixed_frames(np.random.default_rng(40))
     stacked = metrics.procrustes_align(p, g)
-    assert stacked.degenerate[6:8].all() and not stacked.degenerate[:6].any()
+    assert stacked.shape == p.shape
     for t in range(p.shape[0]):
         one = metrics.procrustes_align(p[t:t + 1], g[t:t + 1])
-        for field in ("aligned", "rotation", "scale", "translation", "residual"):
-            assert np.allclose(getattr(stacked, field)[t:t + 1], getattr(one, field),
-                               rtol=0, atol=1e-12), (t, field)
-        assert np.array_equal(stacked.degenerate[t:t + 1], one.degenerate)
-        assert np.linalg.det(stacked.rotation[t]) == pytest.approx(1.0, abs=1e-9)
+        assert np.allclose(stacked[t:t + 1], one, rtol=0, atol=1e-12), t
 
 
 def test_stacked_pa_mpjpe_matches_per_frame_calls():
@@ -161,9 +148,9 @@ def test_pck_perfect_and_hopeless():
     rng = np.random.default_rng(8)
     gt = rng.uniform(0, 100, (3, 5, 2))
     vis = np.ones((3, 5), dtype=bool)
-    assert metrics.pck(gt, gt, vis)[0] == 1.0
+    assert metrics.pck(gt, gt, vis, np.ones(3, bool), [3])[0][0] == 1.0
     far = gt + 1000.0
-    assert metrics.pck(far, gt, vis)[0] == 0.0
+    assert metrics.pck(far, gt, vis, np.ones(3, bool), [3])[0][0] == 0.0
 
 
 def test_pck_hand_case_half_inside():
@@ -173,7 +160,8 @@ def test_pck_hand_case_half_inside():
     pred[0, 1] += [0.0, 4.0]    # 4 <= 5: inside
     pred[0, 2] += [6.0, 0.0]    # outside
     pred[0, 3] += [10.0, 10.0]  # outside
-    frac, n_ok, n_all = metrics.pck(pred, gt, np.ones((1, 4), dtype=bool), alpha=0.05)
+    [(frac, n_ok, n_all)] = metrics.pck(pred, gt, np.ones((1, 4), dtype=bool), [True], [1],
+                                        alpha=0.05)
     assert (frac, n_ok, n_all) == (0.5, 2, 4)
 
 
@@ -182,7 +170,8 @@ def test_pck_monotone_in_alpha():
     gt = rng.uniform(0, 200, (6, 8, 2))
     pred = gt + rng.normal(0, 8, gt.shape)
     vis = rng.random((6, 8)) > 0.2
-    fracs = [metrics.pck(pred, gt, vis, alpha=a)[0] for a in (0.02, 0.05, 0.1, 0.2)]
+    fracs = [metrics.pck(pred, gt, vis, np.ones(6, bool), [6], alpha=a)[0][0]
+             for a in (0.02, 0.05, 0.1, 0.2)]
     assert all(b >= a for a, b in zip(fracs, fracs[1:]))
 
 
@@ -192,8 +181,8 @@ def test_pck_ignores_invisible_and_masked_frames():
     pred = gt.copy()
     pred[1] += 1000.0
     vis = np.ones((2, 4), dtype=bool)
-    frac_all = metrics.pck(pred, gt, vis)[0]
-    frac_masked = metrics.pck(pred, gt, vis, frame_mask=[True, False])[0]
+    frac_all = metrics.pck(pred, gt, vis, [True, True], [2])[0][0]
+    frac_masked = metrics.pck(pred, gt, vis, [True, False], [2])[0][0]
     assert frac_all == 0.5 and frac_masked == 1.0
 
 
@@ -208,14 +197,14 @@ def test_pck_array_form_equals_per_frame_loop():
     gt[3, :, 0] = 50.0                      # a vertical line: the box is its height
     vis[2:4] = True
     mask = rng.random(12) > 0.2
-    for frame_mask in (None, mask):
-        assert metrics.pck(pred, gt, vis, frame_mask=frame_mask) == pck_loop(
-            pred, gt, vis, frame_mask=frame_mask)
+    for frame_mask in (np.ones(12, bool), mask):
+        assert metrics.pck(pred, gt, vis, frame_mask, [12]) == [pck_loop(
+            pred, gt, vis, frame_mask=frame_mask)]
     lengths = [5, 4, 3]
     bounds = np.cumsum([0] + lengths)
     want = [pck_loop(pred[lo:hi], gt[lo:hi], vis[lo:hi], frame_mask=mask[lo:hi])
             for lo, hi in zip(bounds[:-1], bounds[1:])]
-    assert metrics.pck(pred, gt, vis, frame_mask=mask, lengths=lengths) == want
+    assert metrics.pck(pred, gt, vis, mask, lengths) == want
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +259,7 @@ def test_mesh_errors_zero_on_identical(toy_model):
     full[:, :10] = rng.normal(0, 0.5, (3, 10))
     full[:, 10:82] = rng.normal(0, 0.3, (3, 72))
     full[:, 82] = 100.0
-    posed, unposed = metrics.mesh_errors(full, full, toy_model)
+    [(posed, unposed)] = metrics.mesh_errors(full, full, toy_model, np.ones(3, bool), [3])
     assert posed == 0.0 and unposed == 0.0
 
 
@@ -281,7 +270,7 @@ def test_mesh_errors_pose_only_difference(toy_model):
     gt[:, 10:82] = rng.normal(0, 0.3, (2, 72))
     pred = gt.copy()
     pred[:, 10:82] += rng.normal(0, 0.2, (2, 72))
-    posed, unposed = metrics.mesh_errors(pred, gt, toy_model)
+    [(posed, unposed)] = metrics.mesh_errors(pred, gt, toy_model, np.ones(2, bool), [2])
     assert unposed == 0.0
     assert posed > 0.1
 
@@ -290,7 +279,7 @@ def test_mesh_errors_unit_beta_offset_analytic(toy_model):
     gt = np.zeros((1, 85))
     pred = gt.copy()
     pred[0, 0] = 1.0
-    _, unposed = metrics.mesh_errors(pred, gt, toy_model)
+    [(_, unposed)] = metrics.mesh_errors(pred, gt, toy_model, [True], [1])
     want = np.linalg.norm(toy_model.shape_dirs[:, :, 0], axis=1).mean() * 1000.0
     assert unposed == pytest.approx(want, rel=1e-9)
 
@@ -336,6 +325,21 @@ def test_evaluate_single_frame_mode_runs(eval_setup):
     model, model_nets, ds = eval_setup
     report = metrics.evaluate(model, model_nets, ds, mode="single-frame")
     assert len(report.per_sequence) == 2
+
+
+def test_evaluate_excludes_the_frames_a_changed_visibility_hides(eval_setup):
+    """The excluded frames follow ``vis``: a sample copied with no visible
+    keypoint scores no frame, as training would skip them all."""
+    from dataclasses import replace
+    model, model_nets, ds = eval_setup
+    blind = [replace(s, vis=np.zeros_like(s.vis)) for s in ds]
+    report = metrics.evaluate(model, model_nets, blind)
+    assert report.aggregate["n_frames_used"] == 0
+    for row in report.per_sequence:
+        assert row.n_frames_used == 0
+        assert row.mpjpe_mm is row.pa_mpjpe_mm is row.accel_err_mm_s2 is None
+        assert row.mesh_posed_mm is row.mesh_unposed_mm is None
+    assert report.aggregate["mpjpe_mm"] is report.aggregate["mesh_posed_mm"] is None
 
 
 def test_evaluate_csv_is_byte_stable(eval_setup, tmp_path):
@@ -418,7 +422,7 @@ def test_nearest_rows_equals_brute_force_on_adversarial_pools(monkeypatch):
     queries = np.stack([base[0], base[1] + 1e-3 * rng.standard_normal((14, 3)), mirrored,
                         line + 1e-3 * rng.standard_normal((14, 3)), base[2], base[3], base[5],
                         plane * [1.0, -1.0, 1.0], outlier + 1e-4, base[4]])
-    res = metrics.procrustes_align(outlier[None], base[3][None]).aligned[0]
+    res = metrics.procrustes_align(outlier[None], base[3][None])[0]
     assert (np.linalg.norm(outlier - outlier[0] + base[3][0] - base[3], axis=1).mean()
             < np.linalg.norm(res - base[3], axis=1).mean())
     # three centres per block, so the ten centres end in a partial block
@@ -488,9 +492,9 @@ def test_dynamics_centres_skip_the_excluded_frames_they_score(toy_model):
                                      feature_dim=24, vis_dropout=0.0,
                                      feature_noise=0.01).sequences[0]
     margin = max(cfg.half_field, 4)
-    excluded = np.zeros(24, bool)
-    excluded[margin - 2] = True     # the past frame of the first centre only
-    seq = replace(seq, excluded=excluded)
+    vis = seq.vis.copy()
+    vis[margin - 2] = False         # the past frame of the first centre only
+    seq = replace(seq, vis=vis)
     d = metrics.evaluate(toy_model, model_nets, [seq], mode="hallucinated-dynamics").dynamics
     _, _, dyn = evaluate_per_sequence(toy_model, model_nets, [seq], mode="single-frame",
                                       dynamics=True)

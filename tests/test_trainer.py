@@ -392,7 +392,7 @@ def test_all_filtered_batch_is_skipped_with_warning(train_setup, caplog):
     model, ds = train_setup
     from dataclasses import replace
     blind = data.DatasetBundle(
-        [data.filter_frames(replace(s, vis=np.zeros_like(s.vis))) for s in ds],
+        [replace(s, vis=np.zeros_like(s.vis)) for s in ds],
         ds.feature_meta)
     state, tcfg = fresh_state(tcfg=tiny_tcfg(steps=1))
     with caplog.at_level(logging.WARNING):
@@ -423,7 +423,7 @@ def test_excluded_frames_contribute_no_gradient(train_setup):
             vis = s.vis.copy()
             kp = s.kp2d.copy()
             vis, kp = vis_mutator(vis, kp)
-            seqs.append(data.filter_frames(replace(s, vis=vis, kp2d=kp)))
+            seqs.append(replace(s, vis=vis, kp2d=kp))
         bundle = data.DatasetBundle(seqs, ds.feature_meta)
         state, tcfg = fresh_state(tcfg=tiny_tcfg(steps=1, use_jitter=False))
         training.train(model, state, [(bundle, 1)], tcfg)
