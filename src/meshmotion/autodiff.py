@@ -4,11 +4,18 @@ Graphs are built define-by-run: every operation records its parents and a
 backward closure, so tensor creation order is always a valid topological
 order. Calling ``backward`` on a scalar accumulates dLoss/dX into ``.grad``
 of every reachable leaf (a parameter) that has ``requires_grad`` set, and
-consumes the graph it ran: every interior node it visited, the loss
-included, is left with no ``.grad``, parents or backward closure, so the
-forward arrays that only the tape held are freed. A graph is therefore
-backpropagated once; a later ``backward`` that reaches a consumed node
-raises.
+consumes the graph it ran. An interior node's gradient is dropped as soon
+as its backward closure has passed it on, so the sweep holds only the
+gradients still to be propagated; once it ends, every interior node it
+visited, the loss included, is left with no parents or backward closure,
+so the forward arrays that only the tape held are freed. A graph is
+therefore backpropagated once; a later ``backward`` that reaches a
+consumed node raises.
+
+A node keeps only what its backward reads. The dense layer
+``mul(relu(a @ b + c), mask)`` is one ``matmul_add`` node, which keeps its
+output and the relu's sign mask rather than the pre-activation and relu
+output of three separate nodes.
 
 Design constraints honored throughout:
   * float64 everywhere (tight finite-difference checks stay meaningful),
@@ -98,9 +105,10 @@ class Tensor:
     def backward(self):
         """Reverse accumulation from this scalar into .grad of all leaves.
 
-        Consumes the graph: once the sweep is done, every interior node it
-        ran (this tensor included) drops its .grad, parents and backward
-        closure, all in one pass after the sweep. Leaves keep their
+        Consumes the graph. Each interior node (this tensor included)
+        drops its .grad as soon as its backward closure has run, so a
+        gradient lives only until it is propagated; its parents and closure
+        are dropped in one pass after the sweep. Leaves keep their
         gradients. A node consumed by an earlier call raises RuntimeError
         here, before any gradient is touched.
         """
@@ -132,8 +140,8 @@ class Tensor:
         for node in reversed(order):
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
+                node.grad = None
         for node in order:
-            node.grad = None
             node._parents = ()
             node._backward_fn = _consumed
 
@@ -406,10 +414,16 @@ def matmul(a, b) -> Tensor:
     return _node(out_data, (a, b), lambda g: _matmul_backward(a, b, g))
 
 
-def matmul_add(a, b, c) -> Tensor:
+def matmul_add(a, b, c, relu=False, mask=None) -> Tensor:
     """a @ b + c as one node, with the values and gradients of add(matmul(a, b), c).
 
     ``c`` may be any shape that broadcasts to the product's, a (n,) bias say.
+    A dense layer is one node too: with ``relu`` the result goes through a
+    relu, and a constant ``mask`` (a dropout mask, say; it gets no gradient)
+    then scales it, giving the values and gradients of
+    ``mul(relu(matmul_add(a, b, c)), mask)`` by the same operations in the
+    same order. The node keeps its output and the relu's sign mask, not the
+    pre-activation.
     """
     a, b, c = as_tensor(a), as_tensor(b), as_tensor(c)
     prod = _matmul(a, b, "matmul_add")
@@ -420,8 +434,19 @@ def matmul_add(a, b, c) -> Tensor:
     except ValueError:
         raise ShapeError(f"matmul_add: addend {c.data.shape} does not broadcast to "
                          f"product {prod.shape}") from None
+    positive = None
+    if relu:
+        positive = out_data > 0.0
+        out_data *= positive
+    if mask is not None:
+        mask = as_tensor(mask).data
+        out_data *= mask
 
     def backward_fn(g):
+        if mask is not None:
+            g = g * mask
+        if positive is not None:
+            g = g * positive
         if c.requires_grad:
             c._accum(_unbroadcast(g, c.shape))
         if a.requires_grad or b.requires_grad:

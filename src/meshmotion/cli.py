@@ -181,11 +181,13 @@ def cmd_train(args) -> int:
             state.adam_disc.load_state(adam_m, adam_v, adam_steps["disc"])
     else:
         state = training.init_state(nets.ModelNets.create(enc, seed=tcfg.seed), tcfg)
+    # --out is made just before its first file, so a run refused before its
+    # first checkpoint or losses.csv leaves nothing behind
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     def save(state_now, tag=None):
         name = f"ckpt_{state_now.step:06d}.bin" if tag is None else tag
+        out_dir.mkdir(parents=True, exist_ok=True)
         nets.save_checkpoint(
             out_dir / name, state_now.nets, state_now.step,
             adam_m=state_now.adam_gen.m | state_now.adam_disc.m,
@@ -197,6 +199,7 @@ def cmd_train(args) -> int:
     except ad.NumericalError:
         # keep the losses of the steps that finished; the failed step wrote nothing
         if state.history:
+            out_dir.mkdir(parents=True, exist_ok=True)
             training.write_history_csv(out_dir / "losses.csv", state.history)
         raise
     save(state, tag="checkpoint.bin")
@@ -287,6 +290,12 @@ def _gradcheck_cases(seed):
         "batched_matmul": (lambda t, u: ad.sum_(ad.matmul(t, u)), [(3, 2, 4), (3, 4, 2)], 0.0),
         "matmul_add": (lambda t, u, v: ad.sum_(ad.matmul_add(t, u, v) * ad.matmul_add(t, u, v)),
                        [(3, 4), (4, 2), (2,)], 0.0),
+        "matmul_add_relu": (lambda t, u, v: ad.sum_(ad.matmul_add(t, u, v, relu=True) *
+                                                    ad.matmul_add(t, u, v, relu=True)),
+                            [(3, 4), (4, 2), (2,)], 0.0),
+        "matmul_add_relu_mask": (lambda t, u, v: ad.sum_(ad.matmul_add(
+            t, u, v, relu=True, mask=ad.dropout_mask(np.random.default_rng(seed + 5), (3, 2), 0.4))
+            * t[:, :2]), [(3, 4), (4, 2), (2,)], 0.0),
         "broadcast_to": (lambda t: ad.sum_(ad.broadcast_to(t, (3, 4)) * ad.broadcast_to(t, (3, 4))),
                          [(1, 4)], 0.0),
         "reshape_transpose": (lambda t: ad.sum_(ad.transpose(ad.reshape(t, (3, 4))) *

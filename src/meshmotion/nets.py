@@ -105,8 +105,9 @@ class Linear:
         self.b = param(f"{name}.b", (n_out,), _zeros)
         self.name = name
 
-    def __call__(self, x):
-        return ad.matmul_add(x, self.w, self.b)
+    def __call__(self, x, relu=False, mask=None):
+        """x @ w + b, through a relu and then scaled by a dropout mask when given."""
+        return ad.matmul_add(x, self.w, self.b, relu=relu, mask=mask)
 
     def params(self):
         return [self.w, self.b]
@@ -182,13 +183,9 @@ class IefRegressor:
     def __call__(self, phi, masks=None):
         theta = ad.broadcast_to(self.theta_mean, (phi.shape[0], THETA_DIM))
         for i in range(self.cfg.ief_iters):
-            inp = ad.concat([phi, theta], axis=1)
-            h1 = ad.relu(self.fc1(inp))
-            if masks is not None:
-                h1 = h1 * masks[i][0]
-            h2 = ad.relu(self.fc2(h1))
-            if masks is not None:
-                h2 = h2 * masks[i][1]
+            m1, m2 = (None, None) if masks is None else masks[i]
+            h1 = self.fc1(ad.concat([phi, theta], axis=1), relu=True, mask=m1)
+            h2 = self.fc2(h1, relu=True, mask=m2)
             theta = theta + self.out(h2)
         return theta
 
@@ -213,13 +210,9 @@ class DeltaPredictor:
         self.out = Linear(param, h, POSE_DIM, f"{tag}.out", out_scale=0.01)
 
     def __call__(self, phi, theta_pose, masks=None):
-        inp = ad.concat([phi, theta_pose], axis=1)
-        h1 = ad.relu(self.fc1(inp))
-        if masks is not None:
-            h1 = h1 * masks[0]
-        h2 = ad.relu(self.fc2(h1))
-        if masks is not None:
-            h2 = h2 * masks[1]
+        m1, m2 = (None, None) if masks is None else masks
+        h1 = self.fc1(ad.concat([phi, theta_pose], axis=1), relu=True, mask=m1)
+        h2 = self.fc2(h1, relu=True, mask=m2)
         return theta_pose + self.out(h2)
 
     def params(self):
@@ -235,7 +228,7 @@ class Hallucinator:
         self.fc2 = Linear(param, d, d, "hal.fc2")
 
     def __call__(self, phi):
-        return phi + self.fc2(ad.relu(self.fc1(phi)))
+        return phi + self.fc2(self.fc1(phi, relu=True))
 
     def params(self):
         return self.fc1.params() + self.fc2.params()
@@ -284,12 +277,12 @@ class DiscriminatorSet:
         j = N_BODY_JOINTS
         feats = ad.reshape(rots[:, 1:], (m, j, 9))
         fj = ad.transpose(feats, (1, 0, 2))                      # (J, M, 9)
-        h1 = ad.relu(ad.matmul_add(fj, self.joint_fc_w, self.joint_fc_b))
+        h1 = ad.matmul_add(fj, self.joint_fc_w, self.joint_fc_b, relu=True)
         sj = ad.matmul_add(h1, self.joint_out_w, self.joint_out_b)
         joint_scores = ad.transpose(ad.reshape(sj, (j, m)))      # (M, J)
         flat = ad.reshape(feats, (m, 9 * j))
-        all_score = self.all_out(ad.relu(self.all_fc2(ad.relu(self.all_fc1(flat)))))
-        shape_score = self.shape_out(ad.relu(self.shape_fc(ad.as_tensor(beta))))
+        all_score = self.all_out(self.all_fc2(self.all_fc1(flat, relu=True), relu=True))
+        shape_score = self.shape_out(self.shape_fc(ad.as_tensor(beta), relu=True))
         return ad.concat([joint_scores, all_score, shape_score], axis=1)
 
     def params(self):

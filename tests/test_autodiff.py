@@ -295,9 +295,83 @@ def test_consuming_backward_gives_the_retained_sweeps_leaf_gradients_bit_for_bit
             assert got.shape == want.shape and np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("masked", [False, True], ids=["relu", "relu_mask"])
+def test_dense_node_matches_relu_and_mask_nodes_bit_for_bit(masked):
+    """matmul_add with relu (and a dropout mask) gives the value and all three
+    gradients of mul(relu(matmul_add(a, b, c)), mask) bit for bit, on rows
+    whose pre-activation is negative, exactly zero, positive or mixed."""
+    rng = np.random.default_rng(21)
+    c = rng.uniform(1.0, 2.0, 5)
+    b = rand(rng, 4, 5)
+    b[3] = -c                             # a row e_3 * k has pre-activation (1 - k) c, exactly
+    a = np.vstack([[0.0, 0.0, 0.0, 2.0], [0.0, 0.0, 0.0, 1.0], np.zeros(4), rand(rng, 3, 4)])
+    pre = a @ b + c
+    assert (pre[0] < 0).all() and (pre[1] == 0).all() and (pre[2] > 0).all()
+    assert (pre[3:] < 0).any() and (pre[3:] > 0).any()
+    mask = ad.dropout_mask(rng, pre.shape, 0.4) if masked else None
+    probe = ad.constant(rand(rng, *pre.shape))
+    results = []
+    for fused in (True, False):
+        params = [ad.parameter(x, name=n) for x, n in ((a, "a"), (b, "b"), (c, "c"))]
+        if fused:
+            out = ad.matmul_add(*params, relu=True, mask=mask)
+        else:
+            out = ad.relu(ad.matmul_add(*params))
+            if masked:
+                out = ad.mul(out, mask)
+        value = out.data.copy()
+        ad.sum_(ad.mul(out, probe)).backward()
+        results.append([value] + [p.grad for p in params])
+    for got, want in zip(*results):   # bytes, so that -0.0 and 0.0 differ
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Structural invariants.
 # ---------------------------------------------------------------------------
+
+
+def test_backward_drops_each_gradient_once_it_is_propagated():
+    """When a node's backward closure runs, every interior node whose closure
+    ran before it already has no gradient, and the leaves keep theirs; the
+    leaf gradients are those of a sweep that keeps every gradient."""
+    def build():
+        rng = np.random.default_rng(9)
+        x = ad.parameter(rand(rng, 4, 3), name="x")
+        w = ad.parameter(rand(rng, 3, 3), name="w")
+        bias = ad.parameter(rand(rng, 3), name="bias")
+        h = ad.matmul_add(x, w, bias, relu=True)
+        h = ad.matmul_add(h, w, bias, relu=True, mask=ad.dropout_mask(rng, (4, 3), 0.3))
+        loss = ad.sum_(ad.mul(h, ad.exp(x))) + ad.mean_(x[:, 1:] * x[:, 1:])
+        return loss, [x, w, bias]
+
+    loss, leaves = build()
+    interior, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if node._backward_fn is not None and node not in interior:
+            interior.add(node)
+            stack.extend(node._parents)
+    ran, graded = [], []       # nodes whose closure ran; leaves that got a gradient
+
+    def watched(node, fn):
+        def backward_fn(g):
+            assert all(t.grad is None for t in ran)
+            assert all(leaf.grad is not None for leaf in graded)
+            fn(g)
+            ran.append(node)
+            graded[:] = [leaf for leaf in leaves if leaf.grad is not None]
+        return backward_fn
+
+    for node in interior:
+        node._backward_fn = watched(node, node._backward_fn)
+    loss.backward()
+    assert len(ran) == len(interior) and all(t.grad is None for t in interior)
+    assert graded == leaves
+    want_loss, want_leaves = build()
+    retained_backward(want_loss)
+    for got, want in zip(leaves, want_leaves):
+        assert np.array_equal(got.grad, want.grad)
 
 
 def test_backward_consumes_its_graph_and_keeps_leaf_gradients():

@@ -260,7 +260,7 @@ def test_train_nan_feature_exits_numerical_and_writes_nothing(workdir, tmp_path,
                     "--steps", "3", "--seed", "5"] + TINY_NET + ["--set", "checkpoint_every=1"])
     assert code == cli.NUMERICAL_EXIT == 3
     assert "non-finite loss terms l2d" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_train_nan_after_two_steps_keeps_their_losses(workdir, tmp_path, monkeypatch, capsys):
@@ -524,6 +524,15 @@ def no_hallucinator(workdir, tmp_path_factory):
                     "--data", str(workdir / "data.bin"), "--out", str(out), "--steps", "0",
                     "--seed", "2", "--set", "use_hal=false"] + TINY_NET) == 0
     return out / "checkpoint.bin"
+
+
+def test_refused_train_leaves_no_output_directory(workdir, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert cli.run(["train", "--model", str(workdir / "model.bin"),
+                    "--data", str(workdir / "data.bin"), "--out", str(out), "--steps", "1",
+                    "--seed", "5"] + TINY_NET + ["--set", "seq_len=40"]) == 2
+    assert "no usable datasets to mix" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_refused_eval_leaves_no_output_directory(workdir, no_hallucinator, tmp_path):
