@@ -179,9 +179,6 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def __pow__(self, p):
-        return pow_const(self, p)
-
     def __getitem__(self, idx):
         return getitem(self, idx)
 
@@ -332,18 +329,6 @@ def div(a, b) -> Tensor:
             b._accum_fresh(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return _node(out_data, (a, b), backward_fn)
-
-
-def pow_const(a, p) -> Tensor:
-    a = as_tensor(a)
-    p = float(p)
-    out_data = a.data ** p
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a._accum_fresh(g * p * a.data ** (p - 1.0))
-
-    return _node(out_data, (a,), backward_fn)
 
 
 def exp(a) -> Tensor:

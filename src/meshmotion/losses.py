@@ -106,7 +106,8 @@ def adv_prior_generator_loss(disc_set, theta_pose, beta):
     Poses are pose rows or their rotation block, as ``disc_set`` takes them.
     """
     scores = disc_set(ad.as_tensor(theta_pose), ad.as_tensor(beta))
-    per_disc = ad.mean_(ad.pow_const(scores - 1.0, 2.0), axis=0)
+    miss = scores - 1.0
+    per_disc = ad.mean_(miss * miss, axis=0)
     return ad.sum_(per_disc)
 
 
@@ -114,8 +115,9 @@ def adv_prior_discriminator_loss(disc_set, real_pose, real_beta, fake_pose, fake
     """Least-squares critic objective: real scores to 1, fake scores to 0."""
     real_scores = disc_set(ad.as_tensor(real_pose), ad.as_tensor(real_beta))
     fake_scores = disc_set(ad.as_tensor(fake_pose), ad.as_tensor(fake_beta))
-    real_term = ad.mean_(ad.pow_const(real_scores - 1.0, 2.0), axis=0)
-    fake_term = ad.mean_(ad.pow_const(fake_scores, 2.0), axis=0)
+    real_miss = real_scores - 1.0
+    real_term = ad.mean_(real_miss * real_miss, axis=0)
+    fake_term = ad.mean_(fake_scores * fake_scores, axis=0)
     return ad.sum_(real_term + fake_term)
 
 

@@ -353,8 +353,9 @@ def predict_sequence(model: body.BodyModel, nets_model, features, mode: str = "t
     mode 'temporal' runs the context encoder over each sequence, once per
     distinct length on the (B, T, D) block of the sequences of that length.
     'single-frame' runs the hallucinator on every row; a checkpoint without
-    a hallucinator feeds the raw features to the regressor instead, which
-    was never trained on them. All rows then go through one
+    a hallucinator runs the encoder on a static clip instead, each frame
+    repeated over the receptive field, and takes the clip's centre row: the
+    same network with no motion context. All rows then go through one
     ``training.forward`` call. Returns a dict whose arrays hold every
     sequence's rows, in order: full (R,85), joints_current (R,k,3) and
     pred2d (R,k,2). With ``deltas`` the delta predictors run on the same
@@ -372,10 +373,12 @@ def predict_sequence(model: body.BodyModel, nets_model, features, mode: str = "t
             for i, block in zip(group, encoded):
                 blocks[i] = block
         phi = ad.constant(np.concatenate(blocks))
+    elif mode == "single-frame" and nets_model.hallucinator is not None:
+        phi = nets_model.hallucinator(ad.constant(np.concatenate(feats)))
     elif mode == "single-frame":
-        phi = ad.constant(np.concatenate(feats))
-        if nets_model.hallucinator is not None:
-            phi = nets_model.hallucinator(phi)
+        cfg = nets_model.cfg
+        clips = np.repeat(np.concatenate(feats)[:, None, :], cfg.receptive_field, axis=1)
+        phi = nets_model.temporal(ad.constant(clips))[:, cfg.half_field]
     else:
         raise ValueError(f"unknown prediction mode {mode!r}")
     n_rows = phi.shape[0]
@@ -384,7 +387,7 @@ def predict_sequence(model: body.BodyModel, nets_model, features, mode: str = "t
     out = {"full": fwd["full"][0].data, "joints_current": joints[:n_rows],
            "pred2d": fwd["pred2d"].data}
     if deltas:
-        # delta rows follow the current rows in sorted step order
+        # delta rows follow the current rows in increasing step order
         for tag, i in (("past", 1), ("future", len(nets_model.deltas))):
             rows = slice(i * n_rows, (i + 1) * n_rows)
             out[f"pose_{tag}"] = poses[rows]
@@ -585,11 +588,10 @@ def evaluate(model: body.BodyModel, nets_model, dataset, mode: str = "temporal",
     return MetricReport(per_sequence=per_seq, aggregate=aggregate, dynamics=dyn)
 
 
-def _dynamics_centers(sample, half_field, back, fwd):
-    """The centre frames t the dynamics protocol scores: at least
-    max(half_field, |back|, |fwd|) frames from either end, with t and the
+def _dynamics_centers(sample, margin, back, fwd):
+    """The centre frames t the dynamics protocol scores: at least ``margin``
+    frames (``EncoderConfig.delta_margin``) from either end, with t and the
     scored frames t + back and t + fwd kept by the visibility filter."""
-    margin = max(half_field, abs(back), abs(fwd))
     excluded = sample.excluded
     return [t for t in range(margin, sample.n_frames - margin)
             if not (excluded[t] or excluded[t + back] or excluded[t + fwd])]
@@ -622,7 +624,7 @@ def evaluate_dynamics(model: body.BodyModel, nets_model, dataset, gt_joints, pre
     method's centres are scored in one stacked alignment.
     """
     back, fwd = min(nets_model.deltas), max(nets_model.deltas)
-    hf = nets_model.cfg.half_field
+    margin = nets_model.cfg.delta_margin
 
     pool = None     # (P, 3, k, 3) past/current/future ground truth of every training centre
     if train_dataset is not None:
@@ -630,7 +632,7 @@ def evaluate_dynamics(model: body.BodyModel, nets_model, dataset, gt_joints, pre
         train = [s for s in train_dataset if s.tier == "full3d"]
         trips = []
         for s, g_joints in zip(train, gt_joints_of(model, train)):
-            centers = _dynamics_centers(s, hf, back, fwd)
+            centers = _dynamics_centers(s, margin, back, fwd)
             if centers:
                 trips.append(_gt_triplets(g_joints, centers, back, fwd))
         if trips:
@@ -640,7 +642,7 @@ def evaluate_dynamics(model: body.BodyModel, nets_model, dataset, gt_joints, pre
     # every test centre's row in the batched predictions, in dataset order
     rows, gts = [], []
     for s, (lo, _), g_joints in zip(samples, _segments([s.n_frames for s in samples]), gt_joints):
-        centers = _dynamics_centers(s, hf, back, fwd) if g_joints is not None else []
+        centers = _dynamics_centers(s, margin, back, fwd) if g_joints is not None else []
         if centers:
             rows.append(lo + np.asarray(centers))
             gts.append(_gt_triplets(g_joints, centers, back, fwd))

@@ -61,6 +61,12 @@ class EncoderConfig:
     def half_field(self) -> int:
         return self.receptive_field // 2
 
+    @property
+    def delta_margin(self) -> int:
+        """Frames a delta centre keeps from either end of its sequence: the
+        encoder's half field and every delta step fit inside."""
+        return max([self.half_field] + [abs(s) for s in self.delta_steps])
+
     def validate(self):
         if self.kernel % 2 != 1 or self.kernel < 1:
             raise ValidationError(f"kernel must be odd and positive, got {self.kernel}")
@@ -163,37 +169,52 @@ class TemporalEncoder:
         return out
 
 
-class IefRegressor:
+class _HiddenMlp:
+    """fc1 -> relu -> fc2 -> relu -> out, the layers of the IEF regressor and
+    of each delta predictor. Given ``drop_rng``, each hidden layer draws its
+    (rows, ief_hidden) dropout mask from it at ``cfg.dropout_rate`` as it
+    runs; without it the pass is dropout-free."""
+
+    def __init__(self, cfg: EncoderConfig, param, n_in, n_out, tag):
+        self.cfg = cfg
+        self.fc1 = Linear(param, n_in, cfg.ief_hidden, f"{tag}.fc1")
+        self.fc2 = Linear(param, cfg.ief_hidden, cfg.ief_hidden, f"{tag}.fc2")
+        self.out = Linear(param, cfg.ief_hidden, n_out, f"{tag}.out", out_scale=0.01)
+
+    def mlp(self, x, drop_rng):
+        for fc in (self.fc1, self.fc2):
+            mask = None if drop_rng is None else ad.dropout_mask(
+                drop_rng, (x.shape[0], self.cfg.ief_hidden), self.cfg.dropout_rate)
+            x = fc(x, relu=True, mask=mask)
+        return self.out(x)
+
+    def params(self):
+        return self.fc1.params() + self.fc2.params() + self.out.params()
+
+
+class IefRegressor(_HiddenMlp):
     """Iterative-feedback regressor from context features to the 85-D vector.
 
     Starts every row at the learned mean and applies ``cfg.ief_iters``
-    shared-weight correction steps: theta <- theta + mlp(concat(phi, theta)).
-    Dropout masks are pre-sampled by the caller (two per iteration) or
-    omitted entirely.
+    shared-weight correction steps: theta <- theta + mlp(concat(phi, theta)),
+    two dropout masks per step with ``drop_rng``.
     """
 
     def __init__(self, cfg: EncoderConfig, param):
-        self.cfg = cfg
-        d, h = cfg.feature_dim, cfg.ief_hidden
-        self.fc1 = Linear(param, d + THETA_DIM, h, "f_3d.fc1")
-        self.fc2 = Linear(param, h, h, "f_3d.fc2")
-        self.out = Linear(param, h, THETA_DIM, "f_3d.out", out_scale=0.01)
+        super().__init__(cfg, param, cfg.feature_dim + THETA_DIM, THETA_DIM, "f_3d")
         self.theta_mean = param("f_3d.theta_mean", (THETA_DIM,), _zeros)
 
-    def __call__(self, phi, masks=None):
+    def __call__(self, phi, drop_rng=None):
         theta = ad.broadcast_to(self.theta_mean, (phi.shape[0], THETA_DIM))
-        for i in range(self.cfg.ief_iters):
-            m1, m2 = (None, None) if masks is None else masks[i]
-            h1 = self.fc1(ad.concat([phi, theta], axis=1), relu=True, mask=m1)
-            h2 = self.fc2(h1, relu=True, mask=m2)
-            theta = theta + self.out(h2)
+        for _ in range(self.cfg.ief_iters):
+            theta = theta + self.mlp(ad.concat([phi, theta], axis=1), drop_rng)
         return theta
 
     def params(self):
-        return self.fc1.params() + self.fc2.params() + self.out.params() + [self.theta_mean]
+        return super().params() + [self.theta_mean]
 
 
-class DeltaPredictor:
+class DeltaPredictor(_HiddenMlp):
     """Predicts the pose at t + step from (context feature, current pose).
 
     One correction on top of the current pose: theta_out = theta + mlp(...).
@@ -202,21 +223,11 @@ class DeltaPredictor:
     """
 
     def __init__(self, cfg: EncoderConfig, step: int, param):
-        d, h = cfg.feature_dim, cfg.ief_hidden
-        tag = f"f_delta[{step:+d}]"
+        super().__init__(cfg, param, cfg.feature_dim + POSE_DIM, POSE_DIM, f"f_delta[{step:+d}]")
         self.step = step
-        self.fc1 = Linear(param, d + POSE_DIM, h, f"{tag}.fc1")
-        self.fc2 = Linear(param, h, h, f"{tag}.fc2")
-        self.out = Linear(param, h, POSE_DIM, f"{tag}.out", out_scale=0.01)
 
-    def __call__(self, phi, theta_pose, masks=None):
-        m1, m2 = (None, None) if masks is None else masks
-        h1 = self.fc1(ad.concat([phi, theta_pose], axis=1), relu=True, mask=m1)
-        h2 = self.fc2(h1, relu=True, mask=m2)
-        return theta_pose + self.out(h2)
-
-    def params(self):
-        return self.fc1.params() + self.fc2.params() + self.out.params()
+    def __call__(self, phi, theta_pose, drop_rng=None):
+        return theta_pose + self.mlp(ad.concat([phi, theta_pose], axis=1), drop_rng)
 
 
 class Hallucinator:
@@ -294,7 +305,8 @@ class DiscriminatorSet:
 
 @dataclass
 class ModelNets:
-    """All learnable components plus a named-parameter registry."""
+    """All learnable components plus a named-parameter registry; ``deltas``
+    maps each delta step to its predictor, in increasing step order."""
 
     cfg: EncoderConfig
     temporal: TemporalEncoder
@@ -316,11 +328,13 @@ class ModelNets:
         """Components made with one parameter factory each, in the order temporal,
         regressor, delta predictors, hallucinator, discriminators."""
         cfg.validate()
+        # drawn in the configured order, kept in step order
+        deltas = [DeltaPredictor(cfg, int(s), params[2]) for s in cfg.delta_steps]
         nets = cls(
             cfg=cfg,
             temporal=TemporalEncoder(cfg, params[0]),
             regressor=IefRegressor(cfg, params[1]),
-            deltas={int(s): DeltaPredictor(cfg, int(s), params[2]) for s in cfg.delta_steps},
+            deltas={d.step: d for d in sorted(deltas, key=lambda d: d.step)},
             hallucinator=Hallucinator(cfg, params[3]) if cfg.use_hal else None,
             discriminators=DiscriminatorSet(cfg, params[4]),
         )
@@ -334,11 +348,6 @@ class ModelNets:
                 raise ValidationError(f"duplicate parameter name {p.name}")
             self._registry[p.name] = p
 
-    def delta(self, step: int) -> DeltaPredictor:
-        if int(step) not in self.deltas:
-            raise ValidationError(f"delta step {step} not configured; have {sorted(self.deltas)}")
-        return self.deltas[int(step)]
-
     def require_dynamics(self):
         """Raise ValidationError unless the delta predictors and the
         hallucinator behind single-frame dynamics (eval, predict) exist."""
@@ -348,8 +357,8 @@ class ModelNets:
 
     def generator_params(self):
         out = self.temporal.params() + self.regressor.params()
-        for s in sorted(self.deltas):
-            out.extend(self.deltas[s].params())
+        for delta in self.deltas.values():
+            out.extend(delta.params())
         if self.hallucinator is not None:
             out.extend(self.hallucinator.params())
         return out

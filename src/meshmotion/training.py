@@ -70,11 +70,9 @@ class TrainConfig:
         if self.seq_len < enc_cfg.receptive_field:
             raise ValidationError(
                 f"seq_len {self.seq_len} shorter than the receptive field {enc_cfg.receptive_field}")
-        if enc_cfg.delta_steps:
-            margin = max(enc_cfg.half_field, max(abs(s) for s in enc_cfg.delta_steps))
-            if self.seq_len < 2 * margin + 1:
-                raise ValidationError(
-                    f"seq_len {self.seq_len} cannot host delta centers (need {2 * margin + 1})")
+        if self.seq_len < 2 * enc_cfg.delta_margin + 1:
+            raise ValidationError(f"seq_len {self.seq_len} cannot host delta centers "
+                                  f"(need {2 * enc_cfg.delta_margin + 1})")
         return self
 
 
@@ -238,10 +236,11 @@ def forward(model: body.BodyModel, nets_model: ModelNets, phis, delta_rows=(), d
 
     ``phis`` holds one (n, D) context-feature block per path (temporal,
     hallucinated). The regressor runs on every path in one call; then, path
-    by path and step by step in sorted order, each delta predictor runs on
-    the path's ``delta_rows``, keeping the shape of the row it starts from.
-    With ``drop_rng`` the dropout masks are drawn from it in that order,
-    regressor first; without it the pass is dropout-free.
+    by path and step by step in increasing order, each delta predictor runs
+    on the path's ``delta_rows``, keeping the shape of the row it starts
+    from. ``drop_rng`` goes to each network call in that order, so each
+    draws its own dropout masks from it, regressor first; without it the
+    pass is dropout-free.
 
     Returns a dict: ``full``, the (n, 85) prediction rows of each path;
     ``beta`` (R, 10), ``pose`` (R, 72), ``rots`` (R, 24, 3, 3) and
@@ -250,15 +249,7 @@ def forward(model: body.BodyModel, nets_model: ModelNets, phis, delta_rows=(), d
     once for the body model and the critics; and ``pred2d`` (P*n, k, 2),
     the path rows' keypoints projected with their own cameras.
     """
-    enc = nets_model.cfg
-
-    def masks(n_rows):
-        return (ad.dropout_mask(drop_rng, (n_rows, enc.ief_hidden), enc.dropout_rate),
-                ad.dropout_mask(drop_rng, (n_rows, enc.ief_hidden), enc.dropout_rate))
-
-    phi = ad.concat(phis, axis=0)
-    reg_masks = None if drop_rng is None else [masks(phi.shape[0]) for _ in range(enc.ief_iters)]
-    full_rows = raw_to_full(nets_model.regressor(phi, masks=reg_masks))
+    full_rows = raw_to_full(nets_model.regressor(ad.concat(phis, axis=0), drop_rng))
     n = phis[0].shape[0]
     full = [full_rows[i * n:(i + 1) * n, :] for i in range(len(phis))]
     betas = [f[:, 0:10] for f in full]
@@ -267,9 +258,8 @@ def forward(model: body.BodyModel, nets_model: ModelNets, phis, delta_rows=(), d
         for phi_p, full_p in zip(phis, full):
             phi_c = ad.gather_rows(phi_p, delta_rows)
             full_c = ad.gather_rows(full_p, delta_rows)
-            for step in sorted(nets_model.deltas):
-                dmask = None if drop_rng is None else masks(len(delta_rows))
-                poses.append(nets_model.delta(step)(phi_c, full_c[:, 10:82], masks=dmask))
+            for delta in nets_model.deltas.values():
+                poses.append(delta(phi_c, full_c[:, 10:82], drop_rng))
                 betas.append(full_c[:, 0:10])
     beta = ad.concat(betas, axis=0)
     pose = ad.concat(poses, axis=0)
@@ -352,10 +342,9 @@ def train_step(model: body.BodyModel, state: TrainState, batch, cfg: TrainConfig
     # delta centres as (sequence, frame) index arrays; one draw per sequence, as
     # the generator's stream depends on the draw sizes
     n_per_seq = cfg.delta_centers_per_seq if use_deltas else 0
-    margin = max([enc.half_field] + [abs(s) for s in enc.delta_steps])
     center_b = np.repeat(np.arange(n_batch), n_per_seq)
-    center_t = np.concatenate([center_rng.integers(margin, t_len - margin, n_per_seq)
-                               for _ in range(n_batch)])
+    center_t = np.concatenate([center_rng.integers(enc.delta_margin, t_len - enc.delta_margin,
+                                                   n_per_seq) for _ in range(n_batch)])
     out = forward(model, nets_model, phis, center_b * t_len + center_t, drop_rng)
 
     kp_flat = kp_all.reshape(bt, k, 2)
@@ -385,9 +374,8 @@ def train_step(model: body.BodyModel, state: TrainState, batch, cfg: TrainConfig
     # the target rows follow forward's order: path, then step, then centre
     if len(center_t):
         n_frame_rows = len(phis) * bt
-        steps = sorted(nets_model.deltas)
-        tgt_b = np.tile(center_b, len(phis) * len(steps))
-        tgt_t = np.tile(np.concatenate([center_t + s for s in steps]), len(phis))
+        tgt_b = np.tile(center_b, len(phis) * len(nets_model.deltas))
+        tgt_t = np.tile(np.concatenate([center_t + s for s in nets_model.deltas]), len(phis))
         kp_tgt = kp_all[tgt_b, tgt_t]
         vis_tgt = vis_all[tgt_b, tgt_t]
         row_ok = ~excluded[tgt_b, tgt_t]

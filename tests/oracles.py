@@ -154,20 +154,27 @@ def pck_loop(pred_2d, gt_2d, vis, alpha=0.05, frame_mask=None):
 
 def predict_one_sequence(model, nets_model, features, mode, deltas=False):
     """The inference pass over one (T,D) sequence: its context features
-    (encoder, hallucinator or raw), then ``training.forward``. Returns full,
-    joints_current and pred2d, plus joints_past/joints_future with ``deltas``."""
+    (encoder, hallucinator, or without one the encoder's centre row on each
+    frame's static clip, clip by clip), then ``training.forward``. Returns
+    full, joints_current and pred2d, plus joints_past/joints_future with
+    ``deltas``."""
     t_len = len(features)
+    cfg = nets_model.cfg
     with ad.no_grad():
         x = ad.constant(features)
         if mode == "temporal":
             phi = nets_model.temporal(x)
+        elif nets_model.hallucinator is not None:
+            phi = nets_model.hallucinator(x)
         else:
-            phi = nets_model.hallucinator(x) if nets_model.hallucinator is not None else x
+            phi = ad.constant(np.stack([
+                nets_model.temporal(ad.constant(np.tile(f, (cfg.receptive_field, 1)))).data[
+                    cfg.half_field] for f in features]))
         fwd = training.forward(model, nets_model, [phi], np.arange(t_len) if deltas else ())
     joints = fwd["joints"].data
     out = {"full": fwd["full"][0].data, "joints_current": joints[:t_len],
            "pred2d": fwd["pred2d"].data}
-    if deltas:     # delta blocks follow in sorted step order
+    if deltas:     # delta blocks follow in increasing step order
         out["joints_past"], out["joints_future"] = joints[t_len:2 * t_len], joints[-t_len:]
     return out
 
@@ -193,7 +200,7 @@ def _dynamics_triplets(model, nets_model, bundle, with_predictions):
     """Ground-truth (and predicted) past/current/future joints at every valid
     centre, sequence by sequence."""
     back, fwd = min(nets_model.deltas), max(nets_model.deltas)
-    margin = max(nets_model.cfg.half_field, abs(back), abs(fwd))
+    margin = nets_model.cfg.delta_margin
     gts, preds = [], []
     for s in bundle:
         if s.theta_gt is None:

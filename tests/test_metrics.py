@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from meshmotion import body, data, metrics, nets
+from meshmotion import autodiff as ad
+from meshmotion import body, data, metrics, nets, training
 from oracles import (evaluate_per_sequence, nearest_neighbor_dynamics, nearest_rows_brute_force,
                      pa_error_one_frame, pck_loop, procrustes_grid_search, procrustes_residual,
                      sinusoid_mean_abs_accel)
@@ -9,7 +10,6 @@ from oracles import (evaluate_per_sequence, nearest_neighbor_dynamics, nearest_r
 
 def random_rotation(rng):
     a = rng.standard_normal(3)
-    from meshmotion import autodiff as ad
     return body.rodrigues(ad.constant(a[None])).data[0]
 
 
@@ -395,7 +395,7 @@ def test_dynamics_nearest_matches_brute_force_oracle(eval_setup, toy_model):
     def triplets(bundle):
         out = []
         for s, g in zip(bundle, metrics.gt_joints_of(model, bundle)):
-            for t in metrics._dynamics_centers(s, model_nets.cfg.half_field, back, fwd):
+            for t in metrics._dynamics_centers(s, model_nets.cfg.delta_margin, back, fwd):
                 out.append((g[t + back], g[t], g[t + fwd]))
         return out
 
@@ -501,7 +501,7 @@ def test_dynamics_centres_skip_the_excluded_frames_they_score(toy_model):
     assert d.n_centers == dyn[0] == 24 - 2 * margin - 1
     for got, want in zip((d.ours, d.constant), dyn[1:3]):
         assert all(_close(g, w) for g, w in zip(got, want))
-    assert metrics._dynamics_centers(seq, cfg.half_field, -2, 4) == \
+    assert metrics._dynamics_centers(seq, cfg.delta_margin, -2, 4) == \
         list(range(margin + 1, 24 - margin))
 
 
@@ -556,6 +556,54 @@ def test_batched_evaluate_equals_per_sequence_oracle(eval_setup, mixed_dataset, 
             assert all(_close(g, w) for g, w in zip(got, want))
     else:
         assert report.dynamics is None
+
+
+def test_single_frame_without_hallucinator_equals_per_sequence_oracle(eval_setup, mixed_dataset):
+    model, _, _ = eval_setup
+    bare = nets.ModelNets.create(nets.EncoderConfig(feature_dim=24, gn_groups=4, gn_group_size=6,
+                                                    ief_hidden=16, disc_hidden=8, use_hal=False),
+                                 seed=2)
+    report = metrics.evaluate(model, bare, mixed_dataset, mode="single-frame")
+    rows, aggregate, _ = evaluate_per_sequence(model, bare, mixed_dataset, mode="single-frame")
+    for got, want in zip(report.per_sequence, rows):
+        for name, value in want.items():
+            assert _close(getattr(got, name), value), (got.seq_id, name)
+    for name, value in aggregate.items():
+        assert _close(report.aggregate[name], value), name
+
+
+def test_single_frame_without_hallucinator_is_the_encoder_on_a_static_clip(eval_setup):
+    model, _, ds = eval_setup
+    cfg = nets.EncoderConfig(feature_dim=24, gn_groups=4, gn_group_size=6, ief_hidden=16,
+                             disc_hidden=8, use_hal=False)
+    bare = nets.ModelNets.create(cfg, seed=2)
+    feats = [s.features for s in ds]
+    got = metrics.predict_sequence(model, bare, feats, "single-frame", deltas=True)
+    frames = np.concatenate(feats)
+    clips = np.repeat(frames[:, None, :], cfg.receptive_field, axis=1)
+    with ad.no_grad():
+        phi = ad.constant(bare.temporal(ad.constant(clips)).data[:, cfg.half_field])
+        want = training.forward(model, bare, [phi], np.arange(len(frames)))
+    n = len(frames)
+    assert np.array_equal(got["full"], want["full"][0].data)
+    assert np.array_equal(got["joints_current"], want["joints"].data[:n])
+    assert np.array_equal(got["joints_future"], want["joints"].data[-n:])
+    # not the raw features through the regressor, which never saw them
+    with ad.no_grad():
+        raw = training.forward(model, bare, [ad.constant(frames)])["full"][0].data
+    assert not np.allclose(got["full"], raw)
+
+
+def test_single_frame_of_the_identity_encoder_is_temporal_mode(eval_setup, mixed_dataset):
+    model, _, _ = eval_setup
+    per_frame = nets.ModelNets.create(nets.EncoderConfig(feature_dim=24, n_blocks=0, ief_hidden=16,
+                                                         disc_hidden=8, use_hal=False), seed=4)
+    feats = [s.features for s in mixed_dataset]
+    single = metrics.predict_sequence(model, per_frame, feats, "single-frame", deltas=True)
+    temporal = metrics.predict_sequence(model, per_frame, feats, "temporal", deltas=True)
+    assert single.keys() == temporal.keys()
+    for key in single:
+        assert np.array_equal(single[key], temporal[key]), key
 
 
 def test_temporal_evaluate_encodes_each_length_once(eval_setup, mixed_dataset, monkeypatch):

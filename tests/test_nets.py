@@ -142,16 +142,47 @@ def test_ief_gradient_through_three_iterations():
 
 
 def test_ief_dropout_masks_change_output_deterministically():
-    cfg = small_cfg()
+    cfg = small_cfg(dropout_rate=0.5)
     reg = nets.IefRegressor(cfg, nets.drawing(np.random.default_rng(15)))
     phi = ad.constant(np.random.default_rng(16).standard_normal((2, 16)))
-    masks = [(ad.dropout_mask(np.random.default_rng(17 + i), (2, 12), 0.5),
-              ad.dropout_mask(np.random.default_rng(37 + i), (2, 12), 0.5))
-             for i in range(cfg.ief_iters)]
-    a = reg(phi, masks=masks).data
-    b = reg(phi, masks=masks).data
+    a = reg(phi, np.random.default_rng(17)).data
+    b = reg(phi, np.random.default_rng(17)).data
     assert np.array_equal(a, b)
     assert not np.array_equal(a, reg(phi).data)
+    assert not np.array_equal(a, reg(phi, np.random.default_rng(18)).data)
+
+
+def _masks(cfg, rng, n_rows, count):
+    """``count`` (n_rows, ief_hidden) masks drawn up front, as a caller would
+    pre-sample them."""
+    return [ad.dropout_mask(rng, (n_rows, cfg.ief_hidden), cfg.dropout_rate) for _ in range(count)]
+
+
+def test_networks_draw_the_masks_a_caller_would_pre_sample():
+    """A regressor and a delta predictor given ``drop_rng`` equal the same
+    layers run on masks pre-drawn, all of them first, from an equally
+    seeded generator: two per IEF iteration, then two per delta call."""
+    cfg = small_cfg(dropout_rate=0.3)
+    model = nets.ModelNets.create(cfg, seed=3)
+    reg, dp = model.regressor, model.deltas[5]
+    phi = ad.constant(np.random.default_rng(23).standard_normal((4, 16)))
+    theta_pose = ad.constant(np.random.default_rng(24).standard_normal((4, 72)))
+
+    drop_rng = np.random.default_rng(25)
+    got_theta = reg(phi, drop_rng).data
+    got_pose = dp(phi, theta_pose, drop_rng).data
+
+    rng = np.random.default_rng(25)
+    reg_masks = _masks(cfg, rng, 4, 2 * cfg.ief_iters)
+    dp_masks = _masks(cfg, rng, 4, 2)
+    theta = ad.broadcast_to(reg.theta_mean, (4, nets.THETA_DIM))
+    for i in range(cfg.ief_iters):
+        h1 = reg.fc1(ad.concat([phi, theta], axis=1), relu=True, mask=reg_masks[2 * i])
+        theta = theta + reg.out(reg.fc2(h1, relu=True, mask=reg_masks[2 * i + 1]))
+    h1 = dp.fc1(ad.concat([phi, theta_pose], axis=1), relu=True, mask=dp_masks[0])
+    want_pose = theta_pose + dp.out(dp.fc2(h1, relu=True, mask=dp_masks[1]))
+    assert np.array_equal(got_theta, theta.data)
+    assert np.array_equal(got_pose, want_pose.data)
 
 
 # ---------------------------------------------------------------------------
@@ -173,15 +204,35 @@ def test_delta_steps_have_separate_weights():
     model = nets.ModelNets.create(small_cfg(), seed=0)
     phi = ad.constant(np.random.default_rng(21).standard_normal((2, 16)))
     theta = ad.constant(np.random.default_rng(22).standard_normal((2, 72)))
-    fwd = model.delta(5)(phi, theta).data
-    bwd = model.delta(-5)(phi, theta).data
+    fwd = model.deltas[5](phi, theta).data
+    bwd = model.deltas[-5](phi, theta).data
     assert not np.array_equal(fwd, bwd)
 
 
-def test_delta_unconfigured_step_rejected():
-    model = nets.ModelNets.create(small_cfg(), seed=0)
-    with pytest.raises(ValidationError):
-        model.delta(3)
+def test_delta_predictors_kept_in_step_order_and_drawn_in_config_order(tmp_path):
+    cfg = small_cfg(delta_steps=(4, -2, -6))
+    model = nets.ModelNets.create(cfg, seed=0)
+    assert list(model.deltas) == [-6, -2, 4]
+    assert [d.step for d in model.deltas.values()] == [-6, -2, 4]
+    # the initial weights are drawn from the delta stream in the configured order
+    param = nets.drawing(np.random.default_rng(np.random.SeedSequence(entropy=0, spawn_key=(2,))))
+    for step in cfg.delta_steps:
+        want = nets.DeltaPredictor(cfg, step, param)
+        for got_p, want_p in zip(model.deltas[step].params(), want.params()):
+            assert np.array_equal(got_p.data, want_p.data)
+    # the checkpoint keeps the configured order
+    nets.save_checkpoint(tmp_path / "c.bin", model, step=0)
+    assert list(read_container(tmp_path / "c.bin", nets.CKPT_MAGIC)["config/delta_steps"]) == \
+        [4, -2, -6]
+    loaded = nets.load_checkpoint(tmp_path / "c.bin")[0]
+    assert loaded.cfg.delta_steps == (4, -2, -6) and list(loaded.deltas) == [-6, -2, 4]
+
+
+def test_delta_margin_is_the_half_field_or_the_largest_step():
+    assert small_cfg().delta_margin == 6                         # half field 6 > |5|
+    assert small_cfg(delta_steps=(-9, 2)).delta_margin == 9
+    assert small_cfg(delta_steps=()).delta_margin == 6
+    assert small_cfg(n_blocks=0, delta_steps=(3, -1)).delta_margin == 3
 
 
 # ---------------------------------------------------------------------------
