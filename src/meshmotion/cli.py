@@ -110,8 +110,6 @@ def _gather_config(args) -> dict:
         raw["steps"] = str(args.steps)
     if getattr(args, "seed", None) is not None:
         raw["seed"] = str(args.seed)
-    if getattr(args, "delta_steps", None) is not None:
-        raw["delta_steps"] = args.delta_steps
     return raw
 
 
@@ -350,48 +348,29 @@ def _gradcheck_cases(seed):
         vis[0, 0] = False
         return (lambda: ad.sum_(camera.optimal_camera_rows(x, y, vis)["residual"])), [x]
 
-    def case_temporal_frame_losses():
-        # two sequences, one encoder call; frame losses on each centre frame
-        n_seq, t_len = 2, enc.receptive_field
-        feats = ad.constant(rng.standard_normal((n_seq, t_len, enc.feature_dim)))
-        gt_pts = rng.normal(0, 40, (n_seq, k, 2))
-        vis = np.ones((n_seq, k), dtype=bool)
-        gt_full = rng.normal(0, 0.3, (n_seq, 85))
-        centres = np.arange(n_seq) * t_len + enc.half_field
-        wts = losses.LossWeights()
-        wrt = [nm.temporal.blocks[0][1][0], nm.temporal.blocks[0][2][2],
-               nm.regressor.fc1.w, nm.regressor.out.b, nm.regressor.theta_mean]
-
-        def f():
-            phi = ad.reshape(nm.temporal(feats), (n_seq * t_len, enc.feature_dim))
-            out = training.forward(model, nm, [phi])
-            rows = ad.gather_rows(out["full"][0], centres)
-            beta, rots = rows[:, 0:10], ad.gather_rows(out["rots"], centres)
-            l2d, _ = losses.loss_2d_rows(ad.gather_rows(out["pred2d"], centres), gt_pts, vis)
-            total = (wts.w_2d * ad.sum_(l2d)
-                     + wts.w_3d * ad.sum_(losses.loss_3d_rows(rows, gt_full))
-                     + wts.w_adv * losses.adv_prior_generator_loss(nm.discriminators, rots, beta)
-                     + wts.w_beta * ad.sum_(losses.beta_prior(beta)))
-            betas = ad.reshape(out["full"][0][:, 0:10], (n_seq, t_len, 10))
-            return total + losses.const_shape_loss(betas)
-
-        return f, wrt
-
-    def case_delta_camera_path():
-        # keypoints at scale 0.2 keep the residual near 1, where rounding noise stays small
-        phi = ad.constant(rng.standard_normal((2, enc.feature_dim)))
-        kp = rng.normal(0, 0.2, (2, k, 2))
-        vis = np.ones((2, k), dtype=bool)
-        dp = nm.deltas[max(nm.deltas)]
-        wrt = [dp.fc1.w, dp.out.w, dp.out.b]
-
-        def f():
-            # forward appends the delta rows in step order: the last two are dp's
-            joints = training.forward(model, nm, [phi], delta_rows=np.arange(2))["joints"]
-            fits = camera.optimal_camera_rows(joints[-2:, :, 0:2], kp, vis)
-            return ad.sum_(fits["residual"])
-
-        return f, wrt
+    def case_objective():
+        # training's own objective on one full3d sequence; keypoints at scale 0.2
+        # keep the loss near 600, where rounding noise stays small, and w_hal=0
+        # because the hallucinator loss detaches its target, a dependence that
+        # central differences see but the gradient rightly drops
+        t_len = 2 * enc.delta_margin + 1
+        sample = data.SequenceSample(
+            id="gradcheck", fps=25.0, tier="full3d", kp2d=rng.normal(0, 0.2, (t_len, k, 2)),
+            vis=np.ones((t_len, k), dtype=bool),
+            features=rng.standard_normal((t_len, enc.feature_dim)),
+            theta_gt=rng.normal(0, 0.3, (t_len, 85)))
+        tcfg = training.TrainConfig(seq_len=t_len, batch_size=1, seed=seed, use_jitter=False,
+                                    delta_centers_per_seq=1,
+                                    weights=losses.LossWeights(w_hal=0.0))
+        # a drawn mean shape keeps the shape critic's relus off their kinks: an
+        # untrained regressor's zero mean puts every row's pre-activations near 0
+        net = nets.ModelNets.create(enc, seed=seed)
+        net.regressor.theta_mean.data[0:10] = rng.normal(0, 0.3, 10)
+        dp = net.deltas[max(net.deltas)]
+        wrt = [net.temporal.blocks[0][1][0], net.temporal.blocks[0][2][2],
+               net.regressor.fc1.w, net.regressor.out.b, net.regressor.theta_mean,
+               dp.fc1.w, dp.out.b, net.hallucinator.fc1.w]
+        return (lambda: training.objective(model, net, [(sample, 0)], tcfg, 0)[0]), wrt
 
     def case_hallucinator_path():
         feats = ad.constant(rng.standard_normal((4, enc.feature_dim)))
@@ -424,8 +403,7 @@ def _gradcheck_cases(seed):
     for name, builder in (("path:rodrigues", case_rodrigues),
                           ("path:body_skin", case_skin),
                           ("path:camera_fit_residual", case_camera),
-                          ("path:f_movie+f_3d+frame_losses", case_temporal_frame_losses),
-                          ("path:f_delta+optimal_camera", case_delta_camera_path),
+                          ("path:objective", case_objective),
                           ("path:hallucinator+losses", case_hallucinator_path),
                           ("path:discriminators", case_discriminators),
                           ("path:keypoints_3d", case_keypoints)):
@@ -508,7 +486,6 @@ def build_parser() -> _Parser:
     t.add_argument("--set", action="append", metavar="KEY=VALUE")
     t.add_argument("--steps", type=int)
     t.add_argument("--seed", type=int)
-    t.add_argument("--delta-steps", help="comma list of frame offsets, e.g. -5,5")
     t.add_argument("--resume")
 
     e = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")

@@ -62,18 +62,17 @@ def loss_2d_rows(pred_x, gt_points, vis):
 
     pred_x: (R,k,2) tensor; gt_points: (R,k,2) array; vis: (R,k) bools.
     Rows with no visible keypoints yield 0 (their weight is up to the caller).
-    Returns ((R,) tensor, (R,) visible counts).
+    Returns an (R,) tensor.
     """
     pred = ad.as_tensor(pred_x)
     r, k, _ = pred.shape
     v = np.asarray(vis, dtype=bool)
-    n_vis = v.sum(axis=1)
     mask = v[:, :, None].astype(np.float64)                         # (R,k,1)
     gt = np.where(mask > 0, np.asarray(gt_points, dtype=np.float64), 0.0)
     diff = pred * mask - gt * mask
     sq = ad.sum_(ad.reshape(diff * diff, (r, k * 2)), axis=1)
-    denom = ad.constant(np.maximum(n_vis, 1).astype(np.float64))
-    return ad.div(sq, denom), n_vis
+    denom = ad.constant(np.maximum(v.sum(axis=1), 1).astype(np.float64))
+    return ad.div(sq, denom)
 
 
 # 3-D supervision covers shape and pose; the camera slot is left to the 2-D loss

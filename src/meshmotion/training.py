@@ -7,6 +7,11 @@ frame windows, jitter, dropout masks, discriminator sampling) derives from
 (config seed, step index) alone, so training resumed from a checkpoint is
 bit-identical to an uninterrupted run.
 
+One objective: ``objective`` assembles a step's windows, runs the shared
+``forward`` chain and sums every generator loss term, each added by one
+rule; ``train_step`` differentiates it and runs the critic update, and the
+gradient check differentiates the same function.
+
 One graph per step: the temporal encoder runs once over the whole (B, T)
 batch, the shape-constancy term is one sum over the consecutive frames of
 every sequence, and ``forward`` concatenates all frame evaluations from
@@ -51,8 +56,6 @@ class TrainConfig:
     steps: int = 1000
     lr: float = 1e-4
     lr_disc: float = 1e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
     seed: int = 0
     weights: LossWeights = field(default_factory=LossWeights)
     jitter_scale: tuple = (0.9, 1.1)
@@ -88,10 +91,8 @@ class TrainState:
 def init_state(nets_model: ModelNets, cfg: TrainConfig) -> TrainState:
     return TrainState(
         nets=nets_model,
-        adam_gen=Adam(nets_model.generator_params(), lr=cfg.lr,
-                      beta1=cfg.adam_beta1, beta2=cfg.adam_beta2),
-        adam_disc=Adam(nets_model.discriminator_params(), lr=cfg.lr_disc,
-                       beta1=cfg.adam_beta1, beta2=cfg.adam_beta2),
+        adam_gen=Adam(nets_model.generator_params(), lr=cfg.lr),
+        adam_disc=Adam(nets_model.discriminator_params(), lr=cfg.lr_disc),
     )
 
 
@@ -177,7 +178,6 @@ def jitter_window(kp, theta_gt, features, feature_meta, rng, cfg: TrainConfig):
     kp_out = kp * scale[:, None, None] + trans[:, None, :]
     feats_out = features
     if feature_meta is not None and theta_gt is not None:
-        s_old = theta_gt[:, 82]
         t_old = theta_gt[:, 83:85]
         dz = np.column_stack([
             np.log(scale),
@@ -196,7 +196,7 @@ def jitter_window(kp, theta_gt, features, feature_meta, rng, cfg: TrainConfig):
 def build_real_pose_pool(datasets):
     """The discriminator's real rows from every full3d sequence of the
     datasets, ratio-0 ones included. Only that tier's 3-D truth may train
-    anything, the rule ``train_step``'s 3-D loss follows too.
+    anything, the rule ``objective``'s 3-D loss follows too.
 
     Returns (beta (N,10), rotations (N,24,3,3)), or None without full3d
     ground truth. The poses are converted to rotations here, once per
@@ -270,22 +270,21 @@ def forward(model: body.BodyModel, nets_model: ModelNets, phis, delta_rows=(), d
             "pred2d": pred2d}
 
 
-def train_step(model: body.BodyModel, state: TrainState, batch, cfg: TrainConfig,
-               feature_meta=None, real_pool=None):
-    """One generator update followed by one discriminator update.
+def objective(model: body.BodyModel, nets_model: ModelNets, batch, cfg: TrainConfig, step: int,
+              feature_meta=None):
+    """The generator objective of training step ``step``.
 
     ``batch`` is a list of (SequenceSample, window_start) drawn from one
-    dataset, ``feature_meta`` is that dataset's FeatureMeta (or None) and
-    ``real_pool`` is ``build_real_pose_pool``'s. Returns the loss breakdown
-    dict (plain floats); parameters and moments update in place. A non-finite loss term
-    or gradient raises NumericalError naming it, before any parameter,
-    moment or the step counter changes.
+    dataset and ``feature_meta`` is that dataset's FeatureMeta (or None).
+    Jitter, dropout masks and delta centres are drawn from (cfg.seed, step),
+    so the same arguments give the same function of the generator's
+    parameters. Returns (total, breakdown, out): the scalar loss, a dict of
+    plain floats holding each of ``LOSS_COLUMNS`` (``ldisc`` left 0) and
+    ``frames_used``, and ``forward``'s outputs. Returns None when every frame
+    is below the visibility floor.
     """
-    _require_real_pool(cfg, real_pool)
-    nets_model = state.nets
     enc = nets_model.cfg
     w = cfg.weights
-    step = state.step
     n_batch = len(batch)
     t_len = cfg.seq_len
     k = model.n_keypoints
@@ -296,7 +295,6 @@ def train_step(model: body.BodyModel, state: TrainState, batch, cfg: TrainConfig
     jit_rng = rng_for(cfg.seed, 20, step)
     drop_rng = rng_for(cfg.seed, 21, step)
     center_rng = rng_for(cfg.seed, 22, step)
-    disc_rng = rng_for(cfg.seed, 23, step)
 
     # -- assemble window arrays ----------------------------------------------
     kp_all = np.empty((n_batch, t_len, k, 2))
@@ -321,17 +319,10 @@ def train_step(model: body.BodyModel, state: TrainState, batch, cfg: TrainConfig
         has_3d[b] = sample.tier == "full3d" and theta_w is not None
     frame_ok = ~excluded
     if not frame_ok.any():
-        log.warning("step %d: every frame in the batch is below the visibility floor; skipped", step)
-        state.step += 1
-        row = {name: 0.0 for name in LOSS_COLUMNS}
-        row["skipped"] = 1.0
-        row["step"] = float(step)
-        state.history.append(row)
-        return row
+        return None
 
     bt = n_batch * t_len
     frame_w = frame_ok.reshape(bt).astype(np.float64)
-    n_frames_used = frame_w.sum()
 
     # -- encoder paths and the shared forward chain ----------------------------
     # one encoder graph over the whole batch, its rows sequence-major
@@ -349,26 +340,25 @@ def train_step(model: body.BodyModel, state: TrainState, batch, cfg: TrainConfig
 
     kp_flat = kp_all.reshape(bt, k, 2)
     vis_flat = vis_all.reshape(bt, k)
-    breakdown = {name: 0.0 for name in LOSS_COLUMNS}
-    total = ad.constant(0.0)
+    breakdown = dict.fromkeys(LOSS_COLUMNS, 0.0)
+    terms = []
+
+    def add_term(name, weight, value):
+        terms.append((weight, value))
+        breakdown[name] += value.item()
 
     # frame paths: predicted camera projection + 2d/3d losses
     for i, full_p in enumerate(out["full"]):
-        l2d_vec, _ = loss_2d_rows(out["pred2d"][i * bt:(i + 1) * bt, :, :], kp_flat, vis_flat)
+        l2d_vec = loss_2d_rows(out["pred2d"][i * bt:(i + 1) * bt, :, :], kp_flat, vis_flat)
         l2d = ad.sum_(l2d_vec * ad.constant(frame_w)) * (1.0 / n_batch)
-        total = total + w.w_2d * l2d
-        breakdown["l2d" if i == 0 else "lhal_frame"] += l2d.item()
-
+        add_term("l2d" if i == 0 else "lhal_frame", w.w_2d, l2d)
         w3d = (frame_ok & has_3d[:, None]).reshape(bt).astype(np.float64)
         if w3d.any():
             gt_rows = np.nan_to_num(gt_full.reshape(bt, 85))
             l3d = ad.sum_(loss_3d_rows(full_p, gt_rows) * ad.constant(w3d)) * (1.0 / n_batch)
-            total = total + w.w_3d * l3d
-            breakdown["l3d"] += l3d.item()
-
+            add_term("l3d", w.w_3d, l3d)
         lbeta = ad.sum_(beta_prior(full_p[:, 0:10]) * ad.constant(frame_w)) * (1.0 / n_batch)
-        total = total + w.w_beta * lbeta
-        breakdown["lbeta"] += lbeta.item()
+        add_term("lbeta", w.w_beta, lbeta)
 
     # delta paths: closed-form camera then reprojection at the shifted frame;
     # the target rows follow forward's order: path, then step, then centre
@@ -389,33 +379,53 @@ def train_step(model: body.BodyModel, state: TrainState, batch, cfg: TrainConfig
             diff = out["pose"][n_frame_rows:, :] - ad.constant(gt_pose)
             l3d_vec = ad.sum_(diff * diff, axis=1) * (1.0 / body.POSE_DIM)
             ldelta = ldelta + w.w_3d * ad.sum_(l3d_vec * ad.constant(w3d_rows))
-        ldelta = ldelta * (1.0 / n_batch)
-        total = total + w.w_delta * ldelta
-        breakdown["ldelta"] = ldelta.item()
+        add_term("ldelta", w.w_delta, ldelta * (1.0 / n_batch))
 
-    # adversarial prior over every predicted pose/shape row
+    # adversarial prior over every predicted pose/shape row; the critics are
+    # constants here, so the generator backward computes no critic gradient
     if w.w_adv > 0:
-        # the critics are constants here: the generator backward computes no
-        # critic gradient
-        ladv = adv_prior_generator_loss(nets_model.frozen_discriminators(), out["rots"],
-                                        out["beta"])
-        total = total + w.w_adv * ladv
-        breakdown["ladv"] = ladv.item()
+        critics = nets_model.frozen_discriminators()
+        add_term("ladv", w.w_adv, adv_prior_generator_loss(critics, out["rots"], out["beta"]))
 
     # shape constancy within each sequence along the temporal path
     if w.w_const > 0:
         betas_t = ad.reshape(out["full"][0][:, 0:10], (n_batch, t_len, 10))
-        lconst = const_shape_loss(betas_t) * (1.0 / n_batch)
-        total = total + w.w_const * lconst
-        breakdown["lconst"] = lconst.item()
+        add_term("lconst", w.w_const, const_shape_loss(betas_t) * (1.0 / n_batch))
 
     # feature matching for the hallucinator
     if use_hal and w.w_hal > 0:
-        lhal = hallucination_loss(phi_temporal, phis[1])
-        total = total + w.w_hal * lhal
-        breakdown["lhal"] = lhal.item()
+        add_term("lhal", w.w_hal, hallucination_loss(phi_temporal, phis[1]))
 
+    total = ad.constant(0.0)
+    for weight, value in terms:
+        total = total + weight * value
     breakdown["total"] = total.item()
+    breakdown["frames_used"] = float(frame_w.sum())
+    return total, breakdown, out
+
+
+def train_step(model: body.BodyModel, state: TrainState, batch, cfg: TrainConfig,
+               feature_meta=None, real_pool=None):
+    """One generator update on ``objective`` followed by one discriminator update.
+
+    ``batch`` and ``feature_meta`` are ``objective``'s and ``real_pool`` is
+    ``build_real_pose_pool``'s. Returns the loss breakdown dict (plain
+    floats); parameters and moments update in place. A non-finite loss term
+    or gradient raises NumericalError naming it, before any parameter,
+    moment or the step counter changes.
+    """
+    _require_real_pool(cfg, real_pool)
+    nets_model = state.nets
+    step = state.step
+    result = objective(model, nets_model, batch, cfg, step, feature_meta)
+    if result is None:
+        log.warning("step %d: every frame in the batch is below the visibility floor; skipped",
+                    step)
+        state.step += 1
+        row = dict.fromkeys(LOSS_COLUMNS, 0.0) | {"skipped": 1.0, "step": float(step)}
+        state.history.append(row)
+        return row
+    total, breakdown, out = result
     _require_finite(step, "loss terms", breakdown.items())
 
     # -- gradients of both updates, all checked before any parameter moves -----
@@ -423,10 +433,10 @@ def train_step(model: body.BodyModel, state: TrainState, batch, cfg: TrainConfig
     state.adam_disc.zero_grad()
     total.backward()    # consumes the generator graph; ``out`` keeps only its arrays
     _require_finite_grads(step, state.adam_gen.params)
-    if w.w_adv > 0:
+    if cfg.weights.w_adv > 0:
         # the fakes are this step's rotations
         real_beta, real_rots = real_pool
-        idx = disc_rng.integers(0, real_beta.shape[0], out["rots"].shape[0])
+        idx = rng_for(cfg.seed, 23, step).integers(0, real_beta.shape[0], out["rots"].shape[0])
         dloss = adv_prior_discriminator_loss(nets_model.discriminators, real_rots[idx],
                                              real_beta[idx], out["rots"].data, out["beta"].data)
         breakdown["ldisc"] = dloss.item()
@@ -435,11 +445,10 @@ def train_step(model: body.BodyModel, state: TrainState, batch, cfg: TrainConfig
         _require_finite_grads(step, state.adam_disc.params)
 
     state.adam_gen.step()
-    if w.w_adv > 0:
+    if cfg.weights.w_adv > 0:
         state.adam_disc.step()
 
     breakdown["skipped"] = 0.0
-    breakdown["frames_used"] = float(n_frames_used)
     breakdown["step"] = float(step)
     state.step += 1
     state.history.append(breakdown)

@@ -213,7 +213,7 @@ def test_train_resume_bit_identical(workdir, tmp_path):
 
 @pytest.mark.parametrize("flag,key,value", [("--set", "ief_hidden", "64"),
                                             ("--set", "use_hal", "false"),
-                                            ("--delta-steps", "delta_steps", "-3,3"),
+                                            ("--set", "delta_steps", "-3,3"),
                                             ("--config", "kernel", "5")])
 def test_train_resume_rejects_conflicting_architecture(workdir, tmp_path, capsys, flag, key, value):
     base = ["train", "--model", str(workdir / "model.bin"),
@@ -221,7 +221,7 @@ def test_train_resume_rejects_conflicting_architecture(workdir, tmp_path, capsys
     first = tmp_path / "first"
     assert cli.run(base + ["--out", str(first)] + TINY_NET) == 0
     ckpt = first / "checkpoint.bin"
-    given = {"--set": ["--set", f"{key}={value}"], "--delta-steps": [f"--delta-steps={value}"],
+    given = {"--set": ["--set", f"{key}={value}"],
              "--config": ["--config", str(tmp_path / "arch.cfg")]}[flag]
     (tmp_path / "arch.cfg").write_text(f"{key}={value}\n")
     resumed = tmp_path / "resumed"
@@ -500,15 +500,6 @@ def test_predict_untrained_net_outputs_mean_pose(workdir, tmp_path):
         assert np.max(np.abs(sections[f"theta_{tag}"][10:82] - mean_pose)) < 0.2
 
 
-def test_train_delta_steps_flag(workdir, tmp_path):
-    out = tmp_path / "ds"
-    assert cli.run(["train", "--model", str(workdir / "model.bin"),
-                    "--data", str(workdir / "data.bin"), "--out", str(out),
-                    "--steps", "0", "--seed", "2", "--delta-steps=-3,3"] + TINY_NET) == 0
-    loaded, _, _, _, _ = nets.load_checkpoint(out / "checkpoint.bin")
-    assert sorted(loaded.deltas) == [-3, 3]
-
-
 def test_predict_frame_out_of_range(workdir, trained, tmp_path):
     code = cli.run(["predict", "--model", str(workdir / "model.bin"), "--ckpt", str(trained),
                     "--data", str(workdir / "data.bin"), "--seq", "0", "--frame", "99",
@@ -589,6 +580,24 @@ def test_gradcheck_op_cases_cover_every_differentiable_op(monkeypatch):
             f()
     assert {"neg", "matmul_add", "reshape"} <= set(ops)
     assert called == set(ops), sorted(set(ops) - called)
+
+
+def test_gradcheck_checks_the_training_objective(monkeypatch):
+    """A ``path:`` case differentiates ``training.objective`` itself, not a
+    copy of the terms it sums."""
+    calls = []
+    objective = training.objective
+    monkeypatch.setattr(training, "objective",
+                        lambda *a, **k: calls.append(a) or objective(*a, **k))
+    callers = []
+    for case, build in cli._gradcheck_cases(0):
+        if case.startswith("path:"):
+            f, _ = build()
+            before = len(calls)
+            f()
+            if len(calls) > before:
+                callers.append(case)
+    assert callers == ["path:objective"]
 
 
 def test_gradcheck_detects_corrupted_backward(monkeypatch, capsys):

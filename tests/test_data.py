@@ -49,7 +49,7 @@ def test_gen_gt_selfconsistency_2d_loss_zero(toy_model, small_dataset):
     joints = body.keypoints_3d(toy_model, ad.constant(full[:, :10]),
                                ad.constant(full[:, 10:82])).data
     proj = full[:, 82:83, None] * joints[:, :, :2] + full[:, None, 83:85]
-    vals, _ = losses.loss_2d_rows(ad.constant(proj), s.kp2d, s.vis)
+    vals = losses.loss_2d_rows(ad.constant(proj), s.kp2d, s.vis)
     assert vals.shape == (s.n_frames,)
     assert np.all(vals.data < 1e-18)
 

@@ -23,10 +23,10 @@ def loss_2d(pred, gt, vis=None):
     """loss_2d_rows on one (k,2) frame: (value, visible count)."""
     gt = np.asarray(gt, dtype=np.float64)
     vis = np.ones(len(gt), dtype=bool) if vis is None else np.asarray(vis, dtype=bool)
-    val, n_vis = losses.loss_2d_rows(ad.constant(np.asarray(pred, dtype=np.float64)[None]),
-                                     gt[None], vis[None])
-    assert val.shape == (1,) and n_vis.shape == (1,)
-    return val.data[0], int(n_vis[0])
+    val = losses.loss_2d_rows(ad.constant(np.asarray(pred, dtype=np.float64)[None]),
+                              gt[None], vis[None])
+    assert val.shape == (1,)
+    return val.data[0], int(vis.sum())
 
 
 def loss_3d(pred, gt):
@@ -253,7 +253,7 @@ def test_frame_loss_zero_on_perfect_prediction():
     gt_full[0, 82] = 1.0  # unit camera scale
     pts = np.zeros((1, 4, 2))
     pred = ad.constant(gt_full)
-    l2d, _ = losses.loss_2d_rows(ad.constant(pts), pts, np.ones((1, 4), dtype=bool))
+    l2d = losses.loss_2d_rows(ad.constant(pts), pts, np.ones((1, 4), dtype=bool))
     l3d = losses.loss_3d_rows(pred, gt_full)
     ladv = losses.adv_prior_generator_loss(ConstDisc(1.0), pred[:, 10:82], pred[:, 0:10])
     lbeta = losses.beta_prior(pred[:, 0:10])
@@ -277,7 +277,7 @@ def test_frame_loss_full_composite_gradient(toy_model):
         beta, pose = full[:, 0:10], full[:, 10:82]
         x3d = body.keypoints_3d(toy_model, beta, pose)
         x2d = camera.project(x3d, full[:, 82:83], full[:, 83:85])
-        l2d, _ = losses.loss_2d_rows(x2d, gt_pts, vis)
+        l2d = losses.loss_2d_rows(x2d, gt_pts, vis)
         return (w.w_2d * ad.sum_(l2d)
                 + w.w_adv * losses.adv_prior_generator_loss(disc, pose, beta)
                 + w.w_beta * ad.sum_(losses.beta_prior(beta)))

@@ -188,6 +188,37 @@ def test_generator_backward_computes_no_critic_gradient(train_setup, monkeypatch
     assert all(unset[0]) and not any(unset[1])
 
 
+def test_training_steps_leave_no_reference_cycles(train_setup):
+    """``_cyclic_gc_paused``'s premise: after each step the cyclic collector
+    finds nothing to free."""
+    model, ds = train_setup
+    state, tcfg = fresh_state(tcfg=tiny_tcfg(steps=3))
+    mixer = training.BatchMixer([(ds, 1)], tcfg.seq_len, tcfg.batch_size, tcfg.seed)
+    pool = training.build_real_pose_pool([(ds, 1)])
+    found = []
+    with training._cyclic_gc_paused():
+        gc.collect()
+        for step in range(tcfg.steps):
+            training.train_step(model, state, mixer.batch(step), tcfg,
+                                feature_meta=ds.feature_meta, real_pool=pool)
+            found.append(gc.collect())
+    assert state.step == 3 and found == [0, 0, 0]
+
+
+def test_train_step_reports_the_objectives_breakdown(train_setup):
+    """The update differentiates ``objective``: for the same parameters, batch
+    and step, its row is the objective's breakdown plus the critic loss."""
+    model, ds = train_setup
+    state, tcfg = fresh_state(tcfg=tiny_tcfg(steps=3))
+    state.step = 2
+    batch = training.BatchMixer([(ds, 1)], tcfg.seq_len, tcfg.batch_size, tcfg.seed).batch(2)
+    _, expected, _ = training.objective(model, state.nets, batch, tcfg, 2, ds.feature_meta)
+    row = training.train_step(model, state, batch, tcfg, feature_meta=ds.feature_meta,
+                              real_pool=training.build_real_pose_pool([(ds, 1)]))
+    assert expected["ldisc"] == 0.0 and row["ldisc"] > 0.0
+    assert row == expected | {"ldisc": row["ldisc"], "skipped": 0.0, "step": 2.0}
+
+
 def test_zero_learning_rate_leaves_parameters_unchanged(train_setup):
     model, ds = train_setup
     state, tcfg = fresh_state(tcfg=tiny_tcfg(lr=0.0, lr_disc=0.0, steps=2))
