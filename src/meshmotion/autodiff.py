@@ -1,21 +1,31 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Graphs are built define-by-run: every operation records its parents and a
-backward closure, so tensor creation order is always a valid topological
-order. Calling ``backward`` on a scalar accumulates dLoss/dX into ``.grad``
-of every reachable leaf (a parameter) that has ``requires_grad`` set, and
-consumes the graph it ran. An interior node's gradient is dropped as soon
-as its backward closure has passed it on, so the sweep holds only the
-gradients still to be propagated; once it ends, every interior node it
-visited, the loss included, is left with no parents or backward closure,
-so the forward arrays that only the tape held are freed. A graph is
-therefore backpropagated once; a later ``backward`` that reaches a
-consumed node raises.
+Graphs are built define-by-run: every recorded operation makes a ``Node``
+holding its operands' nodes and a backward closure, so node creation order
+is always a valid topological order. A ``Tensor`` is a value: a leaf (a
+parameter or a constant) is its own node, and an op's result points at its
+node, which does not point back. Calling ``backward`` on a scalar
+accumulates dLoss/dX into ``.grad`` of every reachable leaf that has
+``requires_grad`` set, and consumes the graph it ran.
 
-A node keeps only what its backward reads. The dense layer
-``mul(relu(a @ b + c), mask)`` is one ``matmul_add`` node, which keeps its
-output and the relu's sign mask rather than the pre-activation and relu
-output of three separate nodes.
+A node keeps only what its backward reads. Each closure captures, for the
+operands that need a gradient, the arrays their gradients are computed
+from, and no tensor: ``matmul_add(a, b, c)`` keeps ``a``'s value only when
+``b`` needs a gradient, and a dense layer ``mul(relu(a @ b + c), mask)`` is
+one ``matmul_add`` node that keeps the relu's boolean sign mask and the
+dropout's boolean keep mask. So a forward value that no backward reads is
+freed as soon as the caller drops its tensor: the 23x384x32 hidden layer
+of a frozen critic, say, once the next layer has run.
+
+The sweep runs a node's closure once every node made from it has passed
+its gradient on. As soon as the closure has run, the node drops its
+gradient, parents and closure, so the sweep holds only the gradients still to be propagated
+and the arrays still to be read. On ``train_default`` the graph holds
+13 MB when the generator backward starts, and the step's traced peak is
+19 MB; while nodes held their values and were released after the sweep,
+these were 23 and 30 MB (``tools/step_memory.py``). A graph is therefore
+backpropagated once; a later ``backward`` that reaches a consumed node
+raises.
 
 Design constraints honored throughout:
   * float64 everywhere (tight finite-difference checks stay meaningful),
@@ -29,6 +39,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +54,7 @@ class NumericalError(ArithmeticError):
     """Non-finite values encountered where finite ones are required."""
 
 
-_POST = object()  # marks a finished tensor on Tensor.backward's traversal stack
+_POST = object()  # marks a finished node on Tensor.backward's traversal stack
 _RECORDING = contextvars.ContextVar("recording", default=True)  # off inside no_grad()
 
 
@@ -52,17 +63,48 @@ def _consumed(g):
     raise RuntimeError("backward() through a graph that an earlier backward() consumed")
 
 
-class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward_fn")
+class _Grad:
+    """What a backward closure adds a gradient into: a leaf tensor or a Node."""
+    __slots__ = ("grad",)
 
-    def __init__(self, data, requires_grad=False, name=None, _parents=(), _backward_fn=None):
+    def _accum(self, g):
+        if self.grad is None:
+            self.grad = np.array(g, dtype=np.float64)  # private copy
+        else:
+            self.grad += g
+
+    def _accum_fresh(self, g):
+        """_accum for a gradient array no one else holds: adopted, not copied."""
+        if self.grad is None:
+            self.grad = g if type(g) is np.ndarray else np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
+
+
+class Node(_Grad):
+    """A recorded op on the tape: the gradient flowing into it, its operands'
+    nodes and its backward closure, but not its value."""
+    __slots__ = ("_parents", "_backward_fn")
+
+    def __init__(self, parents, backward_fn):
+        self.grad = None
+        self._parents = parents
+        self._backward_fn = backward_fn
+
+
+class Tensor(_Grad):
+    """A value. A leaf is its own graph node, and ``grad`` is its gradient;
+    an op's result refers to its ``Node``, which holds the gradient during
+    the sweep."""
+    __slots__ = ("data", "requires_grad", "name", "_node")
+
+    def __init__(self, data, requires_grad=False, name=None, node=None):
         arr = np.asarray(data, dtype=np.float64)
         self.data = arr
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self.name = name
-        self._parents = _parents
-        self._backward_fn = _backward_fn
+        self._node = node
 
     # -- basic introspection -------------------------------------------------
 
@@ -89,38 +131,39 @@ class Tensor:
 
     # -- autograd ------------------------------------------------------------
 
-    def _accum(self, g):
-        if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)  # private copy
-        else:
-            self.grad += g
+    @property
+    def node(self):
+        """This tensor's graph node: the tensor itself for a leaf."""
+        return self if self._node is None else self._node
 
-    def _accum_fresh(self, g):
-        """_accum for a gradient array no one else holds: adopted, not copied."""
-        if self.grad is None:
-            self.grad = g if type(g) is np.ndarray else np.array(g, dtype=np.float64)
-        else:
-            self.grad += g
+    @property
+    def _parents(self):
+        """The operands' nodes of this tensor's node; a leaf has none."""
+        return () if self._node is None else self._node._parents
 
     def backward(self):
         """Reverse accumulation from this scalar into .grad of all leaves.
 
-        Consumes the graph. Each interior node (this tensor included)
-        drops its .grad as soon as its backward closure has run, so a
-        gradient lives only until it is propagated; its parents and closure
-        are dropped in one pass after the sweep. Leaves keep their
+        Consumes the graph. Each node's closure runs once every node made
+        after it has passed its gradient on; the node then drops its
+        gradient, parents and closure, which frees the arrays only that
+        closure read before the next node runs. Leaves keep their
         gradients. A node consumed by an earlier call raises RuntimeError
         here, before any gradient is touched.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar loss, got shape {self.shape}")
-        # depth-first post-order, visiting a tensor when it is popped (so a
-        # tensor pushed twice goes where its latest push puts it); tensors
-        # hash by identity. Leaves (no parents, no backward closure) are left
-        # out: they have nothing to run and reach nothing.
+        root = self._node
+        if root is None:        # a leaf: no graph to run
+            self.grad = np.ones_like(self.data)
+            return
+        # depth-first post-order, visiting a node when it is popped (so a
+        # node pushed twice goes where its latest push puts it); nodes hash
+        # by identity. Leaves are left out: they have nothing to run and
+        # reach nothing.
         order = []
         visited = set()
-        stack = [self]
+        stack = [root]
         while stack:
             node = stack.pop()
             if node is _POST:
@@ -134,14 +177,14 @@ class Tensor:
             stack.append(node)
             stack.append(_POST)
             for p in node._parents:
-                if (p._parents or p._backward_fn is not None) and p not in visited:
+                if type(p) is Node and p not in visited:
                     stack.append(p)
-        self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward_fn is not None and node.grad is not None:
+        root.grad = np.ones_like(self.data)
+        while order:
+            node = order.pop()
+            if node.grad is not None:
                 node._backward_fn(node.grad)
                 node.grad = None
-        for node in order:
             node._parents = ()
             node._backward_fn = _consumed
 
@@ -213,23 +256,32 @@ def no_grad():
         _RECORDING.reset(token)
 
 
-def _node(data, parents, backward_fn):
-    for p in parents:
-        if p.requires_grad:
+def _grad_node(t):
+    """``t``'s node if ``t`` needs a gradient, else None: what a backward
+    closure captures of an operand, so that it never holds the tensor."""
+    return (t._node or t) if t.requires_grad else None     # ``t.node``, inlined
+
+
+def _node(data, operands, backward_fn):
+    for t in operands:
+        if t.requires_grad:
             if not _RECORDING.get():
                 break
-            return Tensor(data, True, None, tuple(parents), backward_fn)
+            return Tensor(data, True, None, Node(tuple([o._node or o for o in operands]), backward_fn))
     return Tensor(data)
 
 
 def custom_op(data, parents, backward_fn) -> Tensor:
     """Record a node with a hand-written backward (for ops fused from primitives).
 
-    ``backward_fn(g)`` must add each parent's gradient with ``_accum`` (or
-    ``_accum_fresh`` for an array nothing else holds) when that parent has
-    ``requires_grad`` set; ``_unbroadcast`` sums a gradient back to a value
-    the forward pass broadcast. The node is a constant when no parent needs
-    gradients.
+    ``parents`` are the operand tensors. ``backward_fn(g)`` must add each
+    parent's gradient into that parent's node (``t.node``) with ``_accum``,
+    or ``_accum_fresh`` for an array nothing else holds, when the parent
+    has ``requires_grad`` set; ``_unbroadcast`` sums a gradient back to a
+    value the forward pass broadcast. The closure should capture those
+    nodes and only the arrays it reads, never the tensors: a captured
+    tensor keeps its value alive until the sweep reaches the node. The
+    node is a constant when no parent needs gradients.
     """
     return _node(data, tuple(parents), backward_fn)
 
@@ -252,6 +304,23 @@ def _no_broadcast(opname, a, b):
     return ShapeError(f"{opname}: shapes {tuple(a.shape)} and {tuple(b.shape)} do not broadcast")
 
 
+def _layout(x):
+    """What ``np.zeros_like(x)`` needs of ``x``, without its values: its
+    shape and, unless it is C-contiguous, its axes in numpy's keep order
+    (decreasing |stride|, ties by axis number)."""
+    if x.flags.c_contiguous:
+        return x.shape, None
+    return x.shape, sorted(range(x.ndim), key=lambda i: (-abs(x.strides[i]), i))
+
+
+def _zeros(layout):
+    """``np.zeros_like`` of the array ``_layout`` described: its shape and memory order."""
+    shape, axes = layout
+    if axes is None:
+        return np.zeros(shape)
+    return np.zeros([shape[i] for i in axes]).transpose(np.argsort(axes))
+
+
 # -- elementwise arithmetic ----------------------------------------------------
 # Operands broadcast as in numpy; shapes that do not broadcast raise ShapeError.
 
@@ -262,22 +331,24 @@ def add(a, b) -> Tensor:
         out_data = a.data + b.data
     except ValueError:
         raise _no_broadcast("add", a, b) from None
+    na, nb = _grad_node(a), _grad_node(b)
+    a_shape, b_shape = a.shape, b.shape
 
     def backward_fn(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(g, b.shape))
+        if na is not None:
+            na._accum(_unbroadcast(g, a_shape))
+        if nb is not None:
+            nb._accum(_unbroadcast(g, b_shape))
 
     return _node(out_data, (a, b), backward_fn)
 
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
+    na = _grad_node(a)
 
     def backward_fn(g):
-        if a.requires_grad:
-            a._accum_fresh(-g)
+        na._accum_fresh(-g)
 
     return _node(-a.data, (a,), backward_fn)
 
@@ -289,12 +360,14 @@ def sub(a, b) -> Tensor:
         out_data = a.data - b.data
     except ValueError:
         raise _no_broadcast("sub", a, b) from None
+    na, nb = _grad_node(a), _grad_node(b)
+    a_shape, b_shape = a.shape, b.shape
 
     def backward_fn(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accum_fresh(-_unbroadcast(g, b.shape))
+        if na is not None:
+            na._accum(_unbroadcast(g, a_shape))
+        if nb is not None:
+            nb._accum_fresh(-_unbroadcast(g, b_shape))
 
     return _node(out_data, (a, b), backward_fn)
 
@@ -305,12 +378,16 @@ def mul(a, b) -> Tensor:
         out_data = a.data * b.data
     except ValueError:
         raise _no_broadcast("mul", a, b) from None
+    na, nb = _grad_node(a), _grad_node(b)
+    a_shape, b_shape = a.shape, b.shape
+    a_val = a.data if nb is not None else None     # each value is read for the other's gradient
+    b_val = b.data if na is not None else None
 
     def backward_fn(g):
-        if a.requires_grad:
-            a._accum_fresh(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b._accum_fresh(_unbroadcast(g * a.data, b.shape))
+        if na is not None:
+            na._accum_fresh(_unbroadcast(g * b_val, a_shape))
+        if nb is not None:
+            nb._accum_fresh(_unbroadcast(g * a_val, b_shape))
 
     return _node(out_data, (a, b), backward_fn)
 
@@ -321,12 +398,16 @@ def div(a, b) -> Tensor:
         out_data = a.data / b.data
     except ValueError:
         raise _no_broadcast("div", a, b) from None
+    na, nb = _grad_node(a), _grad_node(b)
+    a_shape, b_shape = a.shape, b.shape
+    a_val = a.data if nb is not None else None
+    b_val = b.data
 
     def backward_fn(g):
-        if a.requires_grad:
-            a._accum_fresh(_unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            b._accum_fresh(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+        if na is not None:
+            na._accum_fresh(_unbroadcast(g / b_val, a_shape))
+        if nb is not None:
+            nb._accum_fresh(_unbroadcast(-g * a_val / (b_val * b_val), b_shape))
 
     return _node(out_data, (a, b), backward_fn)
 
@@ -334,10 +415,10 @@ def div(a, b) -> Tensor:
 def exp(a) -> Tensor:
     a = as_tensor(a)
     out_data = np.exp(a.data)
+    na = _grad_node(a)
 
     def backward_fn(g):
-        if a.requires_grad:
-            a._accum_fresh(g * out_data)
+        na._accum_fresh(g * out_data)
 
     return _node(out_data, (a,), backward_fn)
 
@@ -345,10 +426,10 @@ def exp(a) -> Tensor:
 def relu(a) -> Tensor:
     a = as_tensor(a)
     mask = a.data > 0.0
+    na = _grad_node(a)
 
     def backward_fn(g):
-        if a.requires_grad:
-            a._accum_fresh(g * mask)
+        na._accum_fresh(g * mask)
 
     return _node(a.data * mask, (a,), backward_fn)
 
@@ -358,13 +439,14 @@ def l2_norm_rows(a) -> Tensor:
     a = as_tensor(a)
     if a.ndim != 2:
         raise ShapeError(f"l2_norm_rows needs a 2-D tensor, got shape {tuple(a.shape)}")
-    sq = np.sum(a.data * a.data, axis=1)
+    a_val = a.data
+    sq = np.sum(a_val * a_val, axis=1)
     val = np.sqrt(sq)
+    na = _grad_node(a)
 
     def backward_fn(g):
-        if a.requires_grad:
-            denom = np.sqrt(sq + NORM_GRAD_EPS)
-            a._accum_fresh((g / denom)[:, None] * a.data)
+        denom = np.sqrt(sq + NORM_GRAD_EPS)
+        na._accum_fresh((g / denom)[:, None] * a_val)
 
     return _node(val, (a,), backward_fn)
 
@@ -385,18 +467,29 @@ def _matmul(a, b, opname):
         raise ShapeError(f"{opname}: batch dims do not broadcast, {a_shape} @ {b_shape}") from None
 
 
-def _matmul_backward(a, b, g):
-    if a.requires_grad:
-        a._accum_fresh(_unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
-    if b.requires_grad:
-        b._accum_fresh(_unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
+def _matmul_backward(a, b):
+    """The backward of ``a @ b`` as a function of its gradient ``g``. It keeps
+    ``b``'s value only when ``a`` needs a gradient, and ``a``'s only when
+    ``b`` does."""
+    na, nb = _grad_node(a), _grad_node(b)
+    a_shape, b_shape = a.shape, b.shape
+    a_val = a.data if nb is not None else None
+    b_val = b.data if na is not None else None
+
+    def backward(g):
+        if na is not None:
+            na._accum_fresh(_unbroadcast(np.matmul(g, np.swapaxes(b_val, -1, -2)), a_shape))
+        if nb is not None:
+            nb._accum_fresh(_unbroadcast(np.matmul(np.swapaxes(a_val, -1, -2), g), b_shape))
+
+    return backward
 
 
 def matmul(a, b) -> Tensor:
     """Matrix product of >=2-D operands; leading (batch) dims broadcast as in np.matmul."""
     a, b = as_tensor(a), as_tensor(b)
     out_data = _matmul(a, b, "matmul")
-    return _node(out_data, (a, b), lambda g: _matmul_backward(a, b, g))
+    return _node(out_data, (a, b), _matmul_backward(a, b))
 
 
 def matmul_add(a, b, c, relu=False, mask=None) -> Tensor:
@@ -404,11 +497,11 @@ def matmul_add(a, b, c, relu=False, mask=None) -> Tensor:
 
     ``c`` may be any shape that broadcasts to the product's, a (n,) bias say.
     A dense layer is one node too: with ``relu`` the result goes through a
-    relu, and a constant ``mask`` (a dropout mask, say; it gets no gradient)
-    then scales it, giving the values and gradients of
-    ``mul(relu(matmul_add(a, b, c)), mask)`` by the same operations in the
-    same order. The node keeps its output and the relu's sign mask, not the
-    pre-activation.
+    relu, and a ``DropoutMask`` ``mask`` (it gets no gradient) then scales
+    it, giving the values and gradients of
+    ``mul(relu(matmul_add(a, b, c)), mask.keep * mask.scale)`` bit for bit.
+    The node keeps the relu's and the mask's boolean masks, not the
+    pre-activation or the output.
     """
     a, b, c = as_tensor(a), as_tensor(b), as_tensor(c)
     prod = _matmul(a, b, "matmul_add")
@@ -424,19 +517,23 @@ def matmul_add(a, b, c, relu=False, mask=None) -> Tensor:
         positive = out_data > 0.0
         out_data *= positive
     if mask is not None:
-        mask = as_tensor(mask).data
-        out_data *= mask
+        out_data *= mask.scale
+        out_data *= mask.keep
+    nc = _grad_node(c)
+    c_shape = c.shape
+    product_backward = _matmul_backward(a, b) if a.requires_grad or b.requires_grad else None
 
     def backward_fn(g):
         if mask is not None:
-            g = g * mask
+            g = g * mask.scale
+            g *= mask.keep
         if positive is not None:
             g = g * positive
-        if c.requires_grad:
-            c._accum(_unbroadcast(g, c.shape))
-        if a.requires_grad or b.requires_grad:
+        if nc is not None:
+            nc._accum(_unbroadcast(g, c_shape))
+        if product_backward is not None:
             # the product node of add(matmul(a, b), c) saw a private copy of g
-            _matmul_backward(a, b, g if g.flags.c_contiguous else np.array(g, dtype=np.float64))
+            product_backward(g if g.flags.c_contiguous else np.array(g, dtype=np.float64))
 
     return _node(out_data, (a, b, c), backward_fn)
 
@@ -447,10 +544,11 @@ def broadcast_to(a, shape) -> Tensor:
     a = as_tensor(a)
     shape = tuple(map(int, shape))
     out_data = np.broadcast_to(a.data, shape)
+    na = _grad_node(a)
+    a_shape = a.shape
 
     def backward_fn(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g, a.shape))
+        na._accum(_unbroadcast(g, a_shape))
 
     return _node(out_data, (a,), backward_fn)
 
@@ -460,10 +558,10 @@ def reshape(a, shape) -> Tensor:
     shape = tuple(map(int, shape))
     old_shape = a.data.shape
     out_data = a.data.reshape(shape)
+    na = _grad_node(a)
 
     def backward_fn(g):
-        if a.requires_grad:
-            a._accum(g.reshape(old_shape))
+        na._accum(g.reshape(old_shape))
 
     return _node(out_data, (a,), backward_fn)
 
@@ -474,10 +572,10 @@ def transpose(a, axes=None) -> Tensor:
         axes = tuple(reversed(range(a.ndim)))
     axes = tuple(int(x) for x in axes)
     inv = np.argsort(axes)
+    na = _grad_node(a)
 
     def backward_fn(g):
-        if a.requires_grad:
-            a._accum(np.transpose(g, inv))
+        na._accum(np.transpose(g, inv))
 
     return _node(np.transpose(a.data, axes), (a,), backward_fn)
 
@@ -497,11 +595,12 @@ def concat(tensors, axis=0) -> Tensor:
         offsets.append(offsets[-1] + s[axis])
     out_data = np.concatenate([t.data for t in ts], axis=axis)
     lead = (slice(None),) * axis
+    nodes = [_grad_node(t) for t in ts]
 
     def backward_fn(g):
-        for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                t._accum(g[lead + (slice(lo, hi),)])
+        for n, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
+            if n is not None:
+                n._accum(g[lead + (slice(lo, hi),)])
 
     return _node(out_data, tuple(ts), backward_fn)
 
@@ -518,14 +617,15 @@ def getitem(a, idx) -> Tensor:
         elif not isinstance(i, (int, np.integer)):
             raise ShapeError(f"unsupported index component {i!r}")
     out_data = a.data[idx]
+    na = _grad_node(a)
+    layout = _layout(a.data) if na is not None else None
 
     def backward_fn(g):
-        if a.requires_grad:
-            # accumulate straight into the region: avoids one full-size
-            # scratch buffer per slice node
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[idx] += g
+        # accumulate straight into the region: avoids one full-size
+        # scratch buffer per slice node
+        if na.grad is None:
+            na.grad = _zeros(layout)
+        na.grad[idx] += g
 
     return _node(out_data, (a,), backward_fn)
 
@@ -537,12 +637,13 @@ def gather_rows(a, indices) -> Tensor:
     if idx.ndim != 1:
         raise ShapeError(f"gather_rows needs a flat index list, got shape {idx.shape}")
     out_data = a.data[idx]
+    na = _grad_node(a)
+    layout = _layout(a.data) if na is not None else None
 
     def backward_fn(g):
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            np.add.at(a.grad, idx, g)
+        if na.grad is None:
+            na.grad = _zeros(layout)
+        np.add.at(na.grad, idx, g)
 
     return _node(out_data, (a,), backward_fn)
 
@@ -558,12 +659,11 @@ def sum_(a, axis=None, keepdims=False) -> Tensor:
     a = as_tensor(a)
     out_data = np.sum(a.data, axis=axis, keepdims=keepdims)
     in_shape = a.shape
+    na = _grad_node(a)
 
     def backward_fn(g):
-        if not a.requires_grad:
-            return
-        a._accum_fresh(_spread(g if axis is None or keepdims else np.expand_dims(g, axis),
-                               in_shape))
+        na._accum_fresh(_spread(g if axis is None or keepdims else np.expand_dims(g, axis),
+                                in_shape))
 
     return _node(out_data, (a,), backward_fn)
 
@@ -575,13 +675,12 @@ def mean_(a, axis=None, keepdims=False) -> Tensor:
     inv = 1.0 / float(count)
     out_data = np.sum(a.data, axis=axis, keepdims=keepdims) * inv
     in_shape = a.shape
+    na = _grad_node(a)
 
     def backward_fn(g):
-        if not a.requires_grad:
-            return
         g = g * inv
-        a._accum_fresh(_spread(g if axis is None or keepdims else np.expand_dims(g, axis),
-                               in_shape))
+        na._accum_fresh(_spread(g if axis is None or keepdims else np.expand_dims(g, axis),
+                                in_shape))
 
     return _node(out_data, (a,), backward_fn)
 
@@ -616,21 +715,29 @@ def conv1d(x, w, b) -> Tensor:
     cols = np.empty((*lead, c_in * k, t_len))
     for j in range(k):
         cols[..., j::k, :] = xp[..., :, j:j + t_len]
+    x_shape, x_order = x.shape, "F" if xp.flags.fnc else "C"    # xp's memory order
     wmat = w.data.reshape(c_out, c_in * k)
     out_data = np.matmul(wmat, cols) + b.data[:, None]
+    nx, nw, nb = _grad_node(x), _grad_node(w), _grad_node(b)
+    if nw is None:
+        cols = None     # read only for the weight gradient
 
     def backward_fn(g):
-        if w.requires_grad:
-            w._accum_fresh(_unbroadcast(np.matmul(g, np.swapaxes(cols, -1, -2)),
-                                        wmat.shape).reshape(c_out, c_in, k))
-        if b.requires_grad:
-            b._accum_fresh(_unbroadcast(g.sum(axis=-1), b.shape))
-        if x.requires_grad:
+        if nw is not None:
+            nw._accum_fresh(_unbroadcast(np.matmul(g, np.swapaxes(cols, -1, -2)),
+                                         wmat.shape).reshape(c_out, c_in, k))
+        if nb is not None:
+            nb._accum_fresh(_unbroadcast(g.sum(axis=-1), (c_out,)))
+        if nx is not None:
             dcols = np.matmul(wmat.T, g)  # (..., C_in*K, T)
-            dxp = np.zeros_like(xp)
+            # the columns of the zero-padded input's gradient that x owns:
+            # tap j adds dcols[..., j::k, s] into padded column s + j
+            dx = np.zeros(x_shape, order=x_order)
             for j in range(k):
-                dxp[..., j:j + t_len] += dcols[..., j::k, :]
-            x._accum_fresh(dxp[..., pad:pad + t_len] if pad else dxp)
+                lo, hi = max(0, j - pad), min(t_len, t_len + j - pad)
+                if lo < hi:
+                    dx[..., lo:hi] += dcols[..., j::k, lo + pad - j:hi + pad - j]
+            nx._accum_fresh(dx)
 
     return _node(out_data, (x, w, b), backward_fn)
 
@@ -662,9 +769,15 @@ def group_norm(x, gamma, beta, n_groups: int, eps: float = 1e-5) -> Tensor:
     normed = (centered / denom).reshape(x.shape)
     scale = gamma.data.reshape(c, 1)
     out_data = normed * scale + beta.data.reshape(c, 1)
+    nx, ngamma, nbeta = _grad_node(x), _grad_node(gamma), _grad_node(beta)
+    x_shape, gamma_shape, beta_shape = x.shape, gamma.shape, beta.shape
+    if nx is None:
+        centered = denom = None     # read only for x's gradient
+    if ngamma is None:
+        normed = None
 
     def backward_fn(g):
-        if x.requires_grad:
+        if nx is not None:
             g_n = (g * scale).reshape(centered.shape)
             g_c = g_n / denom
             g_denom = _unbroadcast(-g_n * centered / (denom * denom), denom.shape)
@@ -675,21 +788,34 @@ def group_norm(x, gamma, beta, n_groups: int, eps: float = 1e-5) -> Tensor:
             g_m = -_unbroadcast(g_c, denom.shape)
             g_xg = g_c.copy()
             g_xg += g_m * inv
-            x._accum_fresh(g_xg.reshape(x.shape))
-        if gamma.requires_grad:
-            gamma._accum_fresh(_unbroadcast(np.sum(g * normed, axis=-1), gamma.shape))
-        if beta.requires_grad:
-            beta._accum_fresh(_unbroadcast(np.sum(g, axis=-1), beta.shape))
+            nx._accum_fresh(g_xg.reshape(x_shape))
+        if ngamma is not None:
+            ngamma._accum_fresh(_unbroadcast(np.sum(g * normed, axis=-1), gamma_shape))
+        if nbeta is not None:
+            nbeta._accum_fresh(_unbroadcast(np.sum(g, axis=-1), beta_shape))
 
     return _node(out_data, (x, gamma, beta), backward_fn)
 
 
-def dropout_mask(rng: np.random.Generator, shape, rate: float) -> Tensor:
-    """Pre-sampled inverted-dropout mask: entries are 0 or 1/(1-rate)."""
+class DropoutMask(NamedTuple):
+    """A pre-sampled inverted-dropout mask: the units kept, and the scale
+    1/(1-rate) they get."""
+    keep: np.ndarray    # bool
+    scale: float
+
+
+def dropout_mask(rng: np.random.Generator, shape, rate: float) -> DropoutMask:
+    """Draw an inverted-dropout mask for ``matmul_add``.
+
+    Applying it as ``(x * scale) * keep`` gives ``x * (keep / (1 - rate))``,
+    the 0-or-scale float mask, bit for bit (dropped entries keep x's sign as
+    zeros and turn infinities into NaN, as a product with 0.0 does), while
+    the mask takes one byte per entry, not eight. A rate of 0 or less keeps
+    every unit at scale 1 and draws nothing.
+    """
     if rate <= 0.0:
-        return constant(np.ones(shape))
-    keep = rng.random(shape) >= rate
-    return constant(keep / (1.0 - rate))
+        return DropoutMask(np.ones(shape, dtype=bool), 1.0)
+    return DropoutMask(rng.random(shape) >= rate, 1.0 / (1.0 - rate))
 
 
 # -- verification -----------------------------------------------------------------

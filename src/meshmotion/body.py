@@ -237,6 +237,7 @@ def rodrigues(axis_angle) -> ad.Tensor:
     c1e = c1.reshape(m, 1, 1)
     c2e = c2.reshape(m, 1, 1)
     out = np.eye(3) + c1e * k + c2e * k2
+    nv = v.node
 
     def backward_fn(g):
         # c1 K term, then the c1 coefficient down to the squared angle
@@ -266,7 +267,7 @@ def rodrigues(axis_angle) -> ad.Tensor:
         g_v[:, 2:3] += g_kf[:, 3:4] + -g_kf[:, 1:2]
         g_v[:, 1:2] += g_kf[:, 2:3] + -g_kf[:, 6:7]
         g_v[:, 0:1] += g_kf[:, 7:8] + -g_kf[:, 5:6]
-        v._accum_fresh(g_v)
+        nv._accum_fresh(g_v)
 
     return ad.custom_op(out, (v,), backward_fn)
 
@@ -334,6 +335,11 @@ def _joint_transforms(parents, rots, joints_rest) -> ad.Tensor:
     for j in range(1, N_JOINTS):
         np.matmul(g_j[parents[j]], local_j[j], out=g_j[j])
     g = np.ascontiguousarray(g_j.transpose(1, 0, 2, 3))
+    n_rots, n_joints = ad._grad_node(rots), ad._grad_node(joints_rest)
+    if n_joints is None:     # each is read only for the other operand's gradient
+        rd = None
+    if n_rots is None:
+        j_col = None
 
     def backward_fn(grad):
         # a joint's gradient is final once its children (higher indices) have
@@ -349,11 +355,11 @@ def _joint_transforms(parents, rots, joints_rest) -> ad.Tensor:
         d_g = d_gj.transpose(1, 0, 2, 3)
         d_t = d_g[:, :, 0:3, 3:4]       # the root's local transform is its G
         neg_d_t = -d_t
-        if rots.requires_grad:
-            rots._accum_fresh(d_g[:, :, 0:3, 0:3] + neg_d_t * np.swapaxes(j_col, -1, -2))
-        if joints_rest.requires_grad:
+        if n_rots is not None:
+            n_rots._accum_fresh(d_g[:, :, 0:3, 0:3] + neg_d_t * np.swapaxes(j_col, -1, -2))
+        if n_joints is not None:
             d_j = d_t + np.matmul(np.swapaxes(rd, -1, -2), neg_d_t)
-            joints_rest._accum_fresh(d_j.reshape(b, N_JOINTS, 3))
+            n_joints._accum_fresh(d_j.reshape(b, N_JOINTS, 3))
 
     return ad.custom_op(g, (rots, joints_rest), backward_fn)
 
@@ -375,16 +381,21 @@ def _fold_keypoints(fold: KeypointFold, g, beta) -> ad.Tensor:
     blocks = (h.reshape(b * 3, N_JOINTS * 4) @ fold.blend).reshape(b, 3, SHAPE_DIM + 1, k)
     blocks += fold.offset                                                      # (B,3,11,k)
     out = np.einsum("rack,rc->rka", blocks, weights)
+    n_g, n_beta = ad._grad_node(g), ad._grad_node(beta)
+    if n_beta is None:      # each is read only for one operand's gradient
+        blocks = None
+    if n_g is None:
+        weights = None
 
     def backward_fn(grad):
-        if beta.requires_grad:
-            beta._accum_fresh(np.einsum("rka,rack->rc", grad, blocks)[:, 1:])
-        if g.requires_grad:
+        if n_beta is not None:
+            n_beta._accum_fresh(np.einsum("rka,rack->rc", grad, blocks)[:, 1:])
+        if n_g is not None:
             d_blocks = np.einsum("rka,rc->rack", grad, weights).reshape(b * 3, -1)
             d_h = (d_blocks @ fold.blend.T).reshape(b, 3, N_JOINTS, 4)
             d_g = np.zeros((b, N_JOINTS, 4, 4))
             d_g[:, :, 0:3, :] = d_h.transpose(0, 2, 1, 3)
-            g._accum_fresh(d_g)
+            n_g._accum_fresh(d_g)
 
     return ad.custom_op(out, (g, beta), backward_fn)
 

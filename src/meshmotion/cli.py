@@ -311,8 +311,9 @@ def _gradcheck_cases(seed):
         "group_norm": (lambda x, g, b: ad.sum_(ad.group_norm(x, g, b, 2) *
                                                ad.group_norm(x, g, b, 2)), [(4, 6), (4,), (4,)], 0.5),
         "l2_norm_rows": (lambda t: ad.sum_(ad.l2_norm_rows(t)), [(4, 3)], 1.5),
-        "dropout_apply": (lambda t: ad.sum_(t * ad.dropout_mask(
-            np.random.default_rng(seed + 3), (4, 4), 0.4)), [(4, 4)], 0.0),
+        "dropout_apply": (lambda t: ad.sum_(ad.matmul_add(
+            t, ad.constant(np.eye(4)), 0.0,
+            mask=ad.dropout_mask(np.random.default_rng(seed + 3), (4, 4), 0.4))), [(4, 4)], 0.0),
     }
 
     cases = []

@@ -305,9 +305,9 @@ def retained_backward(loss):
     gradient, parents and closure in place: the leaf gradients a consuming
     backward must reproduce bit for bit."""
     order, visited = [], set()
-    # depth-first post-order, a tensor placed where its latest push puts it;
-    # None marks a finished tensor
-    stack = [loss]
+    # depth-first post-order over the nodes, a node placed where its latest
+    # push puts it; None marks a finished node
+    stack = [loss.node]
     while stack:
         node = stack.pop()
         if node is None:
@@ -317,11 +317,10 @@ def retained_backward(loss):
             continue
         visited.add(node)
         stack.extend((node, None))
-        stack.extend(p for p in node._parents
-                     if (p._parents or p._backward_fn is not None) and p not in visited)
-    loss.grad = np.ones_like(loss.data)
+        stack.extend(p for p in node._parents if type(p) is ad.Node and p not in visited)
+    loss.node.grad = np.ones_like(loss.data)
     for node in reversed(order):
-        if node._backward_fn is not None and node.grad is not None:
+        if node.grad is not None:
             node._backward_fn(node.grad)
 
 
@@ -333,22 +332,22 @@ def retained_backward(loss):
 def sin(a):
     """Elementwise sine as a tape node, for the composite graphs below."""
     a = ad.as_tensor(a)
+    na, a_val = a.node, a.data
 
     def backward_fn(g):
-        if a.requires_grad:
-            a._accum_fresh(g * np.cos(a.data))
+        na._accum_fresh(g * np.cos(a_val))
 
-    return ad.custom_op(np.sin(a.data), (a,), backward_fn)
+    return ad.custom_op(np.sin(a_val), (a,), backward_fn)
 
 
 def sqrt(a):
     """Elementwise square root as a tape node, for the composite graphs below."""
     a = ad.as_tensor(a)
     out_data = np.sqrt(a.data)
+    na = a.node
 
     def backward_fn(g):
-        if a.requires_grad:
-            a._accum_fresh(g * 0.5 / out_data)
+        na._accum_fresh(g * 0.5 / out_data)
 
     return ad.custom_op(out_data, (a,), backward_fn)
 

@@ -36,8 +36,7 @@ def test_fd_oracle_detects_wrong_gradient():
         def backward_fn(g):
             p._accum(g * 3.0 * p.data)
 
-        y = ad.Tensor(out_data, requires_grad=True, _parents=(p,), _backward_fn=backward_fn)
-        return ad.sum_(y)
+        return ad.sum_(ad.custom_op(out_data, (p,), backward_fn))
 
     err = ad.finite_diff_check(wrong, p)
     assert err > 1e-2
@@ -108,13 +107,13 @@ def test_no_grad_records_no_graph_and_restores_recording():
         out = ad.relu(ad.matmul(p, ad.constant(np.ones((3, 2)))) * 2.0)
         fused = ad.matmul_add(p, ad.constant(np.ones((3, 2))), p[:, 0:2])
     for t in (out, fused):
-        assert not t.requires_grad and t._parents == () and t._backward_fn is None
+        assert not t.requires_grad and t.node is t and t._parents == ()
     assert np.array_equal(out.data, np.full((2, 2), 6.0))
     with pytest.raises(RuntimeError, match="inside"):
         with ad.no_grad():
             raise RuntimeError("inside")
     out = p * 2.0
-    assert out.requires_grad and out._parents[0] is p and out._backward_fn is not None
+    assert out.requires_grad and out.node._parents[0] is p and out.node._backward_fn is not None
     ad.sum_(out).backward()
     assert np.array_equal(p.grad, np.full((2, 3), 2.0))
 
@@ -185,7 +184,8 @@ OP_CASES = {
                      lambda rng: [ad.parameter(rand(rng, 2, 3), name="a"), ad.parameter(rand(rng, 2, 2), name="b")]),
     "relu": (lambda a: ad.sum_(ad.relu(a)),
              lambda rng: [ad.parameter(rand(rng, 5, 5) + 0.05, name="a")]),
-    "dropout_apply": (lambda a: ad.sum_(ad.mul(a, ad.dropout_mask(np.random.default_rng(11), (4, 4), 0.5))),
+    "dropout_apply": (lambda a: ad.sum_(ad.matmul_add(a, ad.constant(np.eye(4)), 0.0,
+                                                      mask=ad.dropout_mask(np.random.default_rng(11), (4, 4), 0.5))),
                       lambda rng: [ad.parameter(rand(rng, 4, 4), name="a")]),
     "mean_axis": (lambda a: ad.sum_(ad.mul(ad.mean_(a, axis=1, keepdims=True), ad.mean_(a, axis=1, keepdims=True))),
                   lambda rng: [ad.parameter(rand(rng, 3, 5), name="a")]),
@@ -315,8 +315,8 @@ def test_dense_node_matches_relu_and_mask_nodes_bit_for_bit(masked):
             out = ad.matmul_add(*params, relu=True, mask=mask)
         else:
             out = ad.relu(ad.matmul_add(*params))
-            if masked:
-                out = ad.mul(out, mask)
+            if masked:      # the 0-or-1/(1-rate) float mask
+                out = ad.mul(out, mask.keep * mask.scale)
         value = out.data.copy()
         ad.sum_(ad.mul(out, probe)).backward()
         results.append([value] + [p.grad for p in params])
@@ -344,10 +344,10 @@ def test_backward_drops_each_gradient_once_it_is_propagated():
         return loss, [x, w, bias]
 
     loss, leaves = build()
-    interior, stack = set(), [loss]
+    interior, stack = set(), [loss.node]
     while stack:
         node = stack.pop()
-        if node._backward_fn is not None and node not in interior:
+        if type(node) is ad.Node and node not in interior:
             interior.add(node)
             stack.extend(node._parents)
     ran, graded = [], []       # nodes whose closure ran; leaves that got a gradient
@@ -377,17 +377,106 @@ def test_backward_consumes_its_graph_and_keeps_leaf_gradients():
     p = ad.parameter(rand(rng, 3, 4), name="p")
     q = ad.parameter(rand(rng, 4, 2), name="q")
     hidden = ad.relu(ad.matmul_add(p, q, 0.5))
-    freed = weakref.ref(hidden.data)       # held by the tape only once ``hidden`` goes
+    freed = weakref.ref(hidden.data)       # no node holds it once ``hidden`` goes
     scaled = hidden * ad.constant(rand(rng, 3, 2))
     loss = ad.sum_(scaled)
-    interior = [scaled, loss]
+    interior = [scaled.node, loss.node]
     del hidden
     loss.backward()
-    for t in interior:
-        assert t.grad is None and t._parents == ()
-        assert getattr(t._backward_fn, "__closure__", None) is None
+    for node in interior:
+        assert node.grad is None and node._parents == ()
+        assert getattr(node._backward_fn, "__closure__", None) is None
     assert freed() is None
     assert p.grad.shape == (3, 4) and q.grad.shape == (4, 2)
+
+
+def test_a_value_no_backward_reads_is_freed_when_its_tensor_goes():
+    """A relu dense layer over a constant weight, fed to a second
+    constant-weight layer: no node keeps the first layer's output, so it is
+    freed as soon as the caller drops it, before backward runs, and the
+    gradient is the one computed with the output kept."""
+    grads = []
+    for drop in (True, False):
+        rng = np.random.default_rng(31)
+        x = ad.parameter(rand(rng, 5, 4), name="x")
+        hidden = ad.matmul_add(x, ad.constant(rand(rng, 4, 6)), ad.constant(rand(rng, 6)), relu=True)
+        out = ad.matmul_add(hidden, ad.constant(rand(rng, 6, 3)), ad.constant(rand(rng, 3)))
+        if drop:
+            freed = weakref.ref(hidden.data)
+            del hidden
+            assert freed() is None
+        ad.sum_(out).backward()
+        grads.append(x.grad)
+    assert grads[0].tobytes() == grads[1].tobytes()
+
+
+def test_the_sweep_frees_an_array_once_the_only_closure_reading_it_has_run():
+    """exp's node is the only holder of its output; a node made before it,
+    whose closure the sweep runs later, finds that output already freed."""
+    rng = np.random.default_rng(32)
+    x = ad.parameter(rand(rng, 3, 4), name="x")
+    seen = []
+
+    def check(g):
+        seen.append(freed() is None)
+        x._accum(g)
+
+    y = ad.exp(ad.custom_op(x.data.copy(), (x,), check))
+    freed = weakref.ref(y.data)
+    loss = ad.sum_(y)
+    del y
+    assert freed() is not None
+    loss.backward()
+    assert seen == [True]
+    assert np.array_equal(x.grad, np.exp(x.data))
+
+
+@pytest.mark.parametrize("rate", [0.1, 0.3, 0.5, 0.7])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_dropout_mask_applies_as_its_float_mask_bit_for_bit(rate):
+    """The mask keeps the draw ``rng.random(shape) >= rate`` as booleans and
+    the scale 1/(1-rate); (x * scale) * keep equals x times the 0-or-scale
+    float mask bit for bit, on zeros of both signs and infinities too."""
+    mask = ad.dropout_mask(np.random.default_rng(5), (6, 8), rate)
+    keep = np.random.default_rng(5).random((6, 8)) >= rate
+    assert mask.keep.dtype == bool and np.array_equal(mask.keep, keep)
+    assert mask.scale == 1.0 / (1.0 - rate)
+    x = rand(np.random.default_rng(6), 6, 8) * 1e3
+    x[:4] = np.resize([0.0, -0.0, np.inf, -np.inf], (4, 8))
+    assert keep[:4].any() and not keep[:4].all()
+    want = x * (keep / (1.0 - rate))
+    assert ((x * mask.scale) * mask.keep).tobytes() == want.tobytes()
+
+
+def test_conv1d_input_gradient_is_its_own_array_with_the_padded_buffers_values():
+    """The input gradient is an array of the input's size, not a view that
+    keeps the padded buffer alive, and holds the padded buffer's middle
+    columns bit for bit, also for sequences shorter than the padding."""
+    for t_len, k in ((7, 3), (6, 5), (1, 5), (4, 1)):
+        rng = np.random.default_rng(t_len * 10 + k)
+        x = ad.parameter(rand(rng, 2, 3, t_len), name="x")
+        w = ad.parameter(rand(rng, 4, 3, k), name="w")
+        out = ad.conv1d(x, w, ad.parameter(rand(rng, 4), name="b"))
+        g = rand(rng, *out.shape)
+        ad.sum_(ad.mul(out, g)).backward()
+        pad = (k - 1) // 2
+        dcols = np.matmul(w.data.reshape(4, 3 * k).T, g)
+        dxp = np.zeros((2, 3, t_len + 2 * pad))
+        for j in range(k):
+            dxp[..., j:j + t_len] += dcols[..., j::k, :]
+        assert x.grad.base is None and x.grad.shape == x.shape
+        assert x.grad.tobytes() == dxp[..., pad:pad + t_len].tobytes()
+
+
+def test_slice_gradients_take_the_memory_order_zeros_like_gives():
+    """getitem and gather_rows build an operand's gradient from its shape and
+    strides alone, in the memory order np.zeros_like(operand) would have."""
+    base = np.arange(120.0).reshape(2, 3, 4, 5)
+    for view in (base, base.transpose(0, 2, 3, 1), base.T, base[:, :, 1:, ::-1],
+                 base[0, :, 0].T, base[:, 1]):
+        got = ad._zeros(ad._layout(view))
+        want = np.zeros_like(view)
+        assert got.shape == want.shape and got.strides == want.strides and not got.any()
 
 
 def test_backward_through_a_consumed_graph_raises_before_touching_gradients():

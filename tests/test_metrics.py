@@ -636,7 +636,7 @@ def test_inference_records_no_graph(eval_setup, mixed_dataset, monkeypatch):
     assert len(outputs) == 2
     for out in outputs:
         for t in (out["joints"], out["pred2d"], out["full"][0]):
-            assert not t.requires_grad and t._parents == () and t._backward_fn is None
+            assert not t.requires_grad and t.node is t and t._parents == ()
 
 
 def test_dynamics_mode_checks_the_networks_before_predicting(eval_setup, monkeypatch):

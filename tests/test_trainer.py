@@ -1,6 +1,11 @@
 import gc
 import logging
+import os
+import platform
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,7 +138,7 @@ def test_training_step_encodes_the_whole_batch_in_one_call(toy_model, monkeypatc
 
 
 def _live_graph_nodes():
-    return sum(1 for o in gc.get_objects() if type(o) is ad.Tensor and o._parents)
+    return sum(1 for o in gc.get_objects() if type(o) is ad.Node and o._parents)
 
 
 def test_generator_graph_is_released_before_the_critic_loss_is_built(train_setup, monkeypatch):
@@ -153,7 +158,7 @@ def test_generator_graph_is_released_before_the_critic_loss_is_built(train_setup
     def checking(*args):
         out = outs[0]
         tensors = list(out["full"]) + [out[k] for k in ("beta", "pose", "rots", "joints", "pred2d")]
-        seen.append(([t._parents for t in tensors], [t.grad for t in tensors],
+        seen.append(([t.node._parents for t in tensors], [t.node.grad for t in tensors],
                      _live_graph_nodes()))
         return disc_loss(*args)
 
@@ -166,6 +171,50 @@ def test_generator_graph_is_released_before_the_critic_loss_is_built(train_setup
     assert all(p == () for p in parents) and all(g is None for g in grads)
     assert live == before
     assert outs[0]["joints"].data.shape[0] > 0      # the arrays themselves are kept
+
+
+# Trains the criterion-8 config through ``training.train`` in a fresh process
+# and prints the minor page faults per step after the warm-up steps.
+FAULTS_SCRIPT = """
+import resource
+import meshmotion
+from meshmotion import body, data, nets, training
+
+WARMUP, MEASURED = 10, 30
+model = body.make_toy_model(seed=0)
+full = data.gen_synthetic_dataset(model, 10, 16, 25.0, seed=300, motion_kind="ballistic",
+                                  feature_dim=32, vis_dropout=0.0, feature_noise=0.01)
+enc = nets.EncoderConfig(feature_dim=32, gn_groups=8, gn_group_size=4, ief_hidden=64,
+                         disc_hidden=16)
+tcfg = training.TrainConfig(seq_len=16, batch_size=4, steps=WARMUP + MEASURED, lr=5e-4,
+                            seed=0, use_jitter=False, delta_centers_per_seq=3)
+faults = []
+train_step = training.train_step
+
+def counting(*args, **kwargs):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    out = train_step(*args, **kwargs)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return out
+
+training.train_step = counting
+state = training.init_state(nets.ModelNets.create(enc, seed=0), tcfg)
+training.train(model, state, [(full, 1)], tcfg)
+print(sum(faults[WARMUP:]) / MEASURED)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the allocator setting is glibc's")
+def test_training_reuses_the_heap_a_step_frees():
+    """``training.train`` keeps the memory a step frees for the next step, so
+    steps after the warm-up fault in (almost) no new pages."""
+    src = str(Path(training.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", FAULTS_SCRIPT], capture_output=True, text=True,
+                         env=env, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout) < 50
 
 
 def test_generator_backward_computes_no_critic_gradient(train_setup, monkeypatch):

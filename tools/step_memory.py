@@ -7,17 +7,27 @@ For each workload of ``perfbench/run.py`` (imported, so the configs are the
 benchmark's own) a fresh process with one BLAS thread makes the body model
 and the training data with seed 1 and the workload's gen-data arguments,
 builds the workload's training config with seed 1, and then, with the
-cyclic collector paused as in ``training.train``, runs:
+cyclic collector paused and the allocator set as in ``training.train``
+(where the checkout sets it), runs:
 
 - WARMUP steps, not measured;
 - TIMED steps with tracemalloc off: minor page faults per step
   (``ru_minflt``) and the median step time; ``ru_maxrss`` is read after them;
 - TRACED steps under tracemalloc, each with its peak reset at its start: the
-  median peak above the traced size at the step's start.
+  median peak above the traced size at the step's start (``peak_mb``), and
+  the median traced size when the generator backward starts, above the
+  same (``graph_mb``): what the graph's nodes keep, apart from the sweep's
+  own peak.
 
-It prints one line per workload with those four numbers. With
+It prints one line per workload with those five numbers. With
 ``--workload`` it measures that workload only, in this process (the BLAS
 thread count is then whatever the environment sets).
+
+A fresh process overstates page faults against the benchmark's: there,
+set-up and eval calls have already grown the heap and raised glibc's
+adaptive thresholds before training starts. Without the allocator setting,
+the 1,000-3,900 faults per step seen here were a median of 0 per step in
+the benchmark process.
 """
 
 from __future__ import annotations
@@ -46,6 +56,7 @@ WARMUP, TIMED, TRACED = 10, 40, 10
 def measure(checkout: Path, workload) -> str:
     """One workload's line, measured in this process on ``checkout``'s package."""
     sys.path.insert(0, str(checkout / "src"))
+    from meshmotion import autodiff as ad
     from meshmotion import body, cli, data, nets, training
 
     wl = WORKLOADS[workload]
@@ -72,6 +83,9 @@ def measure(checkout: Path, workload) -> str:
         meta = mixer.metas[mixer.dataset_for_step(state.step)]
         training.train_step(model, state, batch, tcfg, feature_meta=meta, real_pool=pool)
 
+    keep_heap = getattr(training, "_keep_freed_heap", None)
+    if keep_heap is not None:
+        keep_heap()
     with training._cyclic_gc_paused():
         for _ in range(WARMUP):
             step()
@@ -82,15 +96,27 @@ def measure(checkout: Path, workload) -> str:
             step()
             times.append(time.perf_counter() - t0)
         usage = resource.getrusage(resource.RUSAGE_SELF)
+        backward = ad.Tensor.backward
+        at_backward = []    # traced size at the start of each backward of the step
+
+        def marking(loss):
+            at_backward.append(tracemalloc.get_traced_memory()[0])
+            return backward(loss)
+
+        ad.Tensor.backward = marking
         tracemalloc.start()
-        peaks = []
+        peaks, graphs = [], []
         for _ in range(TRACED):
             tracemalloc.reset_peak()
             start, _ = tracemalloc.get_traced_memory()
+            at_backward.clear()
             step()
             peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            graphs.append(at_backward[0] - start)      # the generator's comes first
         tracemalloc.stop()
+        ad.Tensor.backward = backward
     return (f"{workload:<14} peak_mb={statistics.median(peaks) / 2**20:.2f} "
+            f"graph_mb={statistics.median(graphs) / 2**20:.2f} "
             f"minflt_per_step={(usage.ru_minflt - faults0) / TIMED:.1f} "
             f"step_ms={1e3 * statistics.median(times):.2f} "
             f"maxrss_mb={usage.ru_maxrss / 1024:.1f}")
